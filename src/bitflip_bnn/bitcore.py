@@ -36,8 +36,11 @@ LAYER_KIND_CONV = 1
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# Keeps temporary (rows x neurons) popcount buffers at a sane size.
-_MATRIX_CHUNK_ROWS = 4096
+# Rows per popcount chunk. Far below 4096 to keep the (rows x neurons) buffers
+# small, but not so few that they just fit in L2 (128 rows x 1024 neurons is
+# 1.5 MiB): that ran faster only while nothing else used the cache, so its time
+# swung from run to run; 512 rows are a few percent slower but steady.
+_MATRIX_CHUNK_ROWS = 512
 
 
 def words_per_row(n_bits: int) -> int:
@@ -66,7 +69,7 @@ def _unpack_bool_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
     """Inverse of _pack_bool_rows; returns a (rows, n_bits) boolean array."""
     rows = words.shape[0]
     as_bytes = np.ascontiguousarray(words.astype("<u8")).view(np.uint8)
-    as_bytes = as_bytes.reshape(rows, -1)
+    as_bytes = as_bytes.reshape(rows, words.shape[1] * 8)
     bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
     return bits[:, :n_bits].astype(bool)
 
@@ -214,6 +217,12 @@ def _popcount_matrix(x_words: np.ndarray, w_words: np.ndarray, n_bits: int) -> n
             np.bitwise_and(buf, mask, out=buf)
         counts += np.bitwise_count(buf)
     return counts
+
+
+def popcount_chunks(x_words: np.ndarray, w_words: np.ndarray, n_bits: int):
+    """Yield (first_row, counts) for successive row chunks of _popcount_matrix."""
+    for lo in range(0, x_words.shape[0], _MATRIX_CHUNK_ROWS):
+        yield lo, _popcount_matrix(x_words[lo : lo + _MATRIX_CHUNK_ROWS], w_words, n_bits)
 
 
 def xnor_popcount_row(w: BitTensor, x: BitTensor) -> int:
@@ -395,19 +404,18 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
         x = x.flatten()
         single = True
 
-    counts = np.empty((x.n_rows, layer.out_features), dtype=np.int32)
-    for lo in range(0, x.n_rows, _MATRIX_CHUNK_ROWS):
-        hi = min(lo + _MATRIX_CHUNK_ROWS, x.n_rows)
-        counts[lo:hi] = _popcount_matrix(x.words[lo:hi], layer.weights.words, n)
-
     if layer.is_output:
-        scores = 2 * counts.astype(np.int64) - n - layer.thresholds.astype(np.int64)
+        scores = np.empty((x.n_rows, layer.out_features), dtype=np.int64)
+        offset = n + layer.thresholds.astype(np.int64)
+        for lo, counts in popcount_chunks(x.words, layer.weights.words, n):
+            scores[lo : lo + len(counts)] = 2 * counts.astype(np.int64) - offset
         return scores[0] if single else scores
-    bits = counts >= layer.thresholds
-    out = BitTensor.from_bool(bits)
-    if single:
-        return BitTensor((layer.out_features,), out.words, validate=False)
-    return out
+    # threshold and pack chunk by chunk: no (N, out_features) counts array
+    out = np.empty((x.n_rows, words_per_row(layer.out_features)), dtype=np.uint64)
+    for lo, counts in popcount_chunks(x.words, layer.weights.words, n):
+        out[lo : lo + len(counts)] = _pack_bool_rows(counts >= layer.thresholds)
+    shape = (layer.out_features,) if single else (x.n_rows, layer.out_features)
+    return BitTensor(shape, out, validate=False)
 
 
 def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:

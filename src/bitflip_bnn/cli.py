@@ -72,6 +72,7 @@ class RunManifest:
     seed: int | None
     outputs: list[Path]
     duration_s: float
+    stats: dict = field(default_factory=dict)  # measured run figures, key -> value
     versions: dict = field(
         default_factory=lambda: {"bitflip_bnn": __version__, "numpy": np.__version__}
     )
@@ -86,6 +87,8 @@ class RunManifest:
             lines.append(f"output.{i}={out}")
         for name in sorted(self.versions):
             lines.append(f"version.{name}={self.versions[name]}")
+        for key in sorted(self.stats):
+            lines.append(f"{key}={_fmt(self.stats[key])}")
         lines.append(f"duration_s={self.duration_s!r}")
         return "\n".join(lines) + "\n"
 
@@ -94,7 +97,12 @@ class RunManifest:
 
 
 def _write_manifest(
-    csv_path: Path, command: str, params: dict, outputs: list[Path], started: float
+    csv_path: Path,
+    command: str,
+    params: dict,
+    outputs: list[Path],
+    started: float,
+    stats: dict | None = None,
 ) -> None:
     manifest = RunManifest(
         command=command,
@@ -102,8 +110,17 @@ def _write_manifest(
         seed=params.get("seed"),
         outputs=outputs,
         duration_s=time.monotonic() - started,
+        stats=stats or {},
     )
     manifest.write_beside(csv_path)
+
+
+def _sweep_stats(result: SweepResult) -> dict:
+    return {
+        "sweep.incremental_trials": result.incremental_trials,
+        "sweep.dense_trials": result.dense_trials,
+        "stage.clean_pass_s": result.clean_pass_s,
+    }
 
 
 def _sibling(path: Path, tag: str) -> Path:
@@ -205,7 +222,9 @@ def cmd_ber_sweep(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    _write_manifest(out, "ber-sweep", params, [out, trials_path], started)
+    _write_manifest(
+        out, "ber-sweep", params, [out, trials_path], started, _sweep_stats(result)
+    )
     print(f"sweep written to {out} (per-trial rows in {trials_path})")
     return 0
 
@@ -278,7 +297,7 @@ def cmd_acc_energy(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
     }
-    _write_manifest(out, "acc-energy", params, [out], started)
+    _write_manifest(out, "acc-energy", params, [out], started, _sweep_stats(sweep))
     print(f"accuracy-energy curve written to {out}")
     return 0
 

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from bitflip_bnn.bitcore import load_model
+from bitflip_bnn.bitcore import load_model, model_predict_batch
 from bitflip_bnn.cli import main
+from bitflip_bnn.faultsim import flip_bits, trial_seed
+from bitflip_bnn.mnist_io import binarize_input, load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +107,38 @@ def test_ber_sweep_outputs(trained, synth_data_dir, tmp_path, capsys):
     assert main(args) == 0
     assert out.read_bytes() == first
     assert (out.parent / (out.name + ".manifest")).exists()
+
+
+def test_ber_sweep_trials_match_dense_reference(trained, synth_data_dir, tmp_path):
+    # 0 .. 1e-3 take the incremental path, 5e-2 the dense one
+    bers = [0.0, 1e-4, 1e-3, 5e-2]
+    out = tmp_path / "sweep.csv"
+    args = [
+        "ber-sweep",
+        "--model", str(trained),
+        "--data-dir", str(synth_data_dir),
+        "--bers", ",".join(map(str, bers)),
+        "--trials", "2",
+        "--seed", "8",
+        "--out", str(out),
+    ]
+    assert main(args) == 0
+    model = load_model(trained)
+    test_set = load_dataset(synth_data_dir, "test")
+    inputs = binarize_input(test_set.images)
+    rows = (tmp_path / "sweep_trials.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8
+    for row in rows:
+        ber, trial, acc = row.split(",")
+        bi, ti = bers.index(float(ber)), int(trial)
+        faulty = flip_bits(model, float(ber), trial_seed(8, bi, ti))
+        expected = float(np.mean(model_predict_batch(faulty, inputs) == test_set.labels))
+        assert acc == repr(expected)
+
+    manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+    assert "sweep.incremental_trials=6" in manifest
+    assert "sweep.dense_trials=2" in manifest
+    assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
 
 
 def test_ber_sweep_requires_sorted_bers(trained, synth_data_dir, tmp_path):
@@ -224,6 +259,11 @@ def test_acc_energy_join(trained, synth_data_dir, tmp_path):
     assert energies == sorted(energies)
     for r in rows:
         assert 0.0 <= float(r[2]) <= 1.0
+
+    manifest = (tmp_path / "join.csv.manifest").read_text().splitlines()
+    assert "sweep.incremental_trials=2" in manifest
+    assert "sweep.dense_trials=4" in manifest
+    assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
 
     first = out.read_bytes()
     assert main(args) == 0

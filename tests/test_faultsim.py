@@ -9,16 +9,19 @@ from bitflip_bnn.bitcore import (
     BitTensor,
     BnnModel,
     dump_model,
+    model_predict_batch,
 )
 from bitflip_bnn.faultsim import (
     FaultTrialConfig,
+    IncrementalEvaluator,
     SweepResult,
     accuracy,
     ber_sweep,
     flip_bits,
     trial_seed,
 )
-from bitflip_bnn.mnist_io import Dataset
+from bitflip_bnn.mnist_io import Dataset, binarize_input
+from tests.test_acceptance import SWEEP_BERS
 
 
 def _wide_model(rng, n_in=1000, n_out=1000):
@@ -213,3 +216,123 @@ def test_flip_with_generator_seed(synth_model):
     a = flip_bits(synth_model, 0.1, gen)
     b = flip_bits(synth_model, 0.1, np.random.Generator(np.random.PCG64(5)))
     assert dump_model(a) == dump_model(b)
+
+
+# ---------------------------------------------------------------------------
+# incremental evaluation: exact against model_predict_batch of the flipped copy
+# ---------------------------------------------------------------------------
+
+LOW_BERS = [ber for ber in SWEEP_BERS if ber <= fs.INCREMENTAL_MAX_BER]
+
+
+def _random_model(seed, sizes):
+    """Random linear model; hidden thresholds near half the fan-in, so faults propagate."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        last = i == len(sizes) - 2
+        thresholds = rng.integers(-2, 3, n_out) + (0 if last else n_in // 2)
+        weights = BitTensor.from_bool(rng.random((n_out, n_in)) < 0.5)
+        layers.append(BinarizedLinearLayer(weights, thresholds, is_output=last))
+    return BnnModel(layers, (sizes[0],))
+
+
+def _random_inputs(seed, rows, n_bits):
+    return BitTensor.from_bool(np.random.default_rng(seed).random((rows, n_bits)) < 0.5)
+
+
+def _flip_at(model, layer, positions):
+    """Copy of the model with the weight bits at (neuron, input) of one layer flipped."""
+    faulty = model.copy()
+    bits = faulty.layers[layer].weights.unpack_bool()
+    for j, i in positions:
+        bits[j, i] = not bits[j, i]
+    faulty.layers[layer].weights = BitTensor.from_bool(bits)
+    return faulty
+
+
+def _assert_incremental_exact(model, inputs, faulty_models):
+    evaluator = IncrementalEvaluator(model, inputs)
+    clean = model_predict_batch(model, inputs)
+    moved = 0
+    for faulty in faulty_models:
+        expected = model_predict_batch(faulty, inputs)
+        assert np.array_equal(evaluator.predict(faulty), expected)
+        moved += int(np.sum(expected != clean))
+    return moved
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(784, 256, 256, 10), (100, 70, 50, 10), (200, 96, 80, 64, 10)],
+    ids=["784-256-256-10", "padded-100-70-50-10", "three-hidden"],
+)
+def test_incremental_matches_dense_on_low_ber_grid(sizes):
+    model = _random_model(60, sizes)
+    inputs = _random_inputs(61, 600, sizes[0])
+    faulty = [
+        flip_bits(model, ber, trial_seed(5, bi, ti))
+        for bi, ber in enumerate(LOW_BERS)
+        for ti in range(3)
+    ]
+    assert _assert_incremental_exact(model, inputs, faulty) > 0  # faults reached the output
+
+
+def test_incremental_matches_dense_on_trained_model(synth_model, synth_test):
+    inputs = binarize_input(synth_test.images)
+    faulty = [
+        flip_bits(synth_model, ber, trial_seed(6, bi, ti))
+        for bi, ber in enumerate(LOW_BERS)
+        for ti in range(3)
+    ]
+    _assert_incremental_exact(synth_model, inputs, faulty)
+
+
+def test_incremental_zero_flips_is_clean(synth_model, synth_test):
+    inputs = binarize_input(synth_test.images)
+    faulty = [synth_model, flip_bits(synth_model, 0.0, trial_seed(1, 0, 0))]
+    _assert_incremental_exact(synth_model, inputs, faulty)
+
+
+def test_incremental_targeted_flips():
+    # padded widths, several flips in one neuron (across word boundaries and at
+    # the last valid bit), flips only in the output layer, and combinations
+    model = _random_model(62, (100, 70, 50, 10))
+    inputs = _random_inputs(63, 500, 100)
+    in_neuron = [(4, 0), (4, 63), (4, 64), (4, 99), (4, 50)]
+    faulty = [
+        _flip_at(model, 0, in_neuron),
+        _flip_at(model, 1, [(7, 0), (7, 69), (8, 69), (7, 3)]),
+        _flip_at(model, 2, [(3, 5), (3, 6), (9, 49)]),
+        _flip_at(_flip_at(model, 0, in_neuron), 1, [(7, 0), (7, 1)]),
+    ]
+    assert _assert_incremental_exact(model, inputs, faulty) > 0
+
+
+def test_incremental_rejects_mismatched_inputs(synth_model):
+    with pytest.raises(ValueError, match="784"):
+        IncrementalEvaluator(synth_model, _random_inputs(1, 5, 100))
+
+
+def test_mixed_grid_same_for_any_worker_count(synth_model, synth_test, monkeypatch):
+    # both paths: 0.0 .. 1e-3 run incrementally, 0.05 and 0.2 densely
+    bers = [0.0, 1e-4, 1e-3, 0.05, 0.2]
+    monkeypatch.setenv(fs.THREADS_ENV_VAR, "1")
+    serial = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=15)
+    monkeypatch.setenv(fs.THREADS_ENV_VAR, "2")
+    parallel = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=15)
+    assert np.array_equal(serial.accuracies, parallel.accuracies)
+    assert (serial.incremental_trials, serial.dense_trials) == (6, 4)
+    assert serial.clean_pass_s > 0.0
+
+    inputs = binarize_input(synth_test.images)
+    for bi, ber in enumerate(bers):
+        for ti in range(2):
+            faulty = flip_bits(synth_model, ber, trial_seed(15, bi, ti))
+            hits = model_predict_batch(faulty, inputs) == synth_test.labels
+            assert serial.accuracies[bi, ti] == float(np.mean(hits))
+
+
+def test_dense_only_grid_skips_clean_pass(synth_model, synth_test):
+    result = ber_sweep(synth_model, synth_test, [0.01, 0.1], trials=1, master_seed=3)
+    assert (result.incremental_trials, result.dense_trials, result.clean_pass_s) == (0, 2, 0.0)
