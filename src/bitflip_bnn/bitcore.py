@@ -7,6 +7,10 @@ XNOR + popcount reduction: for rows w and x of length n,
     popcount(XNOR(w, x)) == number of matching positions
     2 * popcount - n     == sum_i w_i * x_i   (the +-1 dot product)
 
+The kernel computes the same counts as a float32 matrix product of the
+unpacked +-1 rows, (dot + n) / 2, which is exact while n < 2^24 (MAX_FAN_IN):
+every partial sum is then an integer float32 holds exactly, in any order.
+
 A hidden neuron fires (+1) iff popcount >= T, an integer threshold learned
 during training. The output layer emits the integer score
 2 * popcount - n - T so that an argmax (hardmax) over classes is well
@@ -36,11 +40,13 @@ LAYER_KIND_CONV = 1
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# Rows per popcount chunk. Far below 4096 to keep the (rows x neurons) buffers
-# small, but not so few that they just fit in L2 (128 rows x 1024 neurons is
-# 1.5 MiB): that ran faster only while nothing else used the cache, so its time
-# swung from run to run; 512 rows are a few percent slower but steady.
-_MATRIX_CHUNK_ROWS = 512
+# Fan-in bound of the float32 kernel: below it every sum is exact.
+MAX_FAN_IN = 2**24
+
+# Rows per gemm chunk. Bounds the chunk's float32 temporaries (its +-1 inputs
+# and its (rows x neurons) product): a full 10k-row predict of a 1024-wide layer
+# grew peak memory by 13 MiB at 256 rows against 59 MiB at 2048, at equal speed.
+_MATRIX_CHUNK_ROWS = 256
 
 
 def words_per_row(n_bits: int) -> int:
@@ -65,13 +71,24 @@ def _pack_bool_rows(bits: np.ndarray) -> np.ndarray:
     return buf.view("<u8").astype(np.uint64, copy=False)
 
 
+def _unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """(rows, n_bits) uint8 0/1 array of packed rows; padding bits are dropped."""
+    as_bytes = np.ascontiguousarray(words.astype("<u8", copy=False)).view(np.uint8)
+    as_bytes = as_bytes.reshape(words.shape[0], words.shape[1] * 8)
+    return np.unpackbits(as_bytes, axis=-1, count=n_bits, bitorder="little")
+
+
 def _unpack_bool_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
     """Inverse of _pack_bool_rows; returns a (rows, n_bits) boolean array."""
-    rows = words.shape[0]
-    as_bytes = np.ascontiguousarray(words.astype("<u8")).view(np.uint8)
-    as_bytes = as_bytes.reshape(rows, words.shape[1] * 8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[:, :n_bits].astype(bool)
+    return _unpack_bits(words, n_bits).astype(bool)
+
+
+def _sign_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """(rows, n_bits) float32 array of +1/-1 of packed rows; padding bits are dropped."""
+    signs = _unpack_bits(words, n_bits).astype(np.float32)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 class BitTensor:
@@ -82,7 +99,7 @@ class BitTensor:
     LSB-first within each word. Padding bits past shape[-1] are zero.
 
     Instances are immutable by convention: kernels never write to `words`,
-    so a tensor can be shared freely across parallel workers.
+    so one tensor can serve any number of callers, such as every trial of a sweep.
     """
 
     __slots__ = ("shape", "words")
@@ -199,30 +216,21 @@ def pack(signs) -> BitTensor:
 # ---------------------------------------------------------------------------
 
 
-def _popcount_matrix(x_words: np.ndarray, w_words: np.ndarray, n_bits: int) -> np.ndarray:
-    """XNOR-popcount of every x row against every w row.
-
-    x_words: (N, wpr) uint64, w_words: (M, wpr) uint64 -> (N, M) int32 counts
-    of matching bit positions among the first n_bits. The last word is masked,
-    so stray padding bits cannot contribute.
-    """
-    n_rows, wpr = x_words.shape
-    counts = np.zeros((n_rows, w_words.shape[0]), dtype=np.int32)
-    mask = tail_mask(n_bits)
-    buf = np.empty((n_rows, w_words.shape[0]), dtype=np.uint64)
-    for k in range(wpr):
-        np.bitwise_xor(x_words[:, k, None], w_words[None, :, k], out=buf)
-        np.bitwise_not(buf, out=buf)
-        if k == wpr - 1:
-            np.bitwise_and(buf, mask, out=buf)
-        counts += np.bitwise_count(buf)
-    return counts
-
-
 def popcount_chunks(x_words: np.ndarray, w_words: np.ndarray, n_bits: int):
-    """Yield (first_row, counts) for successive row chunks of _popcount_matrix."""
+    """Yield (first_row, counts) for successive row chunks of the x rows.
+
+    x_words: (N, wpr) uint64, w_words: (M, wpr) uint64; counts is a
+    (chunk rows, M) int32 array of the positions among the first n_bits where
+    an x row agrees with a w row, so stray padding bits cannot contribute.
+    Computed as (dot + n) / 2 from a float32 +-1 matrix product: exact, since
+    |dot| <= n < MAX_FAN_IN and dot + n is even.
+    """
+    w = _sign_rows(w_words, n_bits)
     for lo in range(0, x_words.shape[0], _MATRIX_CHUNK_ROWS):
-        yield lo, _popcount_matrix(x_words[lo : lo + _MATRIX_CHUNK_ROWS], w_words, n_bits)
+        dot = _sign_rows(x_words[lo : lo + _MATRIX_CHUNK_ROWS], n_bits) @ w.T
+        dot += n_bits
+        dot *= 0.5
+        yield lo, dot.astype(np.int32)
 
 
 def xnor_popcount_row(w: BitTensor, x: BitTensor) -> int:
@@ -234,7 +242,8 @@ def xnor_popcount_row(w: BitTensor, x: BitTensor) -> int:
         raise ValueError("xnor_popcount_row expects 1-D packed rows")
     if w.n_bits != x.n_bits:
         raise ValueError(f"bit length mismatch: {w.n_bits} vs {x.n_bits}")
-    return int(_popcount_matrix(x.words, w.words, w.n_bits)[0, 0])
+    _, counts = next(popcount_chunks(x.words, w.words, w.n_bits))
+    return int(counts[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +268,7 @@ class BinarizedLinearLayer:
     def __post_init__(self):
         if len(self.weights.shape) != 2:
             raise ValueError("linear weights must be 2-D [out, in]")
+        _check_fan_in(self.in_features)
         self.thresholds = np.asarray(self.thresholds)
         if not np.issubdtype(self.thresholds.dtype, np.integer):
             raise ValueError("thresholds must be integers")
@@ -298,6 +308,7 @@ class BinarizedConvLayer:
             raise ValueError("stride must be a positive integer")
         if self.padding < 0:
             raise ValueError("padding must be non-negative")
+        _check_fan_in(int(np.prod(self.weights.shape[1:], dtype=np.int64)))
         self.thresholds = np.asarray(self.thresholds)
         if not np.issubdtype(self.thresholds.dtype, np.integer):
             raise ValueError("thresholds must be integers")
@@ -321,6 +332,14 @@ class BinarizedConvLayer:
 
 
 Layer = BinarizedLinearLayer | BinarizedConvLayer
+
+
+def _check_fan_in(n: int) -> None:
+    if n >= MAX_FAN_IN:
+        raise ValueError(
+            f"fan-in {n} is not below 2^24 = {MAX_FAN_IN}, the bound under which "
+            "the float32 popcount kernel is exact"
+        )
 
 
 @dataclass
@@ -450,8 +469,9 @@ def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:
     filt_bits = layer.weights.unpack_bool().reshape(layer.filters, n)
     filt_words = _pack_bool_rows(filt_bits)
 
-    counts = _popcount_matrix(patch_words, filt_words, n)  # (positions, filters)
-    bits = counts >= layer.thresholds  # broadcast over positions
+    bits = np.empty((len(patch_words), layer.filters), dtype=bool)  # (positions, filters)
+    for lo, counts in popcount_chunks(patch_words, filt_words, n):
+        bits[lo : lo + len(counts)] = counts >= layer.thresholds
     fmaps = bits.T.reshape(layer.filters, h_out, w_out)
     return BitTensor.from_bool(fmaps)
 
@@ -578,9 +598,9 @@ def load_model_bytes(data: bytes) -> BnnModel:
             words = r.array("<u8", n_words, f"layer {i} weights")
             try:
                 weights = BitTensor((out_f, in_f), words)
+                layers.append(BinarizedLinearLayer(weights, thr, bool(is_output)))
             except ValueError as exc:
                 raise FormatError(f"layer {i}: {exc}", r.offset) from exc
-            layers.append(BinarizedLinearLayer(weights, thr, bool(is_output)))
         elif kind == LAYER_KIND_CONV:
             filters, in_ch, kh, kw, stride, padding = r.unpack("<IIIIII", f"layer {i} dims")
             if 0 in (filters, in_ch, kh, kw, stride):
@@ -593,9 +613,9 @@ def load_model_bytes(data: bytes) -> BnnModel:
             words = r.array("<u8", n_words, f"layer {i} weights")
             try:
                 weights = BitTensor((filters, in_ch, kh, kw), words)
+                layers.append(BinarizedConvLayer(weights, thr, int(stride), int(padding)))
             except ValueError as exc:
                 raise FormatError(f"layer {i}: {exc}", r.offset) from exc
-            layers.append(BinarizedConvLayer(weights, thr, int(stride), int(padding)))
         else:
             raise FormatError(f"unknown layer kind {kind}", r.offset - 1)
     r.expect_eof()

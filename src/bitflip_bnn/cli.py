@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FormatError, NumericError
-from .bitcore import load_model, save_model
+from .bitcore import BinarizedConvLayer, BnnModel, load_model, save_model
 from .faultsim import SweepResult, accuracy, ber_sweep
 from .mnist_io import load_dataset
 from .mtj import (
@@ -129,6 +129,17 @@ def _sibling(path: Path, tag: str) -> Path:
     return path.with_name(path.name + tag)
 
 
+def _load_linear_model(path) -> BnnModel:
+    """Load a model for the MNIST commands, which feed it flat input rows."""
+    model = load_model(path)
+    if any(isinstance(layer, BinarizedConvLayer) for layer in model.layers):
+        raise FormatError(
+            f"{path}: conv models are not supported: the BNN1 format stores no "
+            "input shape, and the MNIST input is a flat 784-bit row"
+        )
+    return model
+
+
 def _device_params(args) -> MtjDeviceParams:
     if getattr(args, "device", None):
         return load_device_config(args.device)
@@ -177,7 +188,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
+    model = _load_linear_model(args.model)
     test_set = load_dataset(args.data_dir, "test")
     acc = accuracy(model, test_set)
     print(f"accuracy={acc!r}")
@@ -198,7 +209,7 @@ def _sweep_rows(result: SweepResult) -> tuple[list[str], list[str]]:
 
 def cmd_ber_sweep(args) -> int:
     started = time.monotonic()
-    model = load_model(args.model)
+    model = _load_linear_model(args.model)
     test_set = load_dataset(args.data_dir, "test")
     bers = _parse_bers(args.bers)
     if sorted(bers) != bers:
@@ -261,7 +272,7 @@ def cmd_energy_curve(args) -> int:
 
 def cmd_acc_energy(args) -> int:
     started = time.monotonic()
-    model = load_model(args.model)
+    model = _load_linear_model(args.model)
     test_set = load_dataset(args.data_dir, "test")
     device = _device_params(args)
     bers = _parse_bers(args.bers)

@@ -6,28 +6,27 @@ once per trial (persistent write errors, not read disturb). Thresholds and
 the network structure are assumed error-free, and padding bits are never
 touched. Trials are independent; each derives its own RNG stream from
 (master_seed, ber_index, trial_index), so a sweep is reproducible for any
-execution order or worker count.
+execution order.
 
-A sweep scores trials on one of two paths, chosen by BER alone:
+A sweep runs its trials in the calling process, in (ber, trial) order, and
+scores each on one of two paths, chosen by BER alone:
 
 * at or below INCREMENTAL_MAX_BER (a fixed constant, no flag or environment
   variable), an IncrementalEvaluator makes one clean pass over the dataset
-  and each trial updates only what its flips touch. These trials run in the
-  calling process, one after another;
+  and each trial updates only what its flips touch;
 * above it, each trial flips a copy and runs the full dense forward
-  (_run_trial), in a process pool when BITFLIP_BNN_THREADS > 1.
+  (_run_trial).
 
 Both paths take their flips from flip_bits and compute the same integers,
 so the accuracies, and every CSV built from them, are byte-identical
-whichever path or worker count scored a trial.
+whichever path scored a trial. The cores share the work inside BLAS, whose
+float32 sums are exact small integers, so the bytes do not depend on its
+thread count either.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +43,13 @@ from .bitcore import (
 )
 from .mnist_io import Dataset, binarize_input
 
-THREADS_ENV_VAR = "BITFLIP_BNN_THREADS"
-
 # Trials at or below this BER are scored incrementally against a clean pass.
-# Above it flips touch most neurons: on a 784-1024-1024-10 model the update
-# costs as much as a dense forward near 1e-2, and only dense trials can use
-# the process pool, so the crossover sits a decade below that.
-INCREMENTAL_MAX_BER = 1e-3
+# On a 784-1024-1024-10 model and 10k rows (2-vCPU box, 2 BLAS threads) an
+# update costs 0.12 s at 1e-4, 0.35 s at 1e-3 and 0.89 s at 1e-2, against
+# 0.30-0.35 s for a dense trial. At 1e-4 rather than 1e-3, the sweep-flat
+# benchmark (seed 1, 10 pairs) ran at 35.1k items/s against 32.8k (faster in
+# 8 of 10 pairs), with peak RSS 127.5 MiB against 134.4 (lower in all 10).
+INCREMENTAL_MAX_BER = 1e-4
 
 # Row chunk of the incremental update: bounds its per-chunk temporaries.
 _DELTA_CHUNK_ROWS = 512
@@ -279,18 +278,6 @@ def _bit_rows(bytes_t: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return (bytes_t[idx // 8] >> (idx % 8).astype(np.uint8)[:, None]) & 1
 
 
-def worker_count() -> int:
-    """Worker cap from BITFLIP_BNN_THREADS (default 1: sequential)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
 def ber_sweep(
     model: BnnModel,
     dataset: Dataset,
@@ -303,9 +290,8 @@ def ber_sweep(
     BERs must be sorted ascending. Each (ber, trial) evaluation flips a fresh
     copy of the model with its derived seed and scores it on the dataset:
     incrementally against one clean pass at or below INCREMENTAL_MAX_BER,
-    with a dense forward (pooled when workers > 1) above it. Results are
-    aggregated in (ber, trial) order, so the outcome does not depend on the
-    path or the number of workers.
+    with a dense forward above it. Trials run in (ber, trial) order in this
+    process, and the outcome does not depend on the path that scored them.
     """
     if not bers:
         raise ValueError("need at least one BER")
@@ -316,7 +302,7 @@ def ber_sweep(
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
 
-    # binarize once; trials ship the packed bits, not the float images
+    # binarize once; every trial scores the same packed bits
     inputs = binarize_input(dataset.images)
     labels = np.asarray(dataset.labels)
     jobs = [
@@ -327,39 +313,26 @@ def ber_sweep(
     incremental = IncrementalEvaluator.supports(model)
     sparse = [job for job in jobs if incremental and job[3] <= INCREMENTAL_MAX_BER]
     dense = jobs[len(sparse) :]  # BERs ascend, so the sparse trials come first
-    workers = worker_count()
-    results: dict[tuple[int, int], float] = {}
-    clean_pass_s = 0.0
-    with contextlib.ExitStack() as stack:
-        if workers > 1 and len(dense) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            pending = pool.map(_run_trial, dense)
-        else:
-            pending = map(_run_trial, dense)  # lazy: runs after the sparse trials
-        if sparse:
-            clean_pass_s, sparse_results = _run_incremental(model, inputs, labels, sparse)
-            results.update(sparse_results)
-        for bi, ti, acc in pending:
-            results[(bi, ti)] = acc
-
-    matrix = np.array(
-        [[results[(bi, ti)] for ti in range(trials)] for bi in range(len(bers))]
-    )
+    clean_pass_s, accuracies = 0.0, []
+    if sparse:
+        clean_pass_s, accuracies = _run_incremental(model, inputs, labels, sparse)
+    accuracies += [_run_trial(job)[2] for job in dense]
+    matrix = np.reshape(accuracies, (len(bers), trials))
     return SweepResult(list(bers), trials, matrix, len(sparse), clean_pass_s)
 
 
-def _run_incremental(model, inputs, labels, jobs) -> tuple[float, dict]:
-    """Score low-BER jobs in this process against one clean pass.
+def _run_incremental(model, inputs, labels, jobs) -> tuple[float, list[float]]:
+    """Score low-BER jobs against one clean pass.
 
-    Returns the clean pass's wall time and {(ber_index, trial_index): accuracy}.
+    Returns the clean pass's wall time and the jobs' accuracies in job order.
     The flips are those flip_bits draws for the job, so every accuracy equals
     the one _run_trial would return.
     """
     started = time.perf_counter()
     evaluator = IncrementalEvaluator(model, inputs)
     clean_pass_s = time.perf_counter() - started
-    results = {}
+    accuracies = []
     for _, _, _, ber, master_seed, bi, ti in jobs:
         faulty = flip_bits(model, ber, trial_seed(master_seed, bi, ti))
-        results[(bi, ti)] = float(np.mean(evaluator.predict(faulty) == labels))
-    return clean_pass_s, results
+        accuracies.append(float(np.mean(evaluator.predict(faulty) == labels)))
+    return clean_pass_s, accuracies

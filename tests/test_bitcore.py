@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -420,6 +422,36 @@ def test_load_rejects_trailing_garbage():
     blob = bc.dump_model(_round_trip_model(rng))
     with pytest.raises(FormatError):
         bc.load_model_bytes(blob + b"\x00")
+
+
+def fan_in_bound_model_bytes(in_features: int = bc.MAX_FAN_IN) -> bytes:
+    """A BNN1 file of one output neuron with `in_features` inputs (2 MiB at 2^24)."""
+    header = b"BNN1" + struct.pack("<IBIIB", 1, bc.LAYER_KIND_LINEAR, 1, in_features, 1)
+    threshold = struct.pack("<i", 0)
+    return header + threshold + bytes(8 * bc.words_per_row(in_features))
+
+
+def test_layers_refuse_fan_in_at_kernel_bound():
+    assert bc.MAX_FAN_IN == 2**24
+    below = BitTensor((1, 2**24 - 1), np.zeros(2**18, dtype=np.uint64))
+    assert BinarizedLinearLayer(below, [0]).in_features == 2**24 - 1
+    at = BitTensor((1, 2**24), np.zeros(2**18, dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"fan-in 16777216 .*2\^24"):
+        BinarizedLinearLayer(at, [0])
+
+    # conv fan-in is in_ch * k_h * k_w: 4 * 2048 * 2048 = 2^24 (one word per kernel row)
+    conv_at = BitTensor((1, 4, 2048, 2048), np.zeros(4 * 2048 * 32, dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"2\^24"):
+        BinarizedConvLayer(conv_at, [0])
+    conv_below = BitTensor((1, 4, 2047, 2048), np.zeros(4 * 2047 * 32, dtype=np.uint64))
+    BinarizedConvLayer(conv_below, [0])
+
+
+def test_load_refuses_fan_in_at_kernel_bound():
+    with pytest.raises(FormatError, match=r"layer 0: fan-in 16777216 .*2\^24"):
+        bc.load_model_bytes(fan_in_bound_model_bytes())
+    model = bc.load_model_bytes(fan_in_bound_model_bytes(2**24 - 1))
+    assert model.layers[0].in_features == 2**24 - 1
 
 
 def test_load_rejects_unknown_kind():

@@ -1,10 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bitflip_bnn.bitcore import load_model, model_predict_batch
+import bitflip_bnn
+from bitflip_bnn.bitcore import (
+    BinarizedConvLayer,
+    BinarizedLinearLayer,
+    BitTensor,
+    BnnModel,
+    load_model,
+    model_predict_batch,
+    save_model,
+)
 from bitflip_bnn.cli import main
 from bitflip_bnn.faultsim import flip_bits, trial_seed
 from bitflip_bnn.mnist_io import binarize_input, load_dataset
+from tests.test_bitcore import fan_in_bound_model_bytes
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +125,7 @@ def test_ber_sweep_outputs(trained, synth_data_dir, tmp_path, capsys):
 
 
 def test_ber_sweep_trials_match_dense_reference(trained, synth_data_dir, tmp_path):
-    # 0 .. 1e-3 take the incremental path, 5e-2 the dense one
+    # 0 and 1e-4 take the incremental path, 1e-3 and 5e-2 the dense one
     bers = [0.0, 1e-4, 1e-3, 5e-2]
     out = tmp_path / "sweep.csv"
     args = [
@@ -136,9 +151,66 @@ def test_ber_sweep_trials_match_dense_reference(trained, synth_data_dir, tmp_pat
         assert acc == repr(expected)
 
     manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
-    assert "sweep.incremental_trials=6" in manifest
-    assert "sweep.dense_trials=2" in manifest
+    assert "sweep.incremental_trials=4" in manifest
+    assert "sweep.dense_trials=4" in manifest
     assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
+
+
+def test_ber_sweep_bytes_same_for_any_blas_thread_count(trained, synth_data_dir, tmp_path):
+    # the cores share the work inside BLAS; its float32 sums are exact integers
+    src = Path(bitflip_bnn.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}" / "sweep.csv"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "bitflip_bnn.cli", "ber-sweep",
+                "--model", str(trained),
+                "--data-dir", str(synth_data_dir),
+                "--bers", "0,1e-3,5e-2,2e-1",
+                "--trials", "2",
+                "--seed", "9",
+                "--out", str(out),
+            ],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append((out.read_bytes(), (out.parent / "sweep_trials.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def conv_model(tmp_path_factory):
+    """A conv model that loads fine; BNN1 does not record its [1, 28, 28] input."""
+    rng = np.random.default_rng(4)
+    conv = BinarizedConvLayer(BitTensor.from_bool(rng.random((2, 1, 3, 3)) < 0.5), [4, 5])
+    out = BinarizedLinearLayer(
+        BitTensor.from_bool(rng.random((10, 2 * 26 * 26)) < 0.5), np.zeros(10, int), True
+    )
+    path = tmp_path_factory.mktemp("conv") / "conv.bnn"
+    save_model(BnnModel([conv, out]), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "ber-sweep"])
+def test_conv_model_refused_as_format_error(command, conv_model, synth_data_dir, tmp_path, capsys):
+    args = [command, "--model", str(conv_model), "--data-dir", str(synth_data_dir)]
+    if command == "ber-sweep":
+        args += ["--bers", "0,1e-2", "--out", str(tmp_path / "s.csv")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "conv models are not supported" in err
+    assert "stores no input shape" in err and "flat" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_fan_in_at_kernel_bound_is_format_error(synth_data_dir, tmp_path, capsys):
+    path = tmp_path / "wide.bnn"
+    path.write_bytes(fan_in_bound_model_bytes())
+    assert main(["eval", "--model", str(path), "--data-dir", str(synth_data_dir)]) == 3
+    assert "fan-in 16777216 is not below 2^24" in capsys.readouterr().err
 
 
 def test_ber_sweep_requires_sorted_bers(trained, synth_data_dir, tmp_path):
