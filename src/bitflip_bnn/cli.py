@@ -50,9 +50,15 @@ def _parse_bers(text: str) -> list[float]:
     if not items:
         raise UsageError("--bers needs at least one value")
     try:
-        return [float(p) for p in items]
+        bers = [float(p) for p in items]
     except ValueError as exc:
         raise UsageError(f"--bers: not a number in {text!r}") from exc
+    seen = set()
+    for ber in bers:
+        if ber in seen:
+            raise UsageError(f"--bers lists {ber!r} more than once")
+        seen.add(ber)
+    return bers
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:

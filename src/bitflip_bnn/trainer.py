@@ -14,6 +14,10 @@ engine. The output layer is kept free of per-class normalization (fixed
 exported integer scores reproduce the trained classifier exactly; its
 exported thresholds are zero.
 
+The Adam update runs in place on cache-sized blocks of each parameter, with
+the same float operations, in the same order and dtypes, as the whole-array
+expression.
+
 Reproducibility: a single seeded RNG stream is consumed in a fixed order --
 weight init (layer order), then per epoch one shuffle, then per step the
 dropout masks (layer order).
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BinarizedLinearLayer, BitTensor, BnnModel
+from .bitcore import BinarizedLinearLayer, BitTensor, BnnModel, pm1
 from .faultsim import accuracy
 from .mnist_io import Dataset, binarize_input
 
@@ -34,6 +38,12 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # running = (1-m)*running + m*batch
 
 MNIST_LAYER_SIZES = (784, 1024, 1024, 10)
+
+# Elements per Adam block. A float32 block of param, grad, m, v and the three
+# scratch buffers spans 1.75 MiB, inside a 2 MiB per-core L2. One step over the
+# 784-1024-1024-10 parameters on a 2-vCPU Xeon: 7.6-9.7 ms at 32k-128k
+# elements, 11 ms at 16k and at 256k, 27 ms for the whole-array expression.
+_ADAM_BLOCK = 65_536
 
 
 @dataclass
@@ -124,8 +134,8 @@ def init_latent_model(
 
 
 def _sign_pm1(arr: np.ndarray) -> np.ndarray:
-    """Sign with the +1 tie convention, preserving dtype."""
-    return np.where(arr >= 0, 1.0, -1.0).astype(arr.dtype, copy=False)
+    """Sign with the +1 tie convention (-0.0 -> +1, NaN -> -1), preserving dtype."""
+    return pm1(arr >= 0, arr.dtype)
 
 
 def binarize_weights(latent: np.ndarray) -> BitTensor:
@@ -208,6 +218,11 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, grad / n
 
 
+def _gate_weight_grad(dwb: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Zero, in place, the gradient of latent weights outside [-1, 1]; returns dwb."""
+    return np.multiply(dwb, np.abs(weight) <= 1.0, out=dwb)
+
+
 def backward_ste(model: LatentModel, cache: dict, grad_logits: np.ndarray) -> list[dict]:
     """Backprop with straight-through sign gradients; returns per-layer grads."""
     binarize = cache["binarize"]
@@ -217,7 +232,7 @@ def backward_ste(model: LatentModel, cache: dict, grad_logits: np.ndarray) -> li
     layer = model.layers[-1]
     ds = grad_logits * entry["scale"]
     dwb = ds.T @ entry["x"]
-    dw = dwb * (np.abs(layer.weight) <= 1.0) if binarize else dwb
+    dw = _gate_weight_grad(dwb, layer.weight) if binarize else dwb
     grads[-1] = {"weight": dw}
     da = ds @ entry["wb"]
 
@@ -246,7 +261,7 @@ def backward_ste(model: LatentModel, cache: dict, grad_logits: np.ndarray) -> li
         else:
             ds = ds_hat * entry["istd"]
         dwb = ds.T @ entry["x"]
-        dw = dwb * (np.abs(layer.weight) <= 1.0) if binarize else dwb
+        dw = _gate_weight_grad(dwb, layer.weight) if binarize else dwb
         grads[i] = {"weight": dw, "gamma": dgamma, "beta": dbeta}
         if i > 0:
             da = ds @ entry["wb"]
@@ -274,23 +289,65 @@ def adam_step(
     config: TrainConfig,
     t: int,
 ) -> LatentModel:
-    """One bias-corrected Adam update; latent weights re-clipped to [-1, 1]."""
+    """One bias-corrected Adam update; latent weights re-clipped to [-1, 1].
+
+    Each gradient must have its parameter's shape. Per element the update is
+
+        m += (1 - b1) * (grad - m);  v += (1 - b2) * (grad * grad - v)
+        param -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+
+    computed in place, block by block, with the float operations and dtypes
+    of that whole-array expression.
+    """
     if t < 1:
         raise ValueError("Adam step index starts at 1")
-    b1, b2 = config.beta1, config.beta2
-    lr, eps = config.learning_rate, config.adam_eps
     for i, (layer, layer_grads) in enumerate(zip(model.layers, grads)):
         for name, grad in layer_grads.items():
             param = getattr(layer, name)
-            m, v = state.slot((i, name), param)
-            m += (1.0 - b1) * (grad - m)
-            v += (1.0 - b2) * (grad * grad - v)
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            param -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
-            if name == "weight":
-                np.clip(param, -1.0, 1.0, out=param)
+            grad = np.asarray(grad)
+            if grad.shape != param.shape:
+                raise ValueError(
+                    f"layer {i} {name}: gradient shape {grad.shape} differs from "
+                    f"parameter shape {param.shape}"
+                )
+            if not param.flags.c_contiguous:
+                raise ValueError(f"layer {i} {name}: parameter must be C-contiguous")
+            m, v = state.slot((i, name), param)  # zeros_like: param's dtype and layout
+            _adam_update(param, grad, m, v, config, t, clip=name == "weight")
     return model
+
+
+def _adam_update(param, grad, m, v, config: TrainConfig, t: int, clip: bool) -> None:
+    """Adam on one C-contiguous parameter, in place, in blocks of _ADAM_BLOCK elements."""
+    b1, b2 = config.beta1, config.beta2
+    lr, eps = config.learning_rate, config.adam_eps
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    # flat views; grad, which is only read, may come back as a copy
+    param, grad, m, v = (a.reshape(-1) for a in (param, grad, m, v))
+    size = min(param.size, _ADAM_BLOCK)
+    diff_buf = np.empty(size, np.result_type(grad, m))  # grad - m, grad * grad - v
+    m_hat_buf = np.empty(size, m.dtype)
+    v_hat_buf = np.empty(size, m.dtype)
+    for lo in range(0, param.size, _ADAM_BLOCK):
+        blk = slice(lo, lo + _ADAM_BLOCK)
+        p, g, mb, vb = param[blk], grad[blk], m[blk], v[blk]
+        diff, m_hat, v_hat = diff_buf[: p.size], m_hat_buf[: p.size], v_hat_buf[: p.size]
+        np.subtract(g, mb, out=diff)
+        diff *= 1.0 - b1
+        mb += diff
+        np.multiply(g, g, out=diff)
+        diff -= vb
+        diff *= 1.0 - b2
+        vb += diff
+        np.divide(mb, c1, out=m_hat)
+        np.divide(vb, c2, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += eps
+        m_hat *= lr
+        m_hat /= v_hat
+        p -= m_hat
+        if clip:
+            np.clip(p, -1.0, 1.0, out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +397,7 @@ def export_model(model: LatentModel) -> BnnModel:
     """Compile the latent model into the packed integer-threshold form."""
     layers = []
     for layer in model.layers:
-        signs = np.where(layer.weight >= 0, np.int8(1), np.int8(-1))
+        signs = pm1(layer.weight >= 0, np.int8)
         n = layer.in_features
         if layer.is_output:
             thresholds = np.zeros(layer.out_features, dtype=np.int32)

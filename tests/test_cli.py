@@ -72,6 +72,33 @@ def test_train_same_seed_reproduces_model_bytes(tmp_path, synth_data_dir, traine
     assert out.read_bytes() == trained.read_bytes()
 
 
+def test_train_bytes_same_for_any_blas_thread_count(synth_data_dir, tmp_path):
+    # training's matmuls are rounded float sums; OpenBLAS splits a product among
+    # its threads by output blocks, so each sum is added in one order whatever
+    # the thread count, and model and log keep their bytes
+    src = Path(bitflip_bnn.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}" / "model.bnn"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "bitflip_bnn.cli", "train",
+                "--data-dir", str(synth_data_dir),
+                "--out", str(out),
+                "--epochs", "2",
+                "--batch", "64",
+                "--seed", "4",
+                "--limit", "600",
+            ],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append((out.read_bytes(), (out.parent / "model.bnn.log.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_train_missing_data_dir(tmp_path):
     code = main(
         ["train", "--data-dir", str(tmp_path / "nope"), "--out", str(tmp_path / "m.bnn")]
@@ -304,6 +331,20 @@ def test_energy_curve_rejects_boundary_bers(tmp_path):
     for bad in ("0", "1", "0.5,1.0"):
         code = main(["energy-curve", "--bers", bad, "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command,bers",
+    [("energy-curve", "1e-3,1e-2,1e-3"), ("ber-sweep", "1e-3,0.001"), ("acc-energy", "1e-3,1e-3")],
+)
+def test_duplicate_bers_are_usage_error(command, bers, trained, synth_data_dir, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = [command, "--bers", bers, "--out", str(out)]
+    if command != "energy-curve":
+        args += ["--model", str(trained), "--data-dir", str(synth_data_dir)]
+    assert main(args) == 2
+    assert "--bers lists 0.001 more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_ber_list_is_usage_error(tmp_path):

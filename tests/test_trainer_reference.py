@@ -1,0 +1,222 @@
+"""Differential tests of the trainer's elementwise paths against their former formulas.
+
+The reference functions below are the trainer's earlier whole-array
+expressions: signs through `np.where`, the Adam update with a fresh temporary
+per operation, and the straight-through weight mask as a new product. The
+current code must give the same floats bit for bit, so arrays are compared as
+unsigned integers of the same width (which tells -0.0 from 0.0 and compares
+NaN payloads).
+"""
+
+import numpy as np
+import pytest
+
+from bitflip_bnn import trainer as tr
+from bitflip_bnn.bitcore import BitTensor, dump_model, pm1
+from bitflip_bnn.trainer import (
+    AdamState,
+    LatentDenseLayer,
+    LatentModel,
+    TrainConfig,
+    adam_step,
+    export_model,
+    train,
+)
+from tests.conftest import synthetic_dataset
+
+SHAPES = [(1, 1), (3, 5), (1024, 784), (1024,)]  # 1024 x 784 ends in a partial block
+DTYPES = [  # (param dtype, grad dtype)
+    (np.float32, np.float32),
+    (np.float64, np.float64),
+    (np.float32, np.float64),
+    (np.float64, np.float32),
+]
+STEPS = 6
+
+
+# ---------------------------------------------------------------------------
+# reference formulas
+# ---------------------------------------------------------------------------
+
+
+def reference_sign_pm1(arr):
+    return np.where(arr >= 0, 1.0, -1.0).astype(arr.dtype, copy=False)
+
+
+def reference_gate_weight_grad(dwb, weight):
+    return dwb * (np.abs(weight) <= 1.0)
+
+
+def reference_adam_step(model, grads, state, config, t):
+    if t < 1:
+        raise ValueError("Adam step index starts at 1")
+    b1, b2 = config.beta1, config.beta2
+    lr, eps = config.learning_rate, config.adam_eps
+    for i, (layer, layer_grads) in enumerate(zip(model.layers, grads)):
+        for name, grad in layer_grads.items():
+            param = getattr(layer, name)
+            m, v = state.slot((i, name), param)
+            m += (1.0 - b1) * (grad - m)
+            v += (1.0 - b2) * (grad * grad - v)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            param -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(param.dtype)
+            if name == "weight":
+                np.clip(param, -1.0, 1.0, out=param)
+    return model
+
+
+def reference_pm1(bits, dtype):
+    return np.where(bits, 1, -1).astype(dtype)
+
+
+def reference_unpack(self):
+    return np.where(self.unpack_bool(), np.int8(1), np.int8(-1))
+
+
+def as_bits(arr: np.ndarray) -> np.ndarray:
+    """The array's bit patterns as unsigned integers of the same width."""
+    arr = np.asarray(arr)
+    return arr.view(np.dtype(f"u{arr.dtype.itemsize}"))
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(as_bits(got), as_bits(want))
+
+
+# ---------------------------------------------------------------------------
+# signs
+# ---------------------------------------------------------------------------
+
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sign_pm1_matches_reference(shape, dtype):
+    rng = np.random.default_rng(1)
+    arr = rng.standard_normal(shape).astype(dtype)
+    flat = arr.reshape(-1)
+    flat[: len(SPECIAL)] = np.array(SPECIAL, dtype=dtype)[: flat.size]
+    assert_bits_equal(tr._sign_pm1(arr), reference_sign_pm1(arr))
+
+
+def test_sign_pm1_special_values():
+    arr = np.array(SPECIAL, dtype=np.float32)
+    assert tr._sign_pm1(arr).tolist() == [1, 1, -1, -1, 1, -1, 1, -1, 1, -1]
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 3, 70), (1024, 784)])
+def test_unpack_and_pm1_match_reference(shape):
+    rng = np.random.default_rng(2)
+    bits = rng.random(shape) < 0.5
+    tensor = BitTensor.from_bool(bits)
+    assert_bits_equal(tensor.unpack(), reference_unpack(tensor))
+    for dtype in (np.int8, np.float32, np.float64):
+        assert_bits_equal(pm1(bits, dtype), reference_pm1(bits, dtype))
+        assert_bits_equal(pm1(bits.astype(np.uint8), dtype), reference_pm1(bits, dtype))
+
+
+# ---------------------------------------------------------------------------
+# straight-through weight mask
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_gate_weight_grad_matches_reference(shape, dtype):
+    rng = np.random.default_rng(3)
+    weight = (rng.standard_normal(shape) * 1.5).astype(dtype)  # many outside [-1, 1]
+    flat = weight.reshape(-1)
+    flat[: len(SPECIAL)] = np.array(SPECIAL, dtype=dtype)[: flat.size]
+    dwb = rng.standard_normal(shape).astype(dtype)
+    want = reference_gate_weight_grad(dwb, weight)
+    got = tr._gate_weight_grad(dwb, weight)
+    assert got is dwb  # in place
+    assert_bits_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Adam
+# ---------------------------------------------------------------------------
+
+
+def _adam_pair(shape, param_dtype, rng):
+    """Two identical one-layer models: a clipped `weight` and an unclipped `beta`."""
+    weight = rng.uniform(-1, 1, shape).astype(param_dtype)
+    beta = rng.standard_normal(shape).astype(param_dtype)
+
+    def make():
+        layer = LatentDenseLayer(weight.copy(), None, beta.copy(), None, None)
+        return LatentModel([layer], dropout=0.0)
+
+    return make(), make()
+
+
+@pytest.mark.parametrize("param_dtype,grad_dtype", DTYPES)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_adam_step_matches_reference(shape, param_dtype, grad_dtype):
+    rng = np.random.default_rng(4)
+    fast, ref = _adam_pair(shape, param_dtype, rng)
+    fast_state, ref_state = AdamState(), AdamState()
+    config = TrainConfig(learning_rate=0.05)  # large enough for weights to hit the clip
+    for t in range(1, STEPS + 1):
+        grads = [
+            {
+                "weight": rng.standard_normal(shape).astype(grad_dtype),
+                "beta": (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)).astype(
+                    grad_dtype
+                ),
+            }
+        ]
+        grads[0]["weight"].reshape(-1)[:1] = 0.0
+        adam_step(fast, grads, fast_state, config, t)
+        reference_adam_step(ref, grads, ref_state, config, t)
+        for name in ("weight", "beta"):
+            assert_bits_equal(getattr(fast.layers[0], name), getattr(ref.layers[0], name))
+            assert_bits_equal(fast_state.m[(0, name)], ref_state.m[(0, name)])
+            assert_bits_equal(fast_state.v[(0, name)], ref_state.v[(0, name)])
+    weight = fast.layers[0].weight
+    if weight.size > 100:
+        assert np.any(np.abs(weight) == 1.0)  # the clip took part
+
+
+def test_adam_step_refuses_gradient_of_another_shape():
+    model = LatentModel([LatentDenseLayer(np.zeros((3, 5)), None, None, None, None, True)], 0.0)
+    state = AdamState()
+    with pytest.raises(ValueError, match=r"gradient shape \(1, 5\) differs"):
+        adam_step(model, [{"weight": np.ones((1, 5))}], state, TrainConfig(), 1)
+    assert not state.m  # nothing was updated or allocated
+    assert np.all(model.layers[0].weight == 0.0)
+
+
+def test_adam_step_refuses_parameter_it_cannot_update_in_place():
+    model = LatentModel([LatentDenseLayer(np.zeros((5, 3)).T, None, None, None, None, True)], 0.0)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(model, [{"weight": np.ones((3, 5))}], AdamState(), TrainConfig(), 1)
+
+
+# ---------------------------------------------------------------------------
+# a whole training run
+# ---------------------------------------------------------------------------
+
+
+def _train_bytes(tmp_path, tag):
+    data = synthetic_dataset(300, seed=31)  # 4 full batches of 64 and one of 44
+    test = synthetic_dataset(100, seed=32)
+    log = tmp_path / f"{tag}.csv"
+    config = TrainConfig(epochs=2, batch_size=64, seed=8)
+    latent, history = train(data, config, (784, 48, 32, 10), test, log_path=log)
+    return dump_model(export_model(latent)), history, log.read_bytes()
+
+
+def test_train_matches_reference_formulas(tmp_path, monkeypatch):
+    fast = _train_bytes(tmp_path, "fast")
+    monkeypatch.setattr(tr, "_sign_pm1", reference_sign_pm1)
+    monkeypatch.setattr(tr, "_gate_weight_grad", reference_gate_weight_grad)
+    monkeypatch.setattr(tr, "adam_step", reference_adam_step)
+    monkeypatch.setattr(tr, "pm1", reference_pm1)
+    monkeypatch.setattr(BitTensor, "unpack", reference_unpack)
+    ref = _train_bytes(tmp_path, "ref")
+    assert fast == ref
