@@ -24,9 +24,12 @@ from .bitcore import BinarizedConvLayer, BnnModel, load_model, save_model
 from .faultsim import SweepResult, accuracy, ber_sweep
 from .mnist_io import load_dataset
 from .mtj import (
+    DIRECTIONS,
     INTRINSIC_ONLY,
     WITH_DEVICE_VARIATIONS,
     MtjDeviceParams,
+    ProgrammingPoint,
+    curve_workers,
     energy_ber_curve,
     load_device_config,
 )
@@ -127,6 +130,15 @@ def _sweep_stats(result: SweepResult) -> dict:
         "sweep.dense_trials": result.dense_trials,
         "stage.clean_pass_s": result.clean_pass_s,
     }
+
+
+def _energy_stats(points: list[ProgrammingPoint]) -> dict:
+    stats = {"energy.workers": curve_workers(len(points))}
+    for i, point in enumerate(points):
+        stats[f"energy.point.{i}.target_ber"] = point.ber
+        for direction, observed in zip(DIRECTIONS, point.ber_observed):
+            stats[f"energy.point.{i}.ber_observed.{direction}"] = observed
+    return stats
 
 
 def _sibling(path: Path, tag: str) -> Path:
@@ -271,7 +283,9 @@ def cmd_energy_curve(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
     }
-    _write_manifest(out, "energy-curve", manifest_params, [out], started)
+    _write_manifest(
+        out, "energy-curve", manifest_params, [out], started, _energy_stats(points)
+    )
     print(f"energy curve written to {out}")
     return 0
 
@@ -314,7 +328,8 @@ def cmd_acc_energy(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
     }
-    _write_manifest(out, "acc-energy", params, [out], started, _sweep_stats(sweep))
+    stats = {**_sweep_stats(sweep), **_energy_stats(curve)}
+    _write_manifest(out, "acc-energy", params, [out], started, stats)
     print(f"accuracy-energy curve written to {out}")
     return 0
 

@@ -131,7 +131,8 @@ def load_dataset(data_dir, split: str) -> Dataset:
     labels = load_idx_labels(data_dir / lbl_name)
     if len(raw) != len(labels):
         raise FormatError(f"{len(raw)} images but {len(labels)} labels in {split} split")
-    images = raw.astype(np.float32) / 255.0
+    images = raw.astype(np.float32)
+    images /= 255.0  # in place: one float32 copy of the split, same bits
     return Dataset(images, labels.astype(np.int64), split)
 
 

@@ -24,6 +24,7 @@ Vc and tau0 are held nominal.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,8 @@ DIRECTIONS = (P_TO_AP, AP_TO_P)
 
 _MC_CHUNK = 1 << 20  # samples per vectorized chunk; fixed so results do not
 # depend on how a caller splits the total sample count
+_BLOCK = 1 << 15  # samples per pass of the in-place energy step; its 256 KiB
+# scratch stays in cache while each chunk array streams through once
 
 
 @dataclass
@@ -64,6 +67,9 @@ class MtjDeviceParams:
     sigma_rp_rel: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("diameter_nm", "ra_ohm_um2", "tmr", "v_c", "tau_0", "k"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -112,6 +118,8 @@ class ProgrammingPoint:
     energy_mean: float
     energy_std: float
     variability_mode: str
+    # observed unswitched fraction per direction, in DIRECTIONS order
+    ber_observed: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not 0.0 < self.ber <= 1.0:
@@ -276,6 +284,7 @@ def write_energy_mc(
     Returns the sample mean and std of E and the observed unswitched
     fraction. Samples are processed in fixed-size chunks merged by streaming
     mean/variance combination, so chunking does not change the result.
+    Raises NumericError when device variations sample an R_P or R_AP <= 0.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -288,6 +297,8 @@ def write_energy_mc(
 
     r_p_nom, _ = resistances(params)
     theta = _gamma_theta(params)
+    v_sq = params.v_write**2
+    scratch = np.empty(min(samples, _BLOCK))
 
     count = 0
     mean = 0.0
@@ -298,23 +309,49 @@ def write_energy_mc(
         n = min(remaining, _MC_CHUNK)
         remaining -= n
         if variability_mode == WITH_DEVICE_VARIATIONS:
-            r_p = r_p_nom * (1.0 + params.sigma_rp_rel * rng.standard_normal(n))
-            tmr = params.tmr * (1.0 + params.sigma_tmr_rel * rng.standard_normal(n))
-            r_ap = r_p * (1.0 + tmr)
+            # r_p_nom * (1 + sigma_rp * N), then r_p * (1 + tmr * (1 + sigma_tmr * N)),
+            # in place and in the same operation order as the expressions
+            r_p = rng.standard_normal(n)
+            r_p *= params.sigma_rp_rel
+            r_p += 1.0
+            r_p *= r_p_nom
+            r_ap = rng.standard_normal(n)
+            r_ap *= params.sigma_tmr_rel
+            r_ap += 1.0
+            r_ap *= params.tmr
+            r_ap += 1.0
+            r_ap *= r_p
+            if r_p.min() <= 0.0 or r_ap.min() <= 0.0:
+                raise NumericError(
+                    "a sampled R_P or R_AP is <= 0 ohm: sigma_rp_rel="
+                    f"{params.sigma_rp_rel!r} and sigma_tmr_rel={params.sigma_tmr_rel!r} "
+                    "are too large for Gaussian device variations"
+                )
         else:
-            r_p = np.full(n, r_p_nom)
-            r_ap = r_p * (1.0 + params.tmr)
+            r_p = np.broadcast_to(r_p_nom, (n,))
+            r_ap = np.broadcast_to(r_p_nom * (1.0 + params.tmr), (n,))
         t_sw = rng.gamma(params.k, theta, size=n)
-        if direction == P_TO_AP:
-            r_init, r_final = r_p, r_ap
-        else:
-            r_init, r_final = r_ap, r_p
-        energy = conduction_energy(t_sw, t_pulse, r_init, r_final, params.v_write)
         unswitched += int(np.count_nonzero(t_sw > t_pulse))
+        r_init, r_final = (r_p, r_ap) if direction == P_TO_AP else (r_ap, r_p)
+        # conduction_energy written over t_sw block by block, same operations
+        energy = t_sw
+        for lo in range(0, n, _BLOCK):
+            piece = slice(lo, lo + _BLOCK)
+            t = energy[piece]
+            a = scratch[: len(t)]
+            np.minimum(t, t_pulse, out=a)
+            a /= r_init[piece]
+            np.subtract(t_pulse, t, out=t)
+            np.maximum(0.0, t, out=t)
+            t /= r_final[piece]
+            t += a
+            t *= v_sq
 
         # Chan et al. parallel mean/M2 combination
         c_mean = float(energy.mean())
-        c_m2 = float(((energy - c_mean) ** 2).sum())
+        energy -= c_mean
+        np.square(energy, out=energy)
+        c_m2 = float(energy.sum())
         delta = c_mean - mean
         total = count + n
         mean += delta * n / total
@@ -338,32 +375,51 @@ def energy_ber_curve(
     both write directions are simulated and averaged equally. Points are
     returned sorted by BER descending (energy grows as BER shrinks). Each
     (point, direction) pair owns a derived RNG stream, so the curve is
-    reproducible and points could be evaluated in parallel.
+    reproducible and the pairs are evaluated in parallel, on
+    curve_workers(len(bers)) threads, with the same result for any count.
     """
+    # imported here because at module level it costs every command ~5 ms and 0.3 MiB
+    from concurrent.futures import ThreadPoolExecutor
+
     if not bers:
         raise ValueError("need at least one target BER")
     for b in bers:
         if not 0.0 < b < 1.0:
             raise ValueError(f"target BERs must lie in (0, 1), got {b}")
+    ordered = sorted(bers, reverse=True)
+    pulses = [pulse_for_ber(params, ber) for ber in ordered]
+
+    def simulate(job: tuple[int, int]) -> EnergyStats:
+        idx, d_idx = job
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((seed, idx, d_idx)))
+        )
+        return write_energy_mc(
+            params, pulses[idx], DIRECTIONS[d_idx], samples, rng, variability_mode
+        )
+
+    jobs = [(idx, d_idx) for idx in range(len(ordered)) for d_idx in range(len(DIRECTIONS))]
+    with ThreadPoolExecutor(curve_workers(len(ordered))) as pool:
+        results = list(pool.map(simulate, jobs))
+
     points: list[ProgrammingPoint] = []
-    for idx, ber in enumerate(sorted(bers, reverse=True)):
-        t_pulse = pulse_for_ber(params, ber)
-        stats = []
-        for d_idx, direction in enumerate(DIRECTIONS):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((seed, idx, d_idx)))
-            )
-            stats.append(
-                write_energy_mc(params, t_pulse, direction, samples, rng, variability_mode)
-            )
+    for idx, (ber, t_pulse) in enumerate(zip(ordered, pulses)):
+        stats = results[idx * len(DIRECTIONS) : (idx + 1) * len(DIRECTIONS)]
         mean = 0.5 * (stats[0].energy_mean + stats[1].energy_mean)
         # equal-weight mixture of the two direction distributions
         second_moment = 0.5 * sum(s.energy_std**2 + s.energy_mean**2 for s in stats)
         var = max(0.0, second_moment - mean**2)
+        observed = tuple(s.ber_observed for s in stats)
         points.append(
-            ProgrammingPoint(t_pulse, ber, mean, math.sqrt(var), variability_mode)
+            ProgrammingPoint(t_pulse, ber, mean, math.sqrt(var), variability_mode, observed)
         )
     return points
+
+
+def curve_workers(n_points: int) -> int:
+    """Threads energy_ber_curve uses for n_points BERs: one per (point,
+    direction) job, at most one per CPU this process may run on."""
+    return min(n_points * len(DIRECTIONS), len(os.sched_getaffinity(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +472,32 @@ def parse_device_config(text: str) -> MtjDeviceParams:
         if key in values:
             raise FormatError(f"device config line {lineno}: duplicate key '{key}'")
         try:
-            values[key] = float(val)
+            value = float(val)
         except ValueError as exc:
             raise FormatError(
                 f"device config line {lineno}: value for '{key}' is not a number: {val!r}"
             ) from exc
+        if not math.isfinite(value):
+            raise FormatError(
+                f"device config line {lineno}: value for '{key}' is not finite: {val!r}"
+            )
+        values[key] = value
     merged = {**_CONFIG_DEFAULTS, **values}
     v_c = merged["vc_mv"] * 1e-3
-    return MtjDeviceParams(
-        diameter_nm=merged["diameter_nm"],
-        ra_ohm_um2=merged["ra_ohm_um2"],
-        tmr=merged["tmr"],
-        v_c=v_c,
-        tau_0=merged["tau0_ns"] * 1e-9,
-        k=merged["gamma_k"],
-        v_write=merged["v_over_vc"] * v_c,
-        sigma_tmr_rel=merged["sigma_tmr_rel"],
-        sigma_rp_rel=merged["sigma_rp_rel"],
-    )
+    try:
+        return MtjDeviceParams(
+            diameter_nm=merged["diameter_nm"],
+            ra_ohm_um2=merged["ra_ohm_um2"],
+            tmr=merged["tmr"],
+            v_c=v_c,
+            tau_0=merged["tau0_ns"] * 1e-9,
+            k=merged["gamma_k"],
+            v_write=merged["v_over_vc"] * v_c,
+            sigma_tmr_rel=merged["sigma_tmr_rel"],
+            sigma_rp_rel=merged["sigma_rp_rel"],
+        )
+    except ValueError as exc:
+        raise FormatError(f"device config: {exc}") from exc
 
 
 def load_device_config(path) -> MtjDeviceParams:

@@ -220,7 +220,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 def _gate_weight_grad(dwb: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Zero, in place, the gradient of latent weights outside [-1, 1]; returns dwb."""
-    return np.multiply(dwb, np.abs(weight) <= 1.0, out=dwb)
+    # two comparisons give the mask of |w| <= 1 (NaN and ±inf excluded) without
+    # a float copy of the weights
+    return np.multiply(dwb, (weight >= -1.0) & (weight <= 1.0), out=dwb)
 
 
 def backward_ste(model: LatentModel, cache: dict, grad_logits: np.ndarray) -> list[dict]:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,11 @@ from bitflip_bnn.bitcore import (
 )
 from bitflip_bnn.cli import main
 from bitflip_bnn.faultsim import flip_bits, trial_seed
+from bitflip_bnn import mtj
 from bitflip_bnn.mnist_io import binarize_input, load_dataset
+from bitflip_bnn.mtj import WITH_DEVICE_VARIATIONS, parse_device_config
 from tests.test_bitcore import fan_in_bound_model_bytes
+from tests.test_mtj_reference import reference_energy_ber_curve
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +337,71 @@ def test_energy_curve_rejects_boundary_bers(tmp_path):
         assert code == 2
 
 
+def _energy_manifest_keys(manifest: list[str], bers: list[float]) -> None:
+    keys = dict(line.split("=", 1) for line in manifest)
+    assert int(keys["energy.workers"]) >= 1
+    for i, ber in enumerate(sorted(bers, reverse=True)):
+        assert float(keys[f"energy.point.{i}.target_ber"]) == ber
+        for direction in ("p_to_ap", "ap_to_p"):
+            assert 0.0 <= float(keys[f"energy.point.{i}.ber_observed.{direction}"]) <= 1.0
+
+
+def test_energy_curve_manifest_and_bytes_match_serial_reference(tmp_path):
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text("tmr=1.2\nsigma_rp_rel=0.1\n")
+    out = tmp_path / "energy.csv"
+    bers = [1e-2, 1e-5, 1e-1]
+    args = [
+        "energy-curve", "--device", str(cfg), "--bers", "1e-2,1e-5,1e-1",
+        "--samples", "3001", "--mode", "variations", "--seed", "12", "--out", str(out),
+    ]
+    assert main(args) == 0
+    params = parse_device_config(cfg.read_text())
+    points = reference_energy_ber_curve(params, bers, 3001, 12, WITH_DEVICE_VARIATIONS)
+    rows = [
+        f"{p.ber!r},{p.t_pulse * 1e9!r},{p.energy_mean * 1e15!r},"
+        f"{p.energy_std * 1e15!r},{p.variability_mode}\n"
+        for p in points
+    ]
+    header = "ber,t_pulse_ns,energy_mean_fj,energy_std_fj,mode\n"
+    assert out.read_text() == header + "".join(rows)
+    _energy_manifest_keys((tmp_path / "energy.csv.manifest").read_text().splitlines(), bers)
+
+
+@pytest.mark.parametrize("key", ["tmr", "diameter_nm"])
+def test_energy_curve_non_finite_device_value_is_format_error(key, tmp_path, capsys):
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text(f"{key}=nan\n")
+    out = tmp_path / "x.csv"
+    code = main(["energy-curve", "--device", str(cfg), "--bers", "1e-3", "--out", str(out)])
+    assert code == 3
+    assert f"'{key}' is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_energy_curve_nonpositive_resistance_is_numeric_error(tmp_path, capsys, monkeypatch):
+    # the error is raised inside a pool thread and must reach main intact
+    threads = []
+    original = mtj.write_energy_mc
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mtj, "write_energy_mc", spy)
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text("sigma_rp_rel=2.0\n")
+    out = tmp_path / "x.csv"
+    args = [
+        "energy-curve", "--device", str(cfg), "--bers", "1e-2,1e-4", "--samples", "10000",
+        "--mode", "variations", "--out", str(out),
+    ]
+    assert main(args) == 4
+    assert "a sampled R_P or R_AP is <= 0 ohm: sigma_rp_rel=2.0" in capsys.readouterr().err
+    assert threads and all(t is not threading.main_thread() for t in threads)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,bers",
     [("energy-curve", "1e-3,1e-2,1e-3"), ("ber-sweep", "1e-3,0.001"), ("acc-energy", "1e-3,1e-3")],
@@ -377,6 +446,7 @@ def test_acc_energy_join(trained, synth_data_dir, tmp_path):
     assert "sweep.incremental_trials=2" in manifest
     assert "sweep.dense_trials=4" in manifest
     assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
+    _energy_manifest_keys(manifest, [1e-4, 1e-2, 1e-1])
 
     first = out.read_bytes()
     assert main(args) == 0

@@ -454,3 +454,26 @@ def test_bisection_budget_is_sufficient(params):
         assert t >= 0
     with pytest.raises(NumericError):
         pulse_for_ber(params, 1e-3, rel_tol=0.0)  # unreachable tolerance
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["diameter_nm", "ra_ohm_um2", "tmr", "v_c", "tau_0", "k", "v_write",
+     "sigma_tmr_rel", "sigma_rp_rel"],
+)
+def test_params_reject_non_finite_fields(params, field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MtjDeviceParams(**{**vars(params), field: bad})
+
+
+@pytest.mark.parametrize("text", ["tmr=nan", "diameter_nm=inf", "sigma_rp_rel=-inf"])
+def test_config_non_finite_value_names_key(text):
+    key = text.split("=")[0]
+    with pytest.raises(FormatError, match=f"'{key}' is not finite"):
+        parse_device_config(text)
+
+
+def test_config_nonphysical_device_is_format_error():
+    with pytest.raises(FormatError, match="v_write"):
+        parse_device_config("v_over_vc=0.5")
