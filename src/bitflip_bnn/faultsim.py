@@ -54,6 +54,12 @@ INCREMENTAL_MAX_BER = 1e-4
 # Row chunk of the incremental update: bounds its per-chunk temporaries.
 _DELTA_CHUNK_ROWS = 512
 
+# Rows per block when the clean pass stores a kernel chunk's counts transposed.
+# A 1024-row chunk of a 1024-wide layer (4 MiB of int32) transposed at once took
+# 51 ms per 10k rows on a 2-vCPU Xeon with a 2 MiB L2, against 14 ms in 256-row
+# blocks (18 ms in 128-row, 28 ms in 512-row blocks).
+_TRANSPOSE_ROWS = 256
+
 
 @dataclass
 class FaultTrialConfig:
@@ -182,7 +188,9 @@ class IncrementalEvaluator:
             counts = np.empty((layer.out_features, len(x)), dtype=np.int16)
             act = np.empty((len(x), words_per_row(layer.out_features)), dtype=np.uint64)
             for lo, chunk in popcount_chunks(x, layer.weights.words, layer.in_features):
-                counts[:, lo : lo + len(chunk)] = chunk.T
+                for s in range(0, len(chunk), _TRANSPOSE_ROWS):
+                    block = chunk[s : s + _TRANSPOSE_ROWS]
+                    counts[:, lo + s : lo + s + len(block)] = block.T
                 act[lo : lo + len(chunk)] = _pack_bool_rows(chunk >= layer.thresholds)
             self.counts.append(counts)
             words.append(act)

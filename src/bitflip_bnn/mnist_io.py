@@ -33,7 +33,11 @@ BINARIZE_THRESHOLD = 0.5  # on [0,1] intensities; >= threshold -> +1 bit
 
 @dataclass
 class Dataset:
-    """Images as [N, rows, cols] float32 intensities in [0,1], labels 0..9."""
+    """Images as [N, rows, cols] float32 intensities in [0,1], labels 0..9.
+
+    Images may also be bool, as binarized() returns them: True is a pixel at or
+    above BINARIZE_THRESHOLD, which binarize_input maps to the same +1 bit.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -53,6 +57,10 @@ class Dataset:
     def take(self, n: int) -> "Dataset":
         """First n samples, in file order (deterministic subsetting)."""
         return Dataset(self.images[:n], self.labels[:n], self.split)
+
+    def binarized(self) -> "Dataset":
+        """The same samples with bool images (1 byte per pixel) thresholded as binarize_input."""
+        return Dataset(self.images >= BINARIZE_THRESHOLD, self.labels, self.split)
 
 
 def load_idx_images(path) -> np.ndarray:

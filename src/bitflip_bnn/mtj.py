@@ -483,6 +483,12 @@ def parse_device_config(text: str) -> MtjDeviceParams:
             )
         values[key] = value
     merged = {**_CONFIG_DEFAULTS, **values}
+    try:
+        _integer_shape(merged["gamma_k"])
+    except ValueError as exc:
+        raise FormatError(
+            f"device config: gamma_k must be a positive integer, got {merged['gamma_k']!r}"
+        ) from exc
     v_c = merged["vc_mv"] * 1e-3
     try:
         return MtjDeviceParams(

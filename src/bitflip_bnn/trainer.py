@@ -60,12 +60,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("Adam betas must lie in [0,1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0,1)")
 

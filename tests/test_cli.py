@@ -476,3 +476,69 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_train_refuses_nan_learning_rate(synth_data_dir, tmp_path, capsys):
+    out = tmp_path / "m.bnn"
+    args = ["train", "--data-dir", str(synth_data_dir), "--out", str(out), "--lr", "nan"]
+    assert main(args) == 2
+    assert "learning_rate must be positive and finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_energy_curve_non_integer_gamma_k_is_format_error(tmp_path, capsys):
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text("gamma_k=16.5\n")
+    out = tmp_path / "x.csv"
+    code = main(["energy-curve", "--device", str(cfg), "--bers", "1e-3", "--out", str(out)])
+    assert code == 3
+    assert "gamma_k must be a positive integer, got 16.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bers,trials,message",
+    [
+        ("1e-2,1e-4", "1", "BERs must be sorted ascending"),
+        ("1e-3,1.5", "1", "ber must lie in [0,1], got 1.5"),
+        ("1e-3", "0", "trials must be >= 1"),
+    ],
+)
+def test_ber_sweep_library_checks_are_usage_errors(
+    bers, trials, message, trained, synth_data_dir, tmp_path, capsys
+):
+    out = tmp_path / "s.csv"
+    args = [
+        "ber-sweep", "--model", str(trained), "--data-dir", str(synth_data_dir),
+        "--bers", bers, "--trials", trials, "--out", str(out),
+    ]
+    assert main(args) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mnist_commands_pass_bool_images(trained, synth_data_dir, tmp_path, monkeypatch):
+    from bitflip_bnn import cli
+
+    seen = []
+
+    def spy(original):
+        def wrapped(*args, **kwargs):
+            seen.extend(a.images.dtype for a in (*args, *kwargs.values()) if hasattr(a, "images"))
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "ber_sweep", spy(cli.ber_sweep))
+    monkeypatch.setattr(cli, "train", spy(cli.train))
+    sweep = [
+        "ber-sweep", "--model", str(trained), "--data-dir", str(synth_data_dir),
+        "--bers", "1e-2", "--trials", "1", "--out", str(tmp_path / "s.csv"),
+    ]
+    assert main(sweep) == 0
+    train_args = [
+        "train", "--data-dir", str(synth_data_dir), "--out", str(tmp_path / "m.bnn"),
+        "--epochs", "1", "--limit", "100",
+    ]
+    assert main(train_args) == 0
+    assert seen == [np.dtype(bool)] * 3  # the sweep's test split, train's train and test

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bitflip_bnn import bitcore as bc
 from bitflip_bnn import faultsim as fs
 from bitflip_bnn.bitcore import (
     BinarizedLinearLayer,
@@ -324,3 +325,12 @@ def test_mixed_grid_same_for_any_worker_count(synth_model, synth_test):
 def test_dense_only_grid_skips_clean_pass(synth_model, synth_test):
     result = ber_sweep(synth_model, synth_test, [0.01, 0.1], trials=1, master_seed=3)
     assert (result.incremental_trials, result.dense_trials, result.clean_pass_s) == (0, 2, 0.0)
+
+
+def test_incremental_matches_dense_across_kernel_chunks():
+    # the clean pass stores each kernel chunk's counts transposed, block by block
+    rows = 2 * bc._MATRIX_CHUNK_ROWS + 5
+    model = _random_model(64, (100, 70, 50, 10))
+    inputs = _random_inputs(65, rows, 100)
+    faulty = [flip_bits(model, ber, trial_seed(8, bi, 0)) for bi, ber in enumerate(LOW_BERS)]
+    assert _assert_incremental_exact(model, inputs, faulty) > 0

@@ -8,6 +8,8 @@ it to give the oracle's integers exactly, across the row-chunk boundary,
 with dirty padding and with thresholds that force constant outputs.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,9 @@ from bitflip_bnn.bitcore import (
 )
 
 IN_FEATURES = [1, 63, 64, 70, 784, 1000]
-ROW_COUNTS = [1, 255, 256, 257, 600]  # around the 256-row gemm chunk
+_CHUNK = bc._MATRIX_CHUNK_ROWS
+# counts inside one gemm chunk, then around the chunk boundary
+ROW_COUNTS = [1, 255, 256, 257, 600, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5]
 OUT_FEATURES = 37
 
 
@@ -144,5 +148,31 @@ def test_conv_forward_equals_oracle(c, h, w, f, k, stride, padding):
     thr = rng.integers(-2, n + 3, f)
     layer = BinarizedConvLayer(weights, thr, stride, padding)
     x = BitTensor.from_bool(rng.random((c, h, w)) < 0.5)
+    got = conv_forward(layer, x).unpack_bool()
+    assert np.array_equal(got, _oracle_conv_forward(layer, x))
+
+
+def test_int32_extreme_thresholds_are_constant_and_scores_exact():
+    # the kernel compares against T - m clipped to [-n-1, n+1]; the clip must not wrap
+    rng = np.random.default_rng(9)
+    n_bits = 130
+    x = _random_bits(rng, _CHUNK + 3, n_bits)
+    w = _random_bits(rng, 4, n_bits)
+    i32 = np.iinfo(np.int32)
+    thr = np.array([i32.min, i32.max, -n_bits - 1, n_bits + 2])
+    bits = linear_forward(_layer(_dirty(w), thr, is_output=False), _dirty(x)).unpack_bool()
+    assert bits[:, 0].all() and not bits[:, 1].any()
+    assert bits[:, 2].all() and not bits[:, 3].any()
+    scores = linear_forward(_layer(_dirty(w), thr, is_output=True), _dirty(x))
+    expected = popcount_oracle(x.words, w.words, n_bits).astype(np.int64)
+    assert np.array_equal(scores, 2 * expected - n_bits - thr)
+
+
+def test_conv_forward_equals_oracle_across_row_chunks():
+    side = math.isqrt(_CHUNK) + 3  # side**2 positions: more than one gemm chunk
+    rng = np.random.default_rng(side)
+    weights = BitTensor.from_bool(rng.random((3, 2, 3, 3)) < 0.5)
+    layer = BinarizedConvLayer(weights, rng.integers(-1, 20, 3), stride=1, padding=1)
+    x = BitTensor.from_bool(rng.random((2, side, side)) < 0.5)
     got = conv_forward(layer, x).unpack_bool()
     assert np.array_equal(got, _oracle_conv_forward(layer, x))

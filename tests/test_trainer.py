@@ -488,3 +488,25 @@ def test_mnist_one_epoch_smoke(mnist_dir):
     )
     assert time.monotonic() - started < 120
     assert history[-1][2] > 0.60
+
+
+def test_train_on_binarized_dataset_gives_identical_model_and_history():
+    # gray levels as load_dataset makes them, so the threshold is exercised
+    rng = np.random.default_rng(31)
+    pixels = rng.integers(0, 256, (240, 28, 28), dtype=np.uint8)
+    images = pixels.astype(np.float32) / 255.0
+    data = Dataset(images[:180], rng.integers(0, 10, 180), "train")
+    test = Dataset(images[180:], rng.integers(0, 10, 60), "test")
+    config = TrainConfig(epochs=2, batch_size=30, seed=9)
+
+    model_f, hist_f = train(data, config, (784, 16, 10), test)
+    model_b, hist_b = train(data.binarized(), config, (784, 16, 10), test.binarized())
+    assert hist_f == hist_b
+    assert dump_model(export_model(model_f)) == dump_model(export_model(model_b))
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_refuses_non_finite_step_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        TrainConfig(**{field: value})
