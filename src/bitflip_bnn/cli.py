@@ -171,9 +171,8 @@ def _device_params(args) -> MtjDeviceParams:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    # every consumer thresholds the pixels: keep 1-byte bits, not float32
-    train_set = load_dataset(args.data_dir, "train").binarized()
-    test_set = load_dataset(args.data_dir, "test").binarized()
+    train_set = load_dataset(args.data_dir, "train")
+    test_set = load_dataset(args.data_dir, "test")
     if args.limit is not None:
         if args.limit < 1:
             raise UsageError("--limit must be >= 1")
@@ -208,7 +207,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_linear_model(args.model)
-    test_set = load_dataset(args.data_dir, "test").binarized()
+    test_set = load_dataset(args.data_dir, "test")
     acc = accuracy(model, test_set)
     print(f"accuracy={acc!r}")
     return 0
@@ -229,7 +228,7 @@ def _sweep_rows(result: SweepResult) -> tuple[list[str], list[str]]:
 def cmd_ber_sweep(args) -> int:
     started = time.monotonic()
     model = _load_linear_model(args.model)
-    test_set = load_dataset(args.data_dir, "test").binarized()
+    test_set = load_dataset(args.data_dir, "test")
     bers = _parse_bers(args.bers)
     # ber_sweep refuses unsorted BERs, BERs outside [0,1] and trials < 1
     result = ber_sweep(model, test_set, bers, args.trials, args.seed)
@@ -287,7 +286,7 @@ def cmd_energy_curve(args) -> int:
 def cmd_acc_energy(args) -> int:
     started = time.monotonic()
     model = _load_linear_model(args.model)
-    test_set = load_dataset(args.data_dir, "test").binarized()
+    test_set = load_dataset(args.data_dir, "test")
     device = _device_params(args)
     bers = _parse_bers(args.bers)
     for ber in bers:

@@ -51,6 +51,10 @@ from .mnist_io import Dataset, binarize_input
 # 8 of 10 pairs), with peak RSS 127.5 MiB against 134.4 (lower in all 10).
 INCREMENTAL_MAX_BER = 1e-4
 
+# Weight bits per block of flip draws: a 1 MiB float64 block in place of one
+# 8 MiB array of uniforms for a 1024x1024 layer.
+_FLIP_BLOCK_BITS = 1 << 17
+
 # Row chunk of the incremental update: bounds its per-chunk temporaries.
 _DELTA_CHUNK_ROWS = 512
 
@@ -113,10 +117,15 @@ def trial_seed(master_seed: int, ber_index: int, trial_index: int) -> np.random.
 
 
 def _flip_tensor(tensor: BitTensor, ber: float, rng: np.random.Generator) -> BitTensor:
-    draws = rng.random(tensor.total_bits)
-    flips = (draws < ber).reshape(tensor.n_rows, tensor.n_bits)
-    flip_words = _pack_bool_rows(flips)
-    return BitTensor(tensor.shape, tensor.words ^ flip_words, validate=False)
+    # uniforms are drawn a block of rows at a time, in row-major order, so the
+    # stream is that of one rng.random(total_bits) without its float64 array
+    n_bits = tensor.n_bits
+    rows_per_block = max(1, _FLIP_BLOCK_BITS // n_bits)
+    words = tensor.words.copy()
+    for lo in range(0, tensor.n_rows, rows_per_block):
+        block = words[lo : lo + rows_per_block]
+        block ^= _pack_bool_rows(rng.random((len(block), n_bits)) < ber)
+    return BitTensor(tensor.shape, words, validate=False)
 
 
 def flip_bits(model: BnnModel, ber: float, seed) -> BnnModel:

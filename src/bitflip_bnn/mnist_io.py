@@ -11,6 +11,7 @@ canonical MNIST files:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,10 +34,11 @@ BINARIZE_THRESHOLD = 0.5  # on [0,1] intensities; >= threshold -> +1 bit
 
 @dataclass
 class Dataset:
-    """Images as [N, rows, cols] float32 intensities in [0,1], labels 0..9.
+    """Images as [N, rows, cols] bool pixel bits, labels 0..9.
 
-    Images may also be bool, as binarized() returns them: True is a pixel at or
-    above BINARIZE_THRESHOLD, which binarize_input maps to the same +1 bit.
+    load_dataset gives bool images: True is a pixel byte >= 128, the +1 bit of
+    binarize_input. Direct callers may also pass float32 intensities in [0,1],
+    which binarize_input thresholds at BINARIZE_THRESHOLD into the same bits.
     """
 
     images: np.ndarray
@@ -64,22 +66,35 @@ class Dataset:
 
 
 def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into a [N, rows, cols] uint8 tensor."""
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise FormatError("file too short for an IDX image header", len(data))
-    magic, n, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IMAGE_MAGIC:
-        raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}", 0)
-    expected = 16 + n * rows * cols
-    if len(data) < expected:
-        raise FormatError(
-            f"truncated image payload: need {expected} bytes, have {len(data)}", len(data)
-        )
-    if len(data) > expected:
-        raise FormatError(f"{len(data) - expected} trailing bytes after image payload", expected)
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(n, rows, cols).copy()
+    """Parse an IDX image file into a [N, rows, cols] uint8 tensor.
+
+    The payload is read straight into the returned array, with no bytes copy.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(16)
+        if len(header) < 16:
+            raise FormatError("file too short for an IDX image header", size)
+        magic, n, rows, cols = struct.unpack(">IIII", header)
+        if magic != IMAGE_MAGIC:
+            raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}", 0)
+        for offset, dim, what in ((4, n, "images"), (8, rows, "rows"), (12, cols, "columns")):
+            if dim == 0:
+                raise FormatError(f"image header declares 0 {what}", offset)
+        expected = 16 + n * rows * cols
+        if size < expected:
+            raise FormatError(
+                f"truncated image payload: need {expected} bytes, have {size}", size
+            )
+        if size > expected:
+            raise FormatError(f"{size - expected} trailing bytes after image payload", expected)
+        pixels = np.empty((n, rows, cols), dtype=np.uint8)
+        got = f.readinto(pixels)
+        if got != pixels.nbytes:
+            raise FormatError(
+                f"short read of image payload: need {pixels.nbytes} bytes, got {got}", 16 + got
+            )
+    return pixels
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -126,7 +141,11 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 
 def load_dataset(data_dir, split: str) -> Dataset:
-    """Load the train or test split from a directory of canonical IDX files."""
+    """Load the train or test split from a directory of canonical IDX files.
+
+    Images come back as bool pixel bits (byte >= 128), thresholded in place in
+    the loaded uint8 array: the split costs 1 byte per pixel and no float copy.
+    """
     names = {
         "train": (TRAIN_IMAGES, TRAIN_LABELS),
         "test": (TEST_IMAGES, TEST_LABELS),
@@ -139,23 +158,22 @@ def load_dataset(data_dir, split: str) -> Dataset:
     labels = load_idx_labels(data_dir / lbl_name)
     if len(raw) != len(labels):
         raise FormatError(f"{len(raw)} images but {len(labels)} labels in {split} split")
-    images = raw.astype(np.float32)
-    images /= 255.0  # in place: one float32 copy of the split, same bits
+    # v >= 128 iff float32(v)/255 >= BINARIZE_THRESHOLD, for every byte value v
+    images = np.greater_equal(raw, 128, out=raw.view(bool))
     return Dataset(images, labels.astype(np.int64), split)
 
 
 def binarize_input(images: np.ndarray) -> BitTensor:
     """Threshold [0,1] intensities into packed sign bits, one row per image.
 
-    A pixel maps to +1 (bit 1) iff its intensity is >= 0.5. Spatial
-    dimensions are flattened, giving [N, rows*cols] (or a single flat row
-    for one unbatched image).
+    A pixel maps to +1 (bit 1) iff its intensity is >= 0.5; bool images are
+    already those bits and are packed as they are. Spatial dimensions are
+    flattened, giving [N, rows*cols] (or a single flat row for one unbatched
+    image).
     """
     arr = np.asarray(images)
-    if arr.ndim == 2:
-        bits = (arr >= BINARIZE_THRESHOLD).reshape(-1)
-    elif arr.ndim == 3:
-        bits = (arr >= BINARIZE_THRESHOLD).reshape(arr.shape[0], -1)
-    else:
+    if arr.ndim not in (2, 3):
         raise ValueError("expected [rows, cols] or [N, rows, cols] intensities")
-    return BitTensor.from_bool(bits)
+    bits = arr if arr.dtype == bool else arr >= BINARIZE_THRESHOLD
+    rows = bits.reshape(-1) if arr.ndim == 2 else bits.reshape(len(arr), -1)
+    return BitTensor.from_bool(rows)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BinarizedLinearLayer, BitTensor, BnnModel, pm1
+from .bitcore import BinarizedLinearLayer, BitTensor, BnnModel, _unpack_bits, pm1
 from .faultsim import accuracy
 from .mnist_io import Dataset, binarize_input
 
@@ -438,6 +438,29 @@ def latent_predict(model: LatentModel, inputs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _train_step(
+    model: LatentModel,
+    inputs: BitTensor,
+    labels: np.ndarray,
+    idx: np.ndarray,
+    rng: np.random.Generator,
+    state: AdamState,
+    config: TrainConfig,
+    t: int,
+) -> float:
+    """One Adam step on the packed input rows idx; returns the batch loss.
+
+    The +-1 float32 batch, the cache and the gradients are this function's
+    locals, so none of them outlives the step.
+    """
+    batch = pm1(_unpack_bits(inputs.words[idx], inputs.n_bits), np.float32)
+    logits, cache = forward_train(model, batch, rng, training=True)
+    loss, grad = softmax_cross_entropy(logits, labels[idx])
+    grads = backward_ste(model, cache, grad)
+    adam_step(model, grads, state, config, t)
+    return loss
+
+
 def train(
     data: Dataset,
     config: TrainConfig,
@@ -448,9 +471,11 @@ def train(
 ) -> tuple[LatentModel, list[tuple[int, float, float]]]:
     """Train on `data`; returns the latent model and per-epoch history.
 
-    History rows are (epoch, mean train loss, test accuracy of the exported
-    model). When log_path is given the history is also streamed to a CSV
-    with header epoch,train_loss,test_accuracy.
+    The training images are held packed, 1 bit per pixel, and each step
+    unpacks only its own batch into +-1 float32 rows. History rows are
+    (epoch, mean train loss, test accuracy of the exported model). When
+    log_path is given the history is also streamed to a CSV with header
+    epoch,train_loss,test_accuracy.
     """
     if len(data) == 0:
         raise ValueError("training set is empty")
@@ -458,10 +483,10 @@ def train(
     model = init_latent_model(layer_sizes, config.dropout, rng)
     state = AdamState()
 
-    inputs = binarize_input(data.images).unpack().astype(np.float32)
-    if inputs.shape[1] != layer_sizes[0]:
+    inputs = binarize_input(data.images)
+    if inputs.n_bits != layer_sizes[0]:
         raise ValueError(
-            f"data has {inputs.shape[1]} features but the model expects {layer_sizes[0]}"
+            f"data has {inputs.n_bits} features but the model expects {layer_sizes[0]}"
         )
     labels = np.asarray(data.labels)
 
@@ -472,16 +497,12 @@ def train(
             log.write("epoch,train_loss,test_accuracy\n")
         t = 0
         for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(len(inputs))
+            order = rng.permutation(inputs.n_rows)
             losses = []
             for lo in range(0, len(order), config.batch_size):
-                idx = order[lo : lo + config.batch_size]
-                logits, cache = forward_train(model, inputs[idx], rng, training=True)
-                loss, grad = softmax_cross_entropy(logits, labels[idx])
-                grads = backward_ste(model, cache, grad)
                 t += 1
-                adam_step(model, grads, state, config, t)
-                losses.append(loss)
+                idx = order[lo : lo + config.batch_size]
+                losses.append(_train_step(model, inputs, labels, idx, rng, state, config, t))
             train_loss = float(np.mean(losses))
             test_acc = (
                 accuracy(export_model(model), test_data) if test_data is not None else float("nan")

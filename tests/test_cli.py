@@ -20,7 +20,14 @@ from bitflip_bnn.bitcore import (
 from bitflip_bnn.cli import main
 from bitflip_bnn.faultsim import flip_bits, trial_seed
 from bitflip_bnn import mtj
-from bitflip_bnn.mnist_io import binarize_input, load_dataset
+from bitflip_bnn.mnist_io import (
+    TEST_IMAGES,
+    TEST_LABELS,
+    binarize_input,
+    load_dataset,
+    write_idx_images,
+    write_idx_labels,
+)
 from bitflip_bnn.mtj import WITH_DEVICE_VARIATIONS, parse_device_config
 from tests.test_bitcore import fan_in_bound_model_bytes
 from tests.test_mtj_reference import reference_energy_ber_curve
@@ -121,6 +128,22 @@ def test_eval_rejects_bad_model(tmp_path, synth_data_dir):
     bad = tmp_path / "bad.bnn"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     assert main(["eval", "--model", str(bad), "--data-dir", str(synth_data_dir)]) == 3
+
+
+@pytest.mark.parametrize(
+    "n,rows,cols,what,offset",
+    [(0, 28, 28, "images", 4), (3, 0, 28, "rows", 8), (3, 28, 0, "columns", 12)],
+)
+def test_eval_zero_image_dimension_is_format_error(
+    n, rows, cols, what, offset, trained, tmp_path, capsys
+):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_idx_images(data / TEST_IMAGES, np.zeros((n, rows, cols), dtype=np.uint8))
+    write_idx_labels(data / TEST_LABELS, np.zeros(n, dtype=np.uint8))
+    assert main(["eval", "--model", str(trained), "--data-dir", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert f"image header declares 0 {what} (at byte offset {offset})" in err
 
 
 def test_ber_sweep_outputs(trained, synth_data_dir, tmp_path, capsys):

@@ -81,6 +81,25 @@ def test_flip_rate_within_five_sigma():
         assert abs(observed - ber) <= 5 * sigma
 
 
+def _flip_tensor_whole_array(tensor: BitTensor, ber: float, rng) -> BitTensor:
+    """Reference: all of a tensor's uniforms drawn as one row-major array."""
+    flips = (rng.random(tensor.total_bits) < ber).reshape(tensor.n_rows, tensor.n_bits)
+    return BitTensor(tensor.shape, tensor.words ^ bc._pack_bool_rows(flips))
+
+
+@pytest.mark.parametrize("n_bits", [10, 65, 784, 1024])
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1, None])
+def test_flip_tensor_block_draws_equal_one_whole_array_draw(n_bits, extra_rows):
+    block_rows = fs._FLIP_BLOCK_BITS // n_bits
+    # below, at and above one block of rows, and a ragged multi-block case
+    n_rows = block_rows + extra_rows if extra_rows is not None else 2 * block_rows + 3
+    rng = np.random.default_rng(n_bits)
+    tensor = BitTensor.from_bool(rng.random((n_rows, n_bits)) < 0.5)
+    got = fs._flip_tensor(tensor, 0.3, np.random.Generator(np.random.PCG64(5)))
+    want = _flip_tensor_whole_array(tensor, 0.3, np.random.Generator(np.random.PCG64(5)))
+    assert got == want
+
+
 def test_flip_deterministic_for_same_seed(synth_model):
     a = flip_bits(synth_model, 0.05, 42)
     b = flip_bits(synth_model, 0.05, 42)

@@ -95,13 +95,16 @@ def test_load_dataset_counts_must_match(tmp_path):
 
 
 def test_load_dataset_normalizes(tmp_path):
-    images = np.array([[[0, 255], [128, 64]]], dtype=np.uint8)
+    # every byte value loads as the bit its float32 intensity v/255 thresholds to
+    images = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
     mio.write_idx_images(tmp_path / mio.TEST_IMAGES, images)
     mio.write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([9], dtype=np.uint8))
     ds = mio.load_dataset(tmp_path, "test")
     assert ds.split == "test"
-    assert ds.images.dtype == np.float32
-    assert np.allclose(ds.images[0], images[0] / 255.0)
+    assert ds.images.dtype == bool and ds.images.shape == (1, 16, 16)
+    assert ds.images.reshape(-1).tolist() == [v >= 128 for v in range(256)]
+    intensities = images.astype(np.float32) / 255.0
+    assert np.array_equal(ds.images, intensities >= mio.BINARIZE_THRESHOLD)
     assert ds.labels.tolist() == [9]
 
 
@@ -127,6 +130,14 @@ def test_binarize_threshold_is_half():
     # 127/255 < 0.5 <= 128/255
     img = np.array([[127 / 255.0, 128 / 255.0, 0.5]])
     assert mio.binarize_input(img[None, :, :]).unpack().tolist() == [[-1, 1, 1]]
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (5, 7, 9)])
+def test_binarize_bool_images_match_float_intensities(shape):
+    pixels = np.random.default_rng(8).integers(0, 256, shape, dtype=np.uint8)
+    intensities = pixels.astype(np.float32) / 255.0
+    # BitTensor equality compares shape and packed words: bit for bit
+    assert mio.binarize_input(pixels >= 128) == mio.binarize_input(intensities)
 
 
 def test_dataset_take_is_prefix():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,20 @@ def test_mnist_one_epoch_smoke(mnist_dir):
     )
     assert time.monotonic() - started < 120
     assert history[-1][2] > 0.60
+
+
+def test_train_holds_no_float_copy_of_the_split():
+    rng = np.random.default_rng(41)
+    data = Dataset(rng.random((4000, 28, 28)) < 0.5, rng.integers(0, 10, 4000), "train")
+    float32_split = data.images.size * 4
+    tracemalloc.start()
+    try:
+        train(data, TrainConfig(epochs=1, seed=3), (784, 16, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a float32 copy of the split (12 MiB) would be four times over the bound
+    assert peak < float32_split / 4
 
 
 def test_train_on_binarized_dataset_gives_identical_model_and_history():
