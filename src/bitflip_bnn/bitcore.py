@@ -457,21 +457,36 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
         x = x.flatten()
         single = True
 
-    w, m = _weight_operands(_unpack_bits(layer.weights.words, n))
     if layer.is_output:
+        w, m = _weight_operands(_unpack_bits(layer.weights.words, n))
         scores = np.empty((x.n_rows, layer.out_features), dtype=np.int64)
         offset = n + layer.thresholds.astype(np.int64) - 2 * m
         for lo, p in _products(x.words, w, n):
             # 2 * (p + m) - n - T
             scores[lo : lo + len(p)] = 2 * p.astype(np.int64) - offset
         return scores[0] if single else scores
-    # threshold and pack chunk by chunk: no (N, out_features) product array
-    levels = _fire_levels(layer.thresholds, m, n)
-    out = np.empty((x.n_rows, words_per_row(layer.out_features)), dtype=np.uint64)
-    for lo, p in _products(x.words, w, n):
-        out[lo : lo + len(p)] = _pack_bool_rows(p >= levels)
+    out = _hidden_words(layer.weights.words, layer.thresholds, x.words, n)
     shape = (layer.out_features,) if single else (x.n_rows, layer.out_features)
     return BitTensor(shape, out, validate=False)
+
+
+def _hidden_words(w_words, thresholds, x_words, n_bits: int, counts=None) -> np.ndarray:
+    """Packed hidden-layer outputs of the x rows: bit j set iff row j of w agrees in >= T_j bits.
+
+    Thresholded and packed chunk by chunk, so no (N, neurons) product array
+    exists. A given `counts`, a (N, neurons) integer array, also receives
+    every agreement count, written by the same chunk loop.
+    """
+    w, m = _weight_operands(_unpack_bits(w_words, n_bits))
+    levels = _fire_levels(thresholds, m, n_bits)
+    m = m.astype(np.float32)
+    out = np.empty((len(x_words), words_per_row(len(thresholds))), dtype=np.uint64)
+    for lo, p in _products(x_words, w, n_bits):
+        if counts is not None:
+            # p + m in one pass: the float32 sums are exact integers
+            np.add(p, m, out=counts[lo : lo + len(p)], casting="unsafe")
+        out[lo : lo + len(p)] = _pack_bool_rows(p >= levels)
+    return out
 
 
 def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:

@@ -22,7 +22,7 @@ from . import __version__
 from .errors import FormatError, NumericError
 from .bitcore import BinarizedConvLayer, BnnModel, load_model, save_model
 from .faultsim import SweepResult, accuracy, ber_sweep
-from .mnist_io import load_dataset
+from .mnist_io import TEST_IMAGES, TRAIN_IMAGES, Dataset, load_dataset
 from .mtj import (
     DIRECTIONS,
     INTRINSIC_ONLY,
@@ -158,6 +158,19 @@ def _load_linear_model(path) -> BnnModel:
     return model
 
 
+def _load_split(data_dir, split: str, n_in: int) -> Dataset:
+    """Load a split for a model of n_in inputs, which takes one bit per pixel."""
+    data = load_dataset(data_dir, split)
+    width = data.images.shape[1] * data.images.shape[2]
+    if width != n_in:
+        name = TRAIN_IMAGES if split == "train" else TEST_IMAGES
+        raise FormatError(
+            f"{Path(data_dir) / name}: images of {width} pixels, "
+            f"but the model takes {n_in} inputs"
+        )
+    return data
+
+
 def _device_params(args) -> MtjDeviceParams:
     if getattr(args, "device", None):
         return load_device_config(args.device)
@@ -171,8 +184,8 @@ def _device_params(args) -> MtjDeviceParams:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    train_set = load_dataset(args.data_dir, "train")
-    test_set = load_dataset(args.data_dir, "test")
+    train_set = _load_split(args.data_dir, "train", MNIST_LAYER_SIZES[0])
+    test_set = _load_split(args.data_dir, "test", MNIST_LAYER_SIZES[0])
     if args.limit is not None:
         if args.limit < 1:
             raise UsageError("--limit must be >= 1")
@@ -207,7 +220,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_linear_model(args.model)
-    test_set = load_dataset(args.data_dir, "test")
+    test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     acc = accuracy(model, test_set)
     print(f"accuracy={acc!r}")
     return 0
@@ -228,7 +241,7 @@ def _sweep_rows(result: SweepResult) -> tuple[list[str], list[str]]:
 def cmd_ber_sweep(args) -> int:
     started = time.monotonic()
     model = _load_linear_model(args.model)
-    test_set = load_dataset(args.data_dir, "test")
+    test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     bers = _parse_bers(args.bers)
     # ber_sweep refuses unsorted BERs, BERs outside [0,1] and trials < 1
     result = ber_sweep(model, test_set, bers, args.trials, args.seed)
@@ -255,12 +268,8 @@ def cmd_energy_curve(args) -> int:
     started = time.monotonic()
     params = _device_params(args)
     bers = _parse_bers(args.bers)
-    for ber in bers:
-        if not 0.0 < ber < 1.0:
-            raise UsageError(f"target BER {ber} outside (0,1)")
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
     mode = _MODE_FLAGS[args.mode]
+    # energy_ber_curve refuses BERs outside (0,1) and samples < 1
     points = energy_ber_curve(params, bers, args.samples, args.seed, mode)
     rows = [
         f"{p.ber!r},{p.t_pulse * 1e9!r},{p.energy_mean * 1e15!r},"
@@ -286,7 +295,7 @@ def cmd_energy_curve(args) -> int:
 def cmd_acc_energy(args) -> int:
     started = time.monotonic()
     model = _load_linear_model(args.model)
-    test_set = load_dataset(args.data_dir, "test")
+    test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     device = _device_params(args)
     bers = _parse_bers(args.bers)
     for ber in bers:

@@ -12,8 +12,9 @@ A sweep runs its trials in the calling process, in (ber, trial) order, and
 scores each on one of two paths, chosen by BER alone:
 
 * at or below INCREMENTAL_MAX_BER (a fixed constant, no flag or environment
-  variable), an IncrementalEvaluator makes one clean pass over the dataset
-  and each trial updates only what its flips touch;
+  variable), an IncrementalEvaluator makes one clean pass over the dataset,
+  and each trial reruns only the neurons whose weights hold a flip and the
+  rows whose input those neurons changed;
 * above it, each trial flips a copy and runs the full dense forward
   (_run_trial).
 
@@ -32,37 +33,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitcore import (
+    _MATRIX_CHUNK_ROWS,
     BinarizedLinearLayer,
     BitTensor,
     BnnModel,
+    _hidden_words,
     _pack_bool_rows,
-    _unpack_bool_rows,
+    _unpack_bits,
     model_predict_batch,
-    popcount_chunks,
-    words_per_row,
+    pm1,
 )
 from .mnist_io import Dataset, binarize_input
 
 # Trials at or below this BER are scored incrementally against a clean pass.
 # On a 784-1024-1024-10 model and 10k rows (2-vCPU box, 2 BLAS threads) an
-# update costs 0.12 s at 1e-4, 0.35 s at 1e-3 and 0.89 s at 1e-2, against
-# 0.30-0.35 s for a dense trial. At 1e-4 rather than 1e-3, the sweep-flat
-# benchmark (seed 1, 10 pairs) ran at 35.1k items/s against 32.8k (faster in
-# 8 of 10 pairs), with peak RSS 127.5 MiB against 134.4 (lower in all 10).
+# update costs 0.10-0.11 s at 1e-4, 0.35-0.38 s at 1e-3 and 0.61-0.63 s at
+# 1e-2, against 0.24-0.30 s for a dense trial. With the earlier evaluator,
+# which kept every hidden layer's counts, the sweep-flat benchmark (seed 1,
+# 10 pairs) ran at 35.1k items/s at 1e-4 against 32.8k at 1e-3 (faster in 8
+# of 10 pairs), with peak RSS 127.5 MiB against 134.4 (lower in all 10).
 INCREMENTAL_MAX_BER = 1e-4
 
 # Weight bits per block of flip draws: a 1 MiB float64 block in place of one
 # 8 MiB array of uniforms for a 1024x1024 layer.
 _FLIP_BLOCK_BITS = 1 << 17
-
-# Row chunk of the incremental update: bounds its per-chunk temporaries.
-_DELTA_CHUNK_ROWS = 512
-
-# Rows per block when the clean pass stores a kernel chunk's counts transposed.
-# A 1024-row chunk of a 1024-wide layer (4 MiB of int32) transposed at once took
-# 51 ms per 10k rows on a 2-vCPU Xeon with a 2 MiB L2, against 14 ms in 256-row
-# blocks (18 ms in 128-row, 28 ms in 512-row blocks).
-_TRANSPOSE_ROWS = 256
 
 
 @dataclass
@@ -166,16 +160,18 @@ def _run_trial(args) -> tuple[int, int, float]:
 class IncrementalEvaluator:
     """Exact predictions of faulty copies of one linear model on fixed inputs.
 
-    One clean pass caches, for every hidden layer, its popcounts (int16,
-    one row per neuron: fan-in < 2^15) and the packed bits of its input and
-    its activations. A faulty model is then scored by updating only what its
-    flipped weights touch:
+    One clean pass, through the dense kernel's own chunk loop, stores the
+    packed activations of every hidden layer and, for each hidden layer after
+    the first, its agreement counts (int16, row-major: fan-in < 2^15). The
+    first layer needs none: its input is the fixed inputs, so none of its
+    rows ever changes. A faulty model is then scored layer by layer, in row
+    chunks:
 
-    * a flipped weight (j, i) changes count[j] by -w_old * x_i, so with
-      clean inputs only the neurons whose weight rows hold a flip move;
-    * where a layer's inputs changed, the counts of those rows gain
-      (x' - x)/2 . W' over the changed input columns, a small +-1 float32
-      matmul that is exact on these integers;
+    * rows whose input changed get the stored counts plus (x' - x)/2 . W'
+      over the changed input columns, a small +-1 float32 matmul that is
+      exact on these integers;
+    * neurons whose weight row holds a flip are rerun on every row of the
+      layer's current input with the dense kernel;
     * the output layer is recomputed in full.
 
     Rows whose activations end up equal to the clean ones drop out, so each
@@ -190,22 +186,14 @@ class IncrementalEvaluator:
         if len(inputs.shape) != 2 or inputs.shape[1] != n_in:
             raise ValueError(f"expected inputs of {n_in} bits, got shape {inputs.shape}")
         self.model = model
-        self.counts = []  # counts[l]: clean popcounts of hidden layer l, (out, rows)
-        words = [inputs.words]  # words[l]: clean packed input of layer l
-        for layer in model.layers[:-1]:
-            x = words[-1]
-            counts = np.empty((layer.out_features, len(x)), dtype=np.int16)
-            act = np.empty((len(x), words_per_row(layer.out_features)), dtype=np.uint64)
-            for lo, chunk in popcount_chunks(x, layer.weights.words, layer.in_features):
-                for s in range(0, len(chunk), _TRANSPOSE_ROWS):
-                    block = chunk[s : s + _TRANSPOSE_ROWS]
-                    counts[:, lo + s : lo + s + len(block)] = block.T
-                act[lo : lo + len(chunk)] = _pack_bool_rows(chunk >= layer.thresholds)
+        self.acts = [inputs.words]  # acts[l]: clean packed input of layer l
+        self.counts = []  # counts[l]: clean agreement counts of hidden layer l > 0, (rows, out)
+        for l, layer in enumerate(model.layers[:-1]):
+            x = self.acts[-1]
+            counts = np.empty((len(x), layer.out_features), dtype=np.int16) if l else None
+            w, n = layer.weights.words, layer.in_features
+            self.acts.append(_hidden_words(w, layer.thresholds, x, n, counts))
             self.counts.append(counts)
-            words.append(act)
-        # the same bits as bytes, and transposed: row b of acts_t[l] is byte b of every row
-        self.acts = [_as_bytes(w) for w in words]
-        self.acts_t = [np.ascontiguousarray(a.T) for a in self.acts]
 
     @staticmethod
     def supports(model: BnnModel) -> bool:
@@ -217,82 +205,57 @@ class IncrementalEvaluator:
     def predict(self, faulty: BnnModel) -> np.ndarray:
         """Class predictions of `faulty`, a copy of the model with flipped weight bits."""
         rows = np.empty(0, dtype=np.intp)  # input rows that differ from the clean pass
-        new = self.acts[0][:0]  # their packed bytes
+        new = self.acts[0][:0]  # their packed words
         for l, (clean, bad) in enumerate(zip(self.model.layers[:-1], faulty.layers[:-1])):
             rows, new = self._update_layer(l, clean, bad, rows, new)
         x = self.acts[-1].copy()
         x[rows] = new
         out = faulty.layers[-1]
-        x = BitTensor((len(x), out.in_features), x.view("<u8"), validate=False)
+        x = BitTensor((len(x), out.in_features), x, validate=False)
         return model_predict_batch(BnnModel([out]), x)
 
     def _update_layer(self, l, clean, bad, rows, new):
-        """Hidden layer l's output rows that differ from the clean pass, and their bytes.
+        """Hidden layer l's output rows that differ from the clean pass, and their words.
 
         `rows` (ascending) and `new` give the same for the layer's input.
         """
-        x_t, act, counts = self.acts_t[l], self.acts[l + 1], self.counts[l]
-        thresholds = clean.thresholds[:, None]
-
-        # flipped weights (hit[fj], fi), numbered by rank within their neuron
-        flipped = clean.weights.words ^ bad.weights.words
-        hit = np.flatnonzero(flipped.any(axis=1))
+        x, act, n = self.acts[l], self.acts[l + 1], clean.in_features
+        hit = np.flatnonzero((clean.weights.words != bad.weights.words).any(axis=1))
         if not hit.size and not rows.size:
             return rows, act[:0]
-        fj, fi = np.nonzero(_unpack_bool_rows(flipped[hit], clean.in_features))
-        w_old = (_as_bytes(clean.weights.words)[hit[fj], fi // 8] >> (fi % 8).astype(np.uint8)) & 1
-        rank = np.arange(len(fj)) - np.searchsorted(fj, fj)
-        flips = np.bincount(fj, minlength=len(hit)).astype(np.int16)[:, None]
+        # float32 keeps every comparison with counts of magnitude <= n < 2^15 exact
+        levels = clean.thresholds.astype(np.float32)
+        if rows.size:
+            # input bits changed in any row, and the faulty weights on them as +-1
+            diff = new ^ x[rows]
+            cols = np.flatnonzero(_unpack_bits(np.bitwise_or.reduce(diff, axis=0)[None], n)[0])
+            w_cols = pm1(_unpack_bits(bad.weights.words, n)[:, cols].T, np.float32)
+            x = x.copy()
+            x[rows] = new
+        if hit.size:
+            hit_words = _hidden_words(bad.weights.words[hit], clean.thresholds[hit], x, n)
 
-        # input bits changed in any row, and the faulty weights on them as +-1
-        new_t = np.ascontiguousarray(new.T)
-        diff_t = new_t ^ x_t[:, rows]
-        cols = np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(diff_t, axis=1), bitorder="little"))
-        w_cols = 2 * _bit_rows(_as_bytes(bad.weights.words).T, cols).T.astype(np.float32) - 1
-
-        out_rows, out_bytes = [], []
-        for lo in range(0, x_t.shape[1], _DELTA_CHUNK_ROWS):
-            hi = min(lo + _DELTA_CHUNK_ROWS, x_t.shape[1])
+        out_rows, out_words = [rows[:0]], [act[:0]]
+        for lo in range(0, len(x), _MATRIX_CHUNK_ROWS):
+            hi = lo + _MATRIX_CHUNK_ROWS
             a, b = np.searchsorted(rows, (lo, hi))
             if not hit.size and a == b:
                 continue
-            local = rows[a:b] - lo
-
-            # a flip adds +1 where x_i disagreed with w_old, -1 where it agreed
-            disagree = _bit_rows(x_t[:, lo:hi], fi) ^ w_old[:, None]
-            delta = np.zeros((len(hit), hi - lo), dtype=np.int16)
-            for k in range(rank.max(initial=-1) + 1):
-                at = rank == k  # at most one flip per neuron
-                delta[fj[at]] += disagree[at]
-            delta = 2 * delta - flips
-            bits = np.unpackbits(act[lo:hi], axis=1, bitorder="little")
-            bits[:, hit] = (counts[hit, lo:hi] + delta >= thresholds[hit]).T
-
+            bits = _unpack_bits(act[lo:hi], clean.out_features)
             if b > a:
                 # (x' - x)/2 is x' where an input bit changed, else 0
-                sign = 2 * _bit_rows(new_t[:, a:b], cols).astype(np.float32) - 1
-                dx = _bit_rows(diff_t[:, a:b], cols) * sign
-                full = counts[:, rows[a:b]] + w_cols @ dx  # exact: |values| < 2^24
-                full[hit] += delta[:, local]
-                bits[local, : len(full)] = (full >= thresholds).T
-
-            packed = np.packbits(bits, axis=1, bitorder="little")
+                dx = pm1(_unpack_bits(new[a:b], n)[:, cols], np.float32)
+                dx *= _unpack_bits(diff[a:b], n)[:, cols]
+                full = dx @ w_cols  # exact: |values| < 2^24
+                full += self.counts[l][rows[a:b]]
+                bits[rows[a:b] - lo] = full >= levels
+            if hit.size:
+                bits[:, hit] = _unpack_bits(hit_words[lo:hi], len(hit))
+            packed = _pack_bool_rows(bits)
             changed = np.flatnonzero((packed != act[lo:hi]).any(axis=1))
             out_rows.append(lo + changed)
-            out_bytes.append(packed[changed])
-        if not out_rows:
-            return rows[:0], act[:0]
-        return np.concatenate(out_rows), np.concatenate(out_bytes)
-
-
-def _as_bytes(words: np.ndarray) -> np.ndarray:
-    """Packed uint64 rows as little-endian bytes: bit i of a row is bit i % 8 of byte i // 8."""
-    return words.astype("<u8", copy=False).view(np.uint8)
-
-
-def _bit_rows(bytes_t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Bits idx of packed rows given as transposed bytes, as a (len(idx), rows) 0/1 array."""
-    return (bytes_t[idx // 8] >> (idx % 8).astype(np.uint8)[:, None]) & 1
+            out_words.append(packed[changed])
+        return np.concatenate(out_rows), np.concatenate(out_words)
 
 
 def ber_sweep(

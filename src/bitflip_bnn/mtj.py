@@ -386,6 +386,8 @@ def energy_ber_curve(
     for b in bers:
         if not 0.0 < b < 1.0:
             raise ValueError(f"target BERs must lie in (0, 1), got {b}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     ordered = sorted(bers, reverse=True)
     pulses = [pulse_for_ber(params, ber) for ber in ordered]
 

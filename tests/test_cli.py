@@ -565,3 +565,60 @@ def test_mnist_commands_pass_bool_images(trained, synth_data_dir, tmp_path, monk
     ]
     assert main(train_args) == 0
     assert seen == [np.dtype(bool)] * 3  # the sweep's test split, train's train and test
+
+
+@pytest.fixture(scope="module")
+def narrow_data_dir(tmp_path_factory):
+    """Both splits as 14x14 images: 196 pixels against the 784 inputs of an MNIST model."""
+    root = tmp_path_factory.mktemp("narrow")
+    rng = np.random.default_rng(70)
+    for images, labels in (
+        ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+        (TEST_IMAGES, TEST_LABELS),
+    ):
+        write_idx_images(root / images, rng.integers(0, 256, (50, 14, 14), dtype=np.uint8))
+        write_idx_labels(root / labels, rng.integers(0, 10, 50, dtype=np.uint8))
+    return root
+
+
+@pytest.mark.parametrize(
+    "command,extra,images",
+    [
+        ("train", ["--epochs", "1"], "train-images-idx3-ubyte"),
+        ("eval", [], TEST_IMAGES),
+        ("ber-sweep", ["--bers", "1e-5", "--trials", "1"], TEST_IMAGES),
+        ("ber-sweep", ["--bers", "1e-2", "--trials", "1"], TEST_IMAGES),  # dense trials only
+        ("acc-energy", ["--bers", "1e-2", "--trials", "1", "--samples", "10"], TEST_IMAGES),
+    ],
+    ids=["train", "eval", "ber-sweep", "ber-sweep-dense-only", "acc-energy"],
+)
+def test_data_width_not_matching_model_is_format_error(
+    command, extra, images, trained, narrow_data_dir, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    args = [command, "--data-dir", str(narrow_data_dir), *extra]
+    if command != "train":
+        args += ["--model", str(trained)]
+    if command != "eval":
+        args += ["--out", str(out)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert f"error: {narrow_data_dir / images}: images of 196 pixels" in err
+    assert "784 inputs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bers,samples,message",
+    [
+        ("0", "100", "target BERs must lie in (0, 1), got 0.0"),
+        ("1.5", "100", "target BERs must lie in (0, 1), got 1.5"),
+        ("1e-3", "0", "samples must be >= 1"),
+    ],
+)
+def test_energy_curve_library_checks_are_usage_errors(bers, samples, message, tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    args = ["energy-curve", "--bers", bers, "--samples", samples, "--out", str(out)]
+    assert main(args) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,9 +348,52 @@ def test_dense_only_grid_skips_clean_pass(synth_model, synth_test):
 
 
 def test_incremental_matches_dense_across_kernel_chunks():
-    # the clean pass stores each kernel chunk's counts transposed, block by block
+    # the clean pass writes its counts, and a trial updates its rows, one kernel chunk at a time
     rows = 2 * bc._MATRIX_CHUNK_ROWS + 5
     model = _random_model(64, (100, 70, 50, 10))
     inputs = _random_inputs(65, rows, 100)
     faulty = [flip_bits(model, ber, trial_seed(8, bi, 0)) for bi, ber in enumerate(LOW_BERS)]
     assert _assert_incremental_exact(model, inputs, faulty) > 0
+
+
+_C = bc._MATRIX_CHUNK_ROWS
+THREE_HIDDEN = (100, 70, 50, 40, 10)  # padded widths: no layer is a whole number of words
+# (layer, [(neuron, input)]) flips: word boundaries, the last valid bit, two in one neuron
+_FLIPS = {
+    0: [(4, 0), (4, 63), (4, 64), (9, 99), (69, 50)],
+    1: [(7, 0), (7, 69), (49, 31)],
+    2: [(0, 49), (39, 5), (12, 12)],
+    3: [(3, 5), (3, 6), (9, 39)],
+}
+
+
+@pytest.mark.parametrize("rows", [_C - 1, _C, _C + 1, 2 * _C + 5])
+@pytest.mark.parametrize(
+    "layers",
+    [(0,), (1,), (2,), (0, 2), (3,)],
+    ids=["first-hidden", "second-hidden", "third-hidden", "first-and-third", "output"],
+)
+def test_incremental_equals_dense_by_flipped_layer(layers, rows):
+    model = _random_model(66, THREE_HIDDEN)
+    inputs = _random_inputs(67, rows, THREE_HIDDEN[0])
+    faulty = model
+    for layer in layers:
+        faulty = _flip_at(faulty, layer, _FLIPS[layer])
+    assert _assert_incremental_exact(model, inputs, [faulty]) > 0
+
+
+def test_incremental_state_holds_counts_only_where_inputs_change():
+    # the first layer's input never changes, so only the second layer keeps counts
+    rows, width = 4000, 256
+    model = _random_model(68, (784, width, width, 10))
+    inputs = _random_inputs(69, rows, 784)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluator = IncrementalEvaluator(model, inputs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    count_array = rows * width * np.dtype(np.int16).itemsize
+    assert held < 1.5 * count_array
+    assert evaluator.predict(model).shape == (rows,)

@@ -376,6 +376,15 @@ def test_curve_rejects_bad_bers(params):
         energy_ber_curve(params, [0.0], 100, 0)
 
 
+def test_curve_rejects_no_samples_before_any_pulse_solve(params, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("pulse solved for a curve of 0 samples")
+
+    monkeypatch.setattr(mtj, "pulse_for_ber", fail)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        energy_ber_curve(params, [1e-3], 0, 0)
+
+
 def test_curve_deterministic(params):
     a = energy_ber_curve(params, [1e-2, 1e-5], 2000, seed=10)
     b = energy_ber_curve(params, [1e-5, 1e-2], 2000, seed=10)  # order-insensitive
