@@ -16,7 +16,7 @@ from .bitcore import (
     xnor_popcount_row,
 )
 from .errors import FormatError, NumericError
-from .faultsim import FaultTrialConfig, SweepResult, accuracy, ber_sweep, flip_bits
+from .faultsim import SweepResult, accuracy, ber_sweep, flip_bits
 from .mnist_io import Dataset, binarize_input, load_idx_images, load_idx_labels
 from .mtj import (
     EnergyStats,
@@ -43,7 +43,6 @@ __all__ = [
     "BnnModel",
     "Dataset",
     "EnergyStats",
-    "FaultTrialConfig",
     "FormatError",
     "LatentModel",
     "MtjDeviceParams",

@@ -206,9 +206,6 @@ class BitTensor:
             return NotImplemented
         return self.shape == other.shape and bool(np.array_equal(self.words, other.words))
 
-    def __hash__(self):  # mutable ndarray payload
-        raise TypeError("BitTensor is unhashable")
-
     def __repr__(self) -> str:
         return f"BitTensor(shape={self.shape})"
 
@@ -408,25 +405,6 @@ class BnnModel:
         if self.input_shape is not None:
             self.input_shape = tuple(int(d) for d in self.input_shape)
 
-    def copy(self) -> "BnnModel":
-        layers: list[Layer] = []
-        for layer in self.layers:
-            if isinstance(layer, BinarizedLinearLayer):
-                layers.append(
-                    BinarizedLinearLayer(
-                        layer.weights.copy(), layer.thresholds.copy(), layer.is_output
-                    )
-                )
-            else:
-                layers.append(
-                    BinarizedConvLayer(
-                        layer.weights.copy(),
-                        layer.thresholds.copy(),
-                        layer.stride,
-                        layer.padding,
-                    )
-                )
-        return BnnModel(layers, self.input_shape, self.class_count)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,39 +71,6 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
             f.write(row + "\n")
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every CSV output."""
-
-    command: str
-    params: dict
-    seed: int | None
-    outputs: list[Path]
-    duration_s: float
-    stats: dict = field(default_factory=dict)  # measured run figures, key -> value
-    versions: dict = field(
-        default_factory=lambda: {"bitflip_bnn": __version__, "numpy": np.__version__}
-    )
-
-    def to_text(self) -> str:
-        lines = [f"command={self.command}"]
-        for key in sorted(self.params):
-            lines.append(f"param.{key}={_fmt(self.params[key])}")
-        if self.seed is not None:
-            lines.append(f"seed={self.seed}")
-        for i, out in enumerate(self.outputs):
-            lines.append(f"output.{i}={out}")
-        for name in sorted(self.versions):
-            lines.append(f"version.{name}={self.versions[name]}")
-        for key in sorted(self.stats):
-            lines.append(f"{key}={_fmt(self.stats[key])}")
-        lines.append(f"duration_s={self.duration_s!r}")
-        return "\n".join(lines) + "\n"
-
-    def write_beside(self, csv_path: Path) -> None:
-        Path(str(csv_path) + ".manifest").write_text(self.to_text())
-
-
 def _write_manifest(
     csv_path: Path,
     command: str,
@@ -113,15 +79,23 @@ def _write_manifest(
     started: float,
     stats: dict | None = None,
 ) -> None:
-    manifest = RunManifest(
-        command=command,
-        params=params,
-        seed=params.get("seed"),
-        outputs=outputs,
-        duration_s=time.monotonic() - started,
-        stats=stats or {},
-    )
-    manifest.write_beside(csv_path)
+    """Write the reproducibility record <csv_path>.manifest.
+
+    One key=value line each, in this order: the command, the sorted
+    parameters, the seed, the outputs, the package versions, the sorted
+    measured run figures, and the wall time since `started`.
+    """
+    duration_s = time.monotonic() - started
+    stats = stats or {}
+    lines = [f"command={command}"]
+    lines += [f"param.{key}={_fmt(params[key])}" for key in sorted(params)]
+    if params.get("seed") is not None:
+        lines.append(f"seed={params['seed']}")
+    lines += [f"output.{i}={out}" for i, out in enumerate(outputs)]
+    lines += [f"version.bitflip_bnn={__version__}", f"version.numpy={np.__version__}"]
+    lines += [f"{key}={_fmt(stats[key])}" for key in sorted(stats)]
+    lines.append(f"duration_s={duration_s!r}")
+    Path(str(csv_path) + ".manifest").write_text("\n".join(lines) + "\n")
 
 
 def _sweep_stats(result: SweepResult) -> dict:

@@ -28,7 +28,7 @@ thread count either.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,21 +57,6 @@ INCREMENTAL_MAX_BER = 1e-4
 # Weight bits per block of flip draws: a 1 MiB float64 block in place of one
 # 8 MiB array of uniforms for a 1024x1024 layer.
 _FLIP_BLOCK_BITS = 1 << 17
-
-
-@dataclass
-class FaultTrialConfig:
-    """One point of a fault-injection experiment (weight bits only)."""
-
-    ber: float
-    trials: int = 5
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.ber <= 1.0:
-            raise ValueError(f"ber must lie in [0,1], got {self.ber}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
 
 @dataclass
@@ -135,10 +120,11 @@ def flip_bits(model: BnnModel, ber: float, seed) -> BnnModel:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
         np.random.PCG64(seed)
     )
-    faulty = model.copy()
-    for layer in faulty.layers:
-        layer.weights = _flip_tensor(layer.weights, ber, rng)
-    return faulty
+    layers = [
+        replace(layer, weights=_flip_tensor(layer.weights, ber, rng))
+        for layer in model.layers
+    ]
+    return BnnModel(layers, model.input_shape, model.class_count)
 
 
 def accuracy(model: BnnModel, dataset: Dataset) -> float:
@@ -278,41 +264,36 @@ def ber_sweep(
     if sorted(bers) != list(bers):
         raise ValueError("BERs must be sorted ascending")
     for ber in bers:
-        FaultTrialConfig(ber, trials, master_seed)  # validates ranges
+        if not 0.0 <= ber <= 1.0:
+            raise ValueError(f"ber must lie in [0,1], got {ber}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
 
     # binarize once; every trial scores the same packed bits
     inputs = binarize_input(dataset.images)
     labels = np.asarray(dataset.labels)
-    jobs = [
-        (model, inputs, labels, ber, master_seed, bi, ti)
-        for bi, ber in enumerate(bers)
-        for ti in range(trials)
-    ]
-    incremental = IncrementalEvaluator.supports(model)
-    sparse = [job for job in jobs if incremental and job[3] <= INCREMENTAL_MAX_BER]
-    dense = jobs[len(sparse) :]  # BERs ascend, so the sparse trials come first
-    clean_pass_s, accuracies = 0.0, []
-    if sparse:
-        clean_pass_s, accuracies = _run_incremental(model, inputs, labels, sparse)
-    accuracies += [_run_trial(job)[2] for job in dense]
-    matrix = np.reshape(accuracies, (len(bers), trials))
-    return SweepResult(list(bers), trials, matrix, len(sparse), clean_pass_s)
-
-
-def _run_incremental(model, inputs, labels, jobs) -> tuple[float, list[float]]:
-    """Score low-BER jobs against one clean pass.
-
-    Returns the clean pass's wall time and the jobs' accuracies in job order.
-    The flips are those flip_bits draws for the job, so every accuracy equals
-    the one _run_trial would return.
-    """
-    started = time.perf_counter()
-    evaluator = IncrementalEvaluator(model, inputs)
-    clean_pass_s = time.perf_counter() - started
-    accuracies = []
-    for _, _, _, ber, master_seed, bi, ti in jobs:
-        faulty = flip_bits(model, ber, trial_seed(master_seed, bi, ti))
-        accuracies.append(float(np.mean(evaluator.predict(faulty) == labels)))
-    return clean_pass_s, accuracies
+    supported = IncrementalEvaluator.supports(model)
+    evaluator, clean_pass_s, incremental_trials = None, 0.0, 0
+    accuracies = np.empty((len(bers), trials))
+    for bi, ber in enumerate(bers):
+        incremental = supported and ber <= INCREMENTAL_MAX_BER
+        if not incremental:
+            # BERs ascend, so no later trial needs the clean pass: free its
+            # state before the dense forwards allocate theirs
+            evaluator = None
+        elif evaluator is None:
+            started = time.perf_counter()
+            evaluator = IncrementalEvaluator(model, inputs)
+            clean_pass_s = time.perf_counter() - started
+        for ti in range(trials):
+            if incremental:
+                # the flips _run_trial would draw, so the accuracy is the one it returns
+                faulty = flip_bits(model, ber, trial_seed(master_seed, bi, ti))
+                accuracies[bi, ti] = np.mean(evaluator.predict(faulty) == labels)
+                incremental_trials += 1
+            else:
+                job = (model, inputs, labels, ber, master_seed, bi, ti)
+                accuracies[bi, ti] = _run_trial(job)[2]
+    return SweepResult(list(bers), trials, accuracies, incremental_trials, clean_pass_s)

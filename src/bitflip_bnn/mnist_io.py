@@ -60,10 +60,6 @@ class Dataset:
         """First n samples, in file order (deterministic subsetting)."""
         return Dataset(self.images[:n], self.labels[:n], self.split)
 
-    def binarized(self) -> "Dataset":
-        """The same samples with bool images (1 byte per pixel) thresholded as binarize_input."""
-        return Dataset(self.images >= BINARIZE_THRESHOLD, self.labels, self.split)
-
 
 def load_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into a [N, rows, cols] uint8 tensor.

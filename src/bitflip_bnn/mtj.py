@@ -89,18 +89,8 @@ class MtjDeviceParams:
 
     @classmethod
     def nominal(cls) -> "MtjDeviceParams":
-        """32 nm perpendicular-anisotropy junction written at 2*Vc."""
-        return cls(
-            diameter_nm=32.0,
-            ra_ohm_um2=4.0,
-            tmr=1.5,
-            v_c=0.190,
-            tau_0=1e-9,
-            k=16.0,
-            v_write=2.0 * 0.190,
-            sigma_tmr_rel=0.05,
-            sigma_rp_rel=0.05,
-        )
+        """32 nm perpendicular-anisotropy junction written at 2*Vc (the config defaults)."""
+        return parse_device_config("")
 
 
 class EnergyStats(NamedTuple):
@@ -428,18 +418,6 @@ def curve_workers(n_points: int) -> int:
 # Device config files: line-oriented key=value
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "diameter_nm",
-    "ra_ohm_um2",
-    "tmr",
-    "vc_mv",
-    "v_over_vc",
-    "tau0_ns",
-    "gamma_k",
-    "sigma_tmr_rel",
-    "sigma_rp_rel",
-)
-
 _CONFIG_DEFAULTS = {
     "diameter_nm": 32.0,
     "ra_ohm_um2": 4.0,
@@ -469,7 +447,7 @@ def parse_device_config(text: str) -> MtjDeviceParams:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_DEFAULTS:
             raise FormatError(f"device config line {lineno}: unknown key '{key}'")
         if key in values:
             raise FormatError(f"device config line {lineno}: duplicate key '{key}'")

@@ -14,8 +14,11 @@ engine. The output layer is kept free of per-class normalization (fixed
 exported integer scores reproduce the trained classifier exactly; its
 exported thresholds are zero.
 
-The Adam update runs in place on cache-sized blocks of each parameter, with
-the same float operations, in the same order and dtypes, as the whole-array
+Adam's decay rates and epsilon (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) and the
+training dropout rate of hidden activations (DROPOUT) are module constants;
+TrainConfig holds the epochs, batch size, learning rate and seed. The Adam
+update runs in place on cache-sized blocks of each parameter, with the same
+float operations, in the same order and dtypes, as the whole-array
 expression.
 
 Reproducibility: a single seeded RNG stream is consumed in a fixed order --
@@ -36,6 +39,10 @@ from .mnist_io import Dataset, binarize_input
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # running = (1-m)*running + m*batch
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+DROPOUT = 0.2  # hidden activations dropped per training step
 
 MNIST_LAYER_SIZES = (784, 1024, 1024, 10)
 
@@ -51,10 +58,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 100
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    dropout: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -64,12 +67,6 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}"
             )
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in [0,1)")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0,1)")
 
 
 @dataclass
@@ -138,11 +135,6 @@ def init_latent_model(
 def _sign_pm1(arr: np.ndarray) -> np.ndarray:
     """Sign with the +1 tie convention (-0.0 -> +1, NaN -> -1), preserving dtype."""
     return pm1(arr >= 0, arr.dtype)
-
-
-def binarize_weights(latent: np.ndarray) -> BitTensor:
-    """Pack the entry-wise sign of a latent weight matrix (sign(0) = +1)."""
-    return BitTensor.from_bool(np.asarray(latent) >= 0)
 
 
 def forward_train(
@@ -323,8 +315,8 @@ def adam_step(
 
 def _adam_update(param, grad, m, v, config: TrainConfig, t: int, clip: bool) -> None:
     """Adam on one C-contiguous parameter, in place, in blocks of _ADAM_BLOCK elements."""
-    b1, b2 = config.beta1, config.beta2
-    lr, eps = config.learning_rate, config.adam_eps
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    lr, eps = config.learning_rate, ADAM_EPS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     # flat views; grad, which is only read, may come back as a copy
     param, grad, m, v = (a.reshape(-1) for a in (param, grad, m, v))
@@ -427,12 +419,6 @@ def export_model(model: LatentModel) -> BnnModel:
     return BnnModel(layers, input_shape=(sizes[0],), class_count=sizes[-1])
 
 
-def latent_predict(model: LatentModel, inputs: np.ndarray) -> np.ndarray:
-    """Inference-mode predictions of the latent model (binarized forward)."""
-    logits, _ = forward_train(model, inputs, training=False, binarize=True)
-    return np.argmax(logits, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -480,7 +466,7 @@ def train(
     if len(data) == 0:
         raise ValueError("training set is empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    model = init_latent_model(layer_sizes, config.dropout, rng)
+    model = init_latent_model(layer_sizes, DROPOUT, rng)
     state = AdamState()
 
     inputs = binarize_input(data.images)

@@ -71,6 +71,12 @@ def test_bittensor_rejects_dirty_padding():
         BitTensor((3,), words)
 
 
+def test_bittensor_is_unhashable():
+    # __eq__ compares the mutable words, so instances must not serve as dict keys
+    with pytest.raises(TypeError):
+        hash(BitTensor.from_bool([True, False]))
+
+
 def test_flatten_preserves_values():
     rng = np.random.default_rng(1)
     signs = random_signs(rng, (3, 7, 9))

@@ -33,6 +33,11 @@ from tests.test_bitcore import fan_in_bound_model_bytes
 from tests.test_mtj_reference import reference_energy_ber_curve
 
 
+def test_every_public_name_resolves():
+    for name in bitflip_bnn.__all__:
+        assert getattr(bitflip_bnn, name, None) is not None, name
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, synth_data_dir):
     """A small model trained through the CLI, shared by the query commands."""
@@ -208,6 +213,36 @@ def test_ber_sweep_trials_match_dense_reference(trained, synth_data_dir, tmp_pat
     assert "sweep.incremental_trials=4" in manifest
     assert "sweep.dense_trials=4" in manifest
     assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
+
+
+def test_manifest_lines_in_golden_order(trained, synth_data_dir, tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["ber-sweep", "--model", str(trained), "--data-dir", str(synth_data_dir),
+            "--bers", "1e-05,0.01", "--trials", "1", "--seed", "6", "--out", str(out)]
+    assert main(args) == 0
+    lines = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+    timed = ("stage.clean_pass_s=", "duration_s=")
+    for line in lines:
+        if line.startswith(timed):
+            assert float(line.split("=", 1)[1]) >= 0.0
+    # timing values blanked; every other byte is fixed by the flags and versions
+    assert [line.split("=", 1)[0] + "=" if line.startswith(timed) else line for line in lines] == [
+        "command=ber-sweep",
+        "param.bers=1e-05,0.01",
+        f"param.data_dir={synth_data_dir}",
+        f"param.model={trained}",
+        "param.seed=6",
+        "param.trials=1",
+        "seed=6",
+        f"output.0={out}",
+        f"output.1={tmp_path / 'sweep_trials.csv'}",
+        f"version.bitflip_bnn={bitflip_bnn.__version__}",
+        f"version.numpy={np.__version__}",
+        "stage.clean_pass_s=",
+        "sweep.dense_trials=1",
+        "sweep.incremental_trials=1",
+        "duration_s=",
+    ]
 
 
 def test_ber_sweep_bytes_same_for_any_blas_thread_count(trained, synth_data_dir, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -14,7 +15,6 @@ from bitflip_bnn.bitcore import (
     model_predict_batch,
 )
 from bitflip_bnn.faultsim import (
-    FaultTrialConfig,
     IncrementalEvaluator,
     SweepResult,
     accuracy,
@@ -116,13 +116,16 @@ def test_flip_rejects_bad_rate(synth_model):
         flip_bits(synth_model, 1.1, 0)
 
 
-def test_fault_trial_config_validation():
-    with pytest.raises(ValueError):
-        FaultTrialConfig(ber=1.5)
-    with pytest.raises(ValueError):
-        FaultTrialConfig(ber=0.1, trials=0)
-    FaultTrialConfig(ber=0.0)  # boundary rates allowed
-    FaultTrialConfig(ber=1.0)
+def test_sweep_refuses_out_of_range_bers_and_trials(synth_model, synth_test):
+    with pytest.raises(ValueError, match=r"ber must lie in \[0,1\], got 1.5"):
+        ber_sweep(synth_model, synth_test, [0.1, 1.5], trials=1, master_seed=0)
+    with pytest.raises(ValueError, match=r"ber must lie in \[0,1\], got -0.1"):
+        ber_sweep(synth_model, synth_test, [-0.1], trials=1, master_seed=0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        ber_sweep(synth_model, synth_test, [0.1], trials=0, master_seed=0)
+    # boundary rates allowed
+    result = ber_sweep(synth_model, synth_test, [0.0, 1.0], trials=1, master_seed=0)
+    assert result.accuracies.shape == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +257,7 @@ def _random_inputs(seed, rows, n_bits):
 
 def _flip_at(model, layer, positions):
     """Copy of the model with the weight bits at (neuron, input) of one layer flipped."""
-    faulty = model.copy()
+    faulty = copy.deepcopy(model)
     bits = faulty.layers[layer].weights.unpack_bool()
     for j, i in positions:
         bits[j, i] = not bits[j, i]
@@ -397,3 +400,39 @@ def test_incremental_state_holds_counts_only_where_inputs_change():
     count_array = rows * width * np.dtype(np.int16).itemsize
     assert held < 1.5 * count_array
     assert evaluator.predict(model).shape == (rows,)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mixed_grid_frees_the_clean_pass_before_dense_trials():
+    rows, width = 4000, 256
+    model = _random_model(70, (784, width, width, 10))
+    rng = np.random.default_rng(71)
+    data = Dataset(rng.random((rows, 28, 28)) < 0.5, rng.integers(0, 10, rows), "test")
+    inputs = binarize_input(data.images)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluator = IncrementalEvaluator(model, inputs)
+        state = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del evaluator
+
+    def sweep(bers):
+        return lambda: ber_sweep(model, data, bers, trials=1, master_seed=5)
+
+    incremental_only = _traced_peak(sweep([1e-5]))
+    dense_only = _traced_peak(sweep([1e-2]))
+    mixed = _traced_peak(sweep([1e-5, 1e-2]))
+    # a clean pass still held through the dense trial adds all of its state
+    # to the dense trial's peak; freed, the mixed grid peaks like one path
+    assert mixed < max(incremental_only, dense_only) + state / 2
+    assert mixed < state + dense_only

@@ -146,15 +146,14 @@ def test_dataset_take_is_prefix():
     assert len(sub) == 3 and sub.labels.tolist() == [0, 1, 2]
 
 
-def test_binarized_agrees_with_binarize_input_on_every_pixel_value():
-    # the float32 intensities load_dataset makes from each of the 256 byte values
-    images = (np.arange(256, dtype=np.uint8).astype(np.float32) / 255.0).reshape(1, 16, 16)
-    ds = mio.Dataset(images, np.zeros(1, dtype=np.int64), "test")
-    bits = ds.binarized()
-    assert bits.images.dtype == bool and bits.images.itemsize == 1
-    assert bits.labels is ds.labels and bits.split == "test"
-    assert mio.binarize_input(bits.images) == mio.binarize_input(images)
-    assert bits.images.reshape(-1).tolist() == [v >= 128 for v in range(256)]
+def test_binarized_agrees_with_binarize_input_on_every_pixel_value(tmp_path):
+    # load_dataset's bits pack as the float32 intensities v/255 of all 256 byte values do
+    pixels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+    mio.write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
+    mio.write_idx_labels(tmp_path / mio.TEST_LABELS, np.zeros(1, dtype=np.uint8))
+    ds = mio.load_dataset(tmp_path, "test")
+    assert ds.images.itemsize == 1
+    assert mio.binarize_input(ds.images) == mio.binarize_input(pixels.astype(np.float32) / 255.0)
 
 
 def test_binarized_dataset_loads_from_idx(tmp_path):
@@ -162,6 +161,5 @@ def test_binarized_dataset_loads_from_idx(tmp_path):
     mio.write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
     mio.write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([3, 7]))
     ds = mio.load_dataset(tmp_path, "test")
-    bits = ds.binarized()
-    assert np.array_equal(bits.images, pixels >= 128)
-    assert bits.take(1).images.dtype == bool
+    assert np.array_equal(ds.images, pixels >= 128)
+    assert ds.take(1).images.dtype == bool

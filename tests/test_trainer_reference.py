@@ -50,8 +50,8 @@ def reference_gate_weight_grad(dwb, weight):
 def reference_adam_step(model, grads, state, config, t):
     if t < 1:
         raise ValueError("Adam step index starts at 1")
-    b1, b2 = config.beta1, config.beta2
-    lr, eps = config.learning_rate, config.adam_eps
+    b1, b2 = tr.ADAM_BETA1, tr.ADAM_BETA2
+    lr, eps = config.learning_rate, tr.ADAM_EPS
     for i, (layer, layer_grads) in enumerate(zip(model.layers, grads)):
         for name, grad in layer_grads.items():
             param = getattr(layer, name)
