@@ -13,6 +13,16 @@ x01 . w + m, where m counts the -1 weights of the row. It is exact while
 n < 2^24 (MAX_FAN_IN): every partial sum is then an integer float32 holds
 exactly, in any order.
 
+For fan-in n <= 2047 (_MAX_PAIRED_FAN_IN) the kernel pairs neurons: of k
+neurons, neuron j and neuron j + h, h = ceil(k/2), share the matrix column
+w_j + 4096 w_{j+h}, so the product has h columns instead of k, half the
+multiply-adds. Its entries are P = p_j + 4096 p_{j+h}, with p = x01 . w.
+Every partial sum is an integer of magnitude <= 4097 n < 2^24, exact in
+float32 whatever order BLAS adds in, so the output bytes still do not depend
+on the BLAS thread count. Since |p_j| <= n < 2048, rounding P to the nearest
+multiple of 4096 gives 4096 p_{j+h} exactly, and what is left is p_j. A layer
+of larger fan-in, or of one neuron, runs unpaired through the same loop.
+
 A hidden neuron fires (+1) iff popcount >= T, an integer threshold learned
 during training. The output layer emits the integer score
 2 * popcount - n - T so that an argmax (hardmax) over classes is well
@@ -42,14 +52,31 @@ LAYER_KIND_CONV = 1
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# Fan-in bound of the float32 kernel: below it every sum is exact.
+# Fan-in bound of the float32 kernel: below it every sum is exact. A paired
+# layer (fan-in n <= 2047) forms sums of magnitude up to 4097 n < 2^24, exact
+# too, so the bytes depend neither on the BLAS summation order nor on its
+# thread count.
 MAX_FAN_IN = 2**24
 
-# Rows per gemm chunk. Bounds the chunk's float32 temporaries (its 0/1 inputs
-# and its (rows x neurons) product, 4 MiB each for a 1024-wide layer). On a
-# 2-vCPU Xeon with OpenBLAS and 10k rows of a 784-1024-1024-10 model, the l0
-# sgemm took 105 ms in 256-row chunks against 79 ms in 1024-row ones, and l1
-# 131 ms against 98 ms; 1024 rows is within 5% of one whole-array gemm.
+# Column weight of the second neuron of a pair. Pairing needs 2n < _PAIR_SHIFT,
+# so that p_j in [-n, n] rounds away, and (_PAIR_SHIFT + 1) n < 2^24, so that
+# every partial sum is exact.
+_PAIR_SHIFT = 4096
+_MAX_PAIRED_FAN_IN = 2047
+# float32 values in [2^23 s, 2^24 s) lie s = _PAIR_SHIFT apart, so
+# P + _ROUNDER - _ROUNDER is P rounded to the nearest multiple of s, exactly,
+# for any |P| < 2^22 s.
+_ROUNDER = np.float32(3 * 2**22 * _PAIR_SHIFT)
+
+# Rows per gemm chunk. Bounds the chunk's float32 temporaries: its 0/1 inputs
+# (3 MiB for 784 inputs) and, for a paired 1024-wide layer, its (rows x 512)
+# product and split, 2 MiB each. On a 2-vCPU Xeon with OpenBLAS and 10k rows
+# of a 784-1024-1024-10 model, the paired l0 took 76, 67, 66 and 67 ms in
+# 256-, 512-, 768- and 1024-row chunks, and l1 91, 83, 83 and 84 ms. 512 rows
+# cut the sweep-steep benchmark's peak RSS from 61.8 to 56.0 MiB (lower in 10
+# of 10 pairs on each of seeds 1 and 2) at the same speed, but slowed
+# sweep-flat, whose incremental trials loop over the same chunks, from 47.4k
+# to 45.6k items/s (slower in 7 of 10 pairs).
 _MATRIX_CHUNK_ROWS = 1024
 
 
@@ -232,12 +259,53 @@ def _weight_operands(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pm1(bits, np.float32), m.astype(np.int64)
 
 
-def _products(x_words: np.ndarray, w: np.ndarray, n_bits: int):
-    """Yield (first_row, x01 @ w.T) for successive row chunks of the packed x rows."""
-    for lo in range(0, x_words.shape[0], _MATRIX_CHUNK_ROWS):
+def _paired_operands(w_words: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, m) of packed weight rows: w the float32 matrix columns, m the int64 -1 counts.
+
+    Neurons j and j + h, h = ceil(k/2), share column j of w, as w_j + 4096 w_{j+h},
+    when the fan-in allows pairing and k > 1; otherwise w is the k +-1 rows.
+    """
+    bits = _unpack_bits(w_words, n_bits)
+    k = len(bits)
+    if n_bits > _MAX_PAIRED_FAN_IN or k == 1:
+        return _weight_operands(bits)
+    h = (k + 1) // 2
+    w, m = _weight_operands(bits[:h])
+    high, m_high = _weight_operands(bits[h:])
+    high *= _PAIR_SHIFT
+    w[: k - h] += high  # with odd k, the last low column has no partner
+    return w, np.concatenate([m, m_high])
+
+
+def _products(x_words: np.ndarray, w: np.ndarray, k: int, n_bits: int):
+    """Yield (rows, parts) for successive chunks of the packed x rows, `rows` a slice.
+
+    w holds the columns of k neurons (_paired_operands). parts is a list of
+    (neurons, p): p the float32 x01 . w_j of the chunk rows for the neurons
+    j in the slice `neurons`; the slices cover 0..k-1 in order. The p arrays
+    are views of buffers that the next chunk overwrites.
+    """
+    h = len(w)
+    rows = min(len(x_words), _MATRIX_CHUNK_ROWS)
+    p_buf = np.empty((rows, h), dtype=np.float32)
+    high_buf = np.empty((rows, h), dtype=np.float32) if h < k else None
+    for lo in range(0, len(x_words), _MATRIX_CHUNK_ROWS):
         chunk = x_words[lo : lo + _MATRIX_CHUNK_ROWS]
+        rows = slice(lo, lo + len(chunk))
         # passed unnamed, the chunk's 0/1 rows are freed before the yield
-        yield lo, _unpack_bits(chunk, n_bits).astype(np.float32) @ w.T
+        p = np.matmul(
+            _unpack_bits(chunk, n_bits).astype(np.float32), w.T, out=p_buf[: len(chunk)]
+        )
+        if h == k:
+            yield rows, [(slice(0, k), p)]
+            continue
+        # P = p_j + 4096 p_{j+h} with |p_j| < 2048: rounding P to a multiple
+        # of 4096 gives 4096 p_{j+h}, and what it leaves is p_j
+        high = np.add(p, _ROUNDER, out=high_buf[: len(chunk)])
+        high -= _ROUNDER
+        p -= high
+        high *= 1 / _PAIR_SHIFT
+        yield rows, [(slice(0, h), p), (slice(h, k), high[:, : k - h])]
 
 
 def _fire_levels(thresholds: np.ndarray, m: np.ndarray, n_bits: int) -> np.ndarray:
@@ -257,11 +325,14 @@ def popcount_chunks(x_words: np.ndarray, w_words: np.ndarray, n_bits: int):
     (chunk rows, M) int32 array of the positions among the first n_bits where
     an x row agrees with a w row, so stray padding bits cannot contribute.
     """
-    w, m = _weight_operands(_unpack_bits(w_words, n_bits))
+    w, m = _paired_operands(w_words, n_bits)
     m = m.astype(np.float32)
-    for lo, p in _products(x_words, w, n_bits):
-        # p + m in one pass, written as int32: the float32 sums are exact integers
-        yield lo, np.add(p, m, out=np.empty(p.shape, np.int32), casting="unsafe")
+    for rows, parts in _products(x_words, w, len(m), n_bits):
+        counts = np.empty((rows.stop - rows.start, len(m)), np.int32)
+        for neurons, p in parts:
+            # p + m in one pass, written as int32: the float32 sums are exact integers
+            np.add(p, m[neurons], out=counts[:, neurons], casting="unsafe")
+        yield rows.start, counts
 
 
 def xnor_popcount_row(w: BitTensor, x: BitTensor) -> int:
@@ -436,12 +507,13 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
         single = True
 
     if layer.is_output:
-        w, m = _weight_operands(_unpack_bits(layer.weights.words, n))
+        w, m = _paired_operands(layer.weights.words, n)
         scores = np.empty((x.n_rows, layer.out_features), dtype=np.int64)
         offset = n + layer.thresholds.astype(np.int64) - 2 * m
-        for lo, p in _products(x.words, w, n):
-            # 2 * (p + m) - n - T
-            scores[lo : lo + len(p)] = 2 * p.astype(np.int64) - offset
+        for rows, parts in _products(x.words, w, len(m), n):
+            for neurons, p in parts:
+                # 2 * (p + m) - n - T
+                scores[rows, neurons] = 2 * p.astype(np.int64) - offset[neurons]
         return scores[0] if single else scores
     out = _hidden_words(layer.weights.words, layer.thresholds, x.words, n)
     shape = (layer.out_features,) if single else (x.n_rows, layer.out_features)
@@ -455,15 +527,19 @@ def _hidden_words(w_words, thresholds, x_words, n_bits: int, counts=None) -> np.
     exists. A given `counts`, a (N, neurons) integer array, also receives
     every agreement count, written by the same chunk loop.
     """
-    w, m = _weight_operands(_unpack_bits(w_words, n_bits))
+    w, m = _paired_operands(w_words, n_bits)
     levels = _fire_levels(thresholds, m, n_bits)
     m = m.astype(np.float32)
-    out = np.empty((len(x_words), words_per_row(len(thresholds))), dtype=np.uint64)
-    for lo, p in _products(x_words, w, n_bits):
-        if counts is not None:
-            # p + m in one pass: the float32 sums are exact integers
-            np.add(p, m, out=counts[lo : lo + len(p)], casting="unsafe")
-        out[lo : lo + len(p)] = _pack_bool_rows(p >= levels)
+    out = np.empty((len(x_words), words_per_row(len(m))), dtype=np.uint64)
+    bits_buf = np.empty((min(len(x_words), _MATRIX_CHUNK_ROWS), len(m)), dtype=bool)
+    for rows, parts in _products(x_words, w, len(m), n_bits):
+        bits = bits_buf[: rows.stop - rows.start]
+        for neurons, p in parts:
+            if counts is not None:
+                # p + m in one pass: the float32 sums are exact integers
+                np.add(p, m[neurons], out=counts[rows, neurons], casting="unsafe")
+            np.greater_equal(p, levels[neurons], out=bits[:, neurons])
+        out[rows] = _pack_bool_rows(bits)
     return out
 
 
@@ -534,8 +610,18 @@ def model_predict(model: BnnModel, x: BitTensor) -> int:
     return int(np.argmax(scores))
 
 
+def require_linear(model: BnnModel) -> None:
+    """Refuse a model with conv layers, which a batch of flat input rows cannot feed."""
+    if any(isinstance(layer, BinarizedConvLayer) for layer in model.layers):
+        raise ValueError(
+            "conv models are not supported: the BNN1 format stores no input shape, "
+            "and the MNIST input is a flat 784-bit row"
+        )
+
+
 def model_predict_batch(model: BnnModel, x: BitTensor) -> np.ndarray:
-    """Predict classes for a [N, in] batch (linear-only models)."""
+    """Predict classes for a [N, in] batch of a linear model."""
+    require_linear(model)
     scores = model_scores(model, x)
     scores = np.asarray(scores)
     if scores.ndim == 1:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FormatError, NumericError
-from .bitcore import BinarizedConvLayer, BnnModel, load_model, save_model
+from .bitcore import BnnModel, load_model, require_linear, save_model
 from .faultsim import SweepResult, accuracy, ber_sweep
 from .mnist_io import TEST_IMAGES, TRAIN_IMAGES, Dataset, load_dataset
 from .mtj import (
@@ -124,11 +124,10 @@ def _sibling(path: Path, tag: str) -> Path:
 def _load_linear_model(path) -> BnnModel:
     """Load a model for the MNIST commands, which feed it flat input rows."""
     model = load_model(path)
-    if any(isinstance(layer, BinarizedConvLayer) for layer in model.layers):
-        raise FormatError(
-            f"{path}: conv models are not supported: the BNN1 format stores no "
-            "input shape, and the MNIST input is a flat 784-bit row"
-        )
+    try:
+        require_linear(model)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return model
 
 

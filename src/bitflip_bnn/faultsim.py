@@ -46,12 +46,14 @@ from .bitcore import (
 from .mnist_io import Dataset, binarize_input
 
 # Trials at or below this BER are scored incrementally against a clean pass.
-# On a 784-1024-1024-10 model and 10k rows (2-vCPU box, 2 BLAS threads) an
-# update costs 0.10-0.11 s at 1e-4, 0.35-0.38 s at 1e-3 and 0.61-0.63 s at
-# 1e-2, against 0.24-0.30 s for a dense trial. With the earlier evaluator,
-# which kept every hidden layer's counts, the sweep-flat benchmark (seed 1,
-# 10 pairs) ran at 35.1k items/s at 1e-4 against 32.8k at 1e-3 (faster in 8
-# of 10 pairs), with peak RSS 127.5 MiB against 134.4 (lower in all 10).
+# On a 784-1024-1024-10 model and 10k rows (2-vCPU box, 2 BLAS threads, the
+# paired kernel) an update costs 0.09-0.10 s at 1e-4, 0.29-0.30 s at 1e-3 and
+# 0.49-0.52 s at 1e-2 (quartiles of 5 trials), against 0.16-0.20 s for a dense
+# trial, so the crossover still lies between 1e-4 and 1e-3. With the earlier
+# evaluator, which kept every hidden layer's counts, and the unpaired kernel,
+# the sweep-flat benchmark (seed 1, 10 pairs) ran at 35.1k items/s at 1e-4
+# against 32.8k at 1e-3 (faster in 8 of 10 pairs), with peak RSS 127.5 MiB
+# against 134.4 (lower in all 10).
 INCREMENTAL_MAX_BER = 1e-4
 
 # Weight bits per block of flip draws: a 1 MiB float64 block in place of one

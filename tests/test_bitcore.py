@@ -351,6 +351,22 @@ def test_predict_deterministic(synth_model, synth_test):
     assert np.array_equal(first, singles)
 
 
+def test_predict_batch_refuses_conv_models():
+    rng = np.random.default_rng(33)
+    conv = BinarizedConvLayer(BitTensor.from_signs(random_signs(rng, (2, 1, 3, 3))), [4, 5])
+    out = BinarizedLinearLayer(
+        BitTensor.from_signs(random_signs(rng, (3, 2 * 4 * 4))), np.zeros(3, np.int32), True
+    )
+    model = BnnModel([conv, out])
+    x = BitTensor.from_signs(random_signs(rng, (1, 6, 6)))
+    assert model_predict(model, x) in range(3)  # a single [C, H, W] sample still runs
+    # the message the CLI prints, after the file name, for a conv model
+    with pytest.raises(ValueError, match="^conv models are not supported: .*stores no input shape"):
+        model_predict_batch(model, x)
+    with pytest.raises(ValueError, match="^conv models are not supported"):
+        model_predict_batch(model, BitTensor.from_signs(random_signs(rng, (5, 36))))
+
+
 def test_model_requires_output_last():
     rng = np.random.default_rng(31)
     hidden = BinarizedLinearLayer(BitTensor.from_signs(random_signs(rng, (4, 8))), np.zeros(4, dtype=np.int32))

@@ -203,11 +203,11 @@ def test_sweep_single_trial_std_is_zero(synth_model, synth_test):
     assert result.std_accuracy.tolist() == [0.0]
 
 
-def test_sweep_parallel_workers_match_serial(synth_model, synth_test):
+def test_sweep_repeats_for_the_same_seed(synth_model, synth_test):
     bers = [0.0, 0.05]
-    serial = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=14)
-    parallel = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=14)
-    assert np.array_equal(serial.accuracies, parallel.accuracies)
+    first = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=14)
+    again = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=14)
+    assert np.array_equal(first.accuracies, again.accuracies)
 
 
 def test_trial_seed_scheme_is_stable():
@@ -328,21 +328,19 @@ def test_incremental_rejects_mismatched_inputs(synth_model):
         IncrementalEvaluator(synth_model, _random_inputs(1, 5, 100))
 
 
-def test_mixed_grid_same_for_any_worker_count(synth_model, synth_test):
+def test_mixed_grid_trials_match_dense_path(synth_model, synth_test):
     # both paths: 0.0 and 1e-4 run incrementally, 1e-3 .. 0.2 densely
     bers = [0.0, 1e-4, 1e-3, 0.05, 0.2]
-    serial = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=15)
-    parallel = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=15)
-    assert np.array_equal(serial.accuracies, parallel.accuracies)
-    assert (serial.incremental_trials, serial.dense_trials) == (4, 6)
-    assert serial.clean_pass_s > 0.0
+    result = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=15)
+    assert (result.incremental_trials, result.dense_trials) == (4, 6)
+    assert result.clean_pass_s > 0.0
 
     inputs = binarize_input(synth_test.images)
     for bi, ber in enumerate(bers):
         for ti in range(2):
             faulty = flip_bits(synth_model, ber, trial_seed(15, bi, ti))
             hits = model_predict_batch(faulty, inputs) == synth_test.labels
-            assert serial.accuracies[bi, ti] == float(np.mean(hits))
+            assert result.accuracies[bi, ti] == float(np.mean(hits))
 
 
 def test_dense_only_grid_skips_clean_pass(synth_model, synth_test):
