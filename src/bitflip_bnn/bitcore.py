@@ -311,10 +311,11 @@ def _products(x_words: np.ndarray, w: np.ndarray, k: int, n_bits: int):
 def _fire_levels(thresholds: np.ndarray, m: np.ndarray, n_bits: int) -> np.ndarray:
     """float32 levels of x01 . w_j at which hidden neurons fire: p_j >= T_j - m_j.
 
-    Clipped to [-n-1, n+1], which keeps a threshold outside [0, n] a constant
-    output, since |p_j| <= n.
+    T is first clipped to [-1, n+1]: since the count p_j + m_j lies in [0, n],
+    that keeps every output, and p_j - level_j is the count minus the clipped
+    T, an integer of magnitude <= n + 1 that float32 holds exactly.
     """
-    levels = np.clip(thresholds.astype(np.int64) - m, -n_bits - 1, n_bits + 1)
+    levels = np.clip(thresholds.astype(np.int64), -1, n_bits + 1) - m
     return levels.astype(np.float32)
 
 
@@ -520,25 +521,30 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
     return BitTensor(shape, out, validate=False)
 
 
-def _hidden_words(w_words, thresholds, x_words, n_bits: int, counts=None) -> np.ndarray:
+def _hidden_words(w_words, thresholds, x_words, n_bits: int, margins=None) -> np.ndarray:
     """Packed hidden-layer outputs of the x rows: bit j set iff row j of w agrees in >= T_j bits.
 
     Thresholded and packed chunk by chunk, so no (N, neurons) product array
-    exists. A given `counts`, a (N, neurons) integer array, also receives
-    every agreement count, written by the same chunk loop.
+    exists. A given `margins`, a (N, neurons) int8 array, also receives each
+    neuron's margin clip(count - T, -127, 127), T clipped as in _fire_levels,
+    written by the same chunk loop; the neuron fires iff its margin is >= 0.
     """
     w, m = _paired_operands(w_words, n_bits)
     levels = _fire_levels(thresholds, m, n_bits)
-    m = m.astype(np.float32)
     out = np.empty((len(x_words), words_per_row(len(m))), dtype=np.uint64)
     bits_buf = np.empty((min(len(x_words), _MATRIX_CHUNK_ROWS), len(m)), dtype=bool)
     for rows, parts in _products(x_words, w, len(m), n_bits):
         bits = bits_buf[: rows.stop - rows.start]
         for neurons, p in parts:
-            if counts is not None:
-                # p + m in one pass: the float32 sums are exact integers
-                np.add(p, m[neurons], out=counts[rows, neurons], casting="unsafe")
-            np.greater_equal(p, levels[neurons], out=bits[:, neurons])
+            if margins is None:
+                np.greater_equal(p, levels[neurons], out=bits[:, neurons])
+                continue
+            # in place on the chunk's own buffer: clipped in float32, then one cast
+            p -= levels[neurons]
+            np.clip(p, -127, 127, out=p)
+            np.copyto(margins[rows, neurons], p, casting="unsafe")
+        if margins is not None:
+            np.greater_equal(margins[rows], 0, out=bits)
         out[rows] = _pack_bool_rows(bits)
     return out
 

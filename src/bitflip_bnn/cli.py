@@ -5,12 +5,14 @@ the command, all resolved parameters, the master seed, package version,
 output paths and wall-clock duration. With identical flags and seed all CSV
 outputs are byte-identical.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data/format error or an output that
+cannot be written, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -102,7 +104,9 @@ def _sweep_stats(result: SweepResult) -> dict:
     return {
         "sweep.incremental_trials": result.incremental_trials,
         "sweep.dense_trials": result.dense_trials,
+        "sweep.recounts": result.recounts,
         "stage.clean_pass_s": result.clean_pass_s,
+        "stage.incremental_s": result.incremental_s,
     }
 
 
@@ -119,6 +123,27 @@ def _sibling(path: Path, tag: str) -> Path:
     if path.suffix:
         return path.with_name(path.stem + tag + path.suffix)
     return path.with_name(path.name + tag)
+
+
+def _check_out(out: Path, *siblings: Path) -> None:
+    """Refuse, before any data is read, an --out that could not be written.
+
+    Every path the command writes must not be a directory, and its nearest
+    existing ancestor must be a writable directory (missing ones are made at
+    write time). Raises OSError, which exits 3, naming the flag and the path.
+    """
+    for path in (out, *siblings):
+        if path.is_dir():
+            raise OSError(f"--out {out}: {path} is a directory")
+        if path.exists():
+            writable = os.access(path, os.W_OK)
+        else:
+            parent = path.parent
+            while not parent.exists():
+                parent = parent.parent
+            writable = parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)
+        if not writable:
+            raise OSError(f"--out {out}: cannot create {path}")
 
 
 def _load_linear_model(path) -> BnnModel:
@@ -157,6 +182,9 @@ def _device_params(args) -> MtjDeviceParams:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
+    out = Path(args.out)
+    log_path = Path(str(out) + ".log.csv")
+    _check_out(out, log_path, Path(str(log_path) + ".manifest"))
     train_set = _load_split(args.data_dir, "train", MNIST_LAYER_SIZES[0])
     test_set = _load_split(args.data_dir, "test", MNIST_LAYER_SIZES[0])
     if args.limit is not None:
@@ -166,9 +194,7 @@ def cmd_train(args) -> int:
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr, seed=args.seed
     )
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    log_path = Path(str(out) + ".log.csv")
 
     def progress(epoch, loss, acc):
         print(f"epoch {epoch}: train_loss={loss:.4f} test_accuracy={acc:.4f}", file=sys.stderr)
@@ -213,14 +239,15 @@ def _sweep_rows(result: SweepResult) -> tuple[list[str], list[str]]:
 
 def cmd_ber_sweep(args) -> int:
     started = time.monotonic()
+    out = Path(args.out)
+    trials_path = _sibling(out, "_trials")
+    _check_out(out, trials_path, Path(str(out) + ".manifest"))
     model = _load_linear_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     bers = _parse_bers(args.bers)
     # ber_sweep refuses unsorted BERs, BERs outside [0,1] and trials < 1
     result = ber_sweep(model, test_set, bers, args.trials, args.seed)
     trial_rows, summary_rows = _sweep_rows(result)
-    out = Path(args.out)
-    trials_path = _sibling(out, "_trials")
     _write_csv(out, "ber,mean_accuracy,std_accuracy", summary_rows)
     _write_csv(trials_path, "ber,trial,accuracy", trial_rows)
     params = {
@@ -239,6 +266,8 @@ def cmd_ber_sweep(args) -> int:
 
 def cmd_energy_curve(args) -> int:
     started = time.monotonic()
+    out = Path(args.out)
+    _check_out(out, Path(str(out) + ".manifest"))
     params = _device_params(args)
     bers = _parse_bers(args.bers)
     mode = _MODE_FLAGS[args.mode]
@@ -249,7 +278,6 @@ def cmd_energy_curve(args) -> int:
         f"{p.energy_std * 1e15!r},{p.variability_mode}"
         for p in points
     ]
-    out = Path(args.out)
     _write_csv(out, "ber,t_pulse_ns,energy_mean_fj,energy_std_fj,mode", rows)
     manifest_params = {
         "device": args.device or "<built-in nominal device>",
@@ -267,6 +295,8 @@ def cmd_energy_curve(args) -> int:
 
 def cmd_acc_energy(args) -> int:
     started = time.monotonic()
+    out = Path(args.out)
+    _check_out(out, Path(str(out) + ".manifest"))
     model = _load_linear_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     device = _device_params(args)
@@ -291,7 +321,6 @@ def cmd_acc_energy(args) -> int:
         rows.append(
             f"{point.ber!r},{point.energy_mean * 1e15!r},{mean_acc!r},{std_acc!r}"
         )
-    out = Path(args.out)
     _write_csv(out, "ber,energy_mean_fj,mean_accuracy,std_accuracy", rows)
     params = {
         "model": args.model,

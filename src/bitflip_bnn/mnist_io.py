@@ -115,27 +115,6 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a [N, rows, cols] uint8 tensor as an IDX image file."""
-    arr = np.asarray(images, dtype=np.uint8)
-    if arr.ndim != 3:
-        raise ValueError("images must be [N, rows, cols]")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, *arr.shape))
-        f.write(arr.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    arr = np.asarray(labels, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("labels must be a vector")
-    if arr.size and arr.max() > 9:
-        raise ValueError("labels must lie in 0..9")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, arr.shape[0]))
-        f.write(arr.tobytes())
-
-
 def load_dataset(data_dir, split: str) -> Dataset:
     """Load the train or test split from a directory of canonical IDX files.
 

@@ -487,4 +487,17 @@ def parse_device_config(text: str) -> MtjDeviceParams:
 
 
 def load_device_config(path) -> MtjDeviceParams:
-    return parse_device_config(Path(path).read_text())
+    """Parse a device config file; every FormatError names the file.
+
+    The bytes are decoded as strict UTF-8: any other encoding is a format
+    error at the first byte that does not decode.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: device config is not UTF-8 text", exc.start) from exc
+    try:
+        return parse_device_config(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -6,13 +6,14 @@ which are never downloaded. They are looked up in $BITFLIP_BNN_MNIST or
 """
 
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bitflip_bnn import mnist_io
-from bitflip_bnn.mnist_io import Dataset
+from bitflip_bnn.mnist_io import IMAGE_MAGIC, LABEL_MAGIC, Dataset
 from bitflip_bnn.trainer import TrainConfig, export_model, train
 
 MNIST_ENV_VAR = "BITFLIP_BNN_MNIST"
@@ -24,6 +25,24 @@ _NOISE = 0.08
 def _prototypes() -> np.ndarray:
     rng = np.random.default_rng(_PROTO_RNG_SEED)
     return rng.random((10, 28, 28)) < 0.5
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write a [N, rows, cols] uint8 tensor as an IDX image file."""
+    arr = np.asarray(images, dtype=np.uint8)
+    assert arr.ndim == 3, "images must be [N, rows, cols]"
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", IMAGE_MAGIC, *arr.shape))
+        f.write(arr.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    """Write a vector of labels as an IDX label file."""
+    arr = np.asarray(labels, dtype=np.uint8)
+    assert arr.ndim == 1, "labels must be a vector"
+    with open(path, "wb") as f:
+        f.write(struct.pack(">II", LABEL_MAGIC, arr.shape[0]))
+        f.write(arr.tobytes())
 
 
 def synthetic_dataset(n: int, seed: int, split: str = "synthetic") -> Dataset:
@@ -69,10 +88,10 @@ def synth_data_dir(tmp_path_factory) -> Path:
         ("test", "t10k", 400, 12),
     ):
         ds = synthetic_dataset(n, seed=seed, split=split)
-        mnist_io.write_idx_images(
+        write_idx_images(
             root / f"{prefix}-images-idx3-ubyte", (ds.images * 255).astype(np.uint8)
         )
-        mnist_io.write_idx_labels(
+        write_idx_labels(
             root / f"{prefix}-labels-idx1-ubyte", ds.labels.astype(np.uint8)
         )
     return root

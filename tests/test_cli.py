@@ -20,15 +20,9 @@ from bitflip_bnn.bitcore import (
 from bitflip_bnn.cli import main
 from bitflip_bnn.faultsim import flip_bits, trial_seed
 from bitflip_bnn import mtj
-from bitflip_bnn.mnist_io import (
-    TEST_IMAGES,
-    TEST_LABELS,
-    binarize_input,
-    load_dataset,
-    write_idx_images,
-    write_idx_labels,
-)
+from bitflip_bnn.mnist_io import TEST_IMAGES, TEST_LABELS, binarize_input, load_dataset
 from bitflip_bnn.mtj import WITH_DEVICE_VARIATIONS, parse_device_config
+from tests.conftest import write_idx_images, write_idx_labels
 from tests.test_bitcore import fan_in_bound_model_bytes
 from tests.test_mtj_reference import reference_energy_ber_curve
 
@@ -212,7 +206,9 @@ def test_ber_sweep_trials_match_dense_reference(trained, synth_data_dir, tmp_pat
     manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
     assert "sweep.incremental_trials=4" in manifest
     assert "sweep.dense_trials=4" in manifest
+    assert "sweep.recounts=0" in manifest
     assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
+    assert any(line.startswith("stage.incremental_s=") for line in manifest)
 
 
 def test_manifest_lines_in_golden_order(trained, synth_data_dir, tmp_path):
@@ -221,7 +217,7 @@ def test_manifest_lines_in_golden_order(trained, synth_data_dir, tmp_path):
             "--bers", "1e-05,0.01", "--trials", "1", "--seed", "6", "--out", str(out)]
     assert main(args) == 0
     lines = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
-    timed = ("stage.clean_pass_s=", "duration_s=")
+    timed = ("stage.clean_pass_s=", "stage.incremental_s=", "duration_s=")
     for line in lines:
         if line.startswith(timed):
             assert float(line.split("=", 1)[1]) >= 0.0
@@ -239,8 +235,10 @@ def test_manifest_lines_in_golden_order(trained, synth_data_dir, tmp_path):
         f"version.bitflip_bnn={bitflip_bnn.__version__}",
         f"version.numpy={np.__version__}",
         "stage.clean_pass_s=",
+        "stage.incremental_s=",
         "sweep.dense_trials=1",
         "sweep.incremental_trials=1",
+        "sweep.recounts=0",
         "duration_s=",
     ]
 
@@ -380,13 +378,82 @@ def test_energy_curve_device_file_and_mode(tmp_path):
     assert out.read_text().splitlines()[1].endswith("with_device_variations")
 
 
-def test_energy_curve_unknown_config_key(tmp_path):
+def _refused_before_any_work(monkeypatch, capsys, args):
+    """Run the command with its data loaders and compute stubbed out; return stderr.
+
+    The command must exit 3 without calling any of them.
+    """
+    from bitflip_bnn import cli
+
+    ran = []
+    for name in (
+        "load_dataset", "load_model", "load_device_config", "train", "ber_sweep",
+        "energy_ber_curve",
+    ):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: ran.append(_name))
+    assert main(args) == 3
+    assert ran == []
+    return capsys.readouterr().err
+
+
+def test_train_refuses_a_directory_out_before_any_epoch(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "model.bnn"
+    out.mkdir()
+    args = ["train", "--data-dir", str(tmp_path), "--out", str(out), "--epochs", "1"]
+    err = _refused_before_any_work(monkeypatch, capsys, args)
+    assert f"--out {out}: {out} is a directory" in err
+    assert "epoch" not in err
+    assert not (tmp_path / "model.bnn.log.csv").exists()
+
+
+def test_ber_sweep_refuses_a_directory_out_before_any_trial(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    (tmp_path / "sweep_trials.csv").mkdir()  # a sibling counts as much as --out itself
+    args = ["ber-sweep", "--model", "m.bnn", "--data-dir", str(tmp_path), "--bers", "1e-3",
+            "--out", str(out)]
+    err = _refused_before_any_work(monkeypatch, capsys, args)
+    assert f"--out {out}: {tmp_path / 'sweep_trials.csv'} is a directory" in err
+    assert not out.exists()
+
+
+def test_energy_curve_refuses_a_directory_out_before_any_sample(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "energy.csv"
+    out.mkdir()
+    err = _refused_before_any_work(
+        monkeypatch, capsys, ["energy-curve", "--bers", "1e-3", "--out", str(out)]
+    )
+    assert f"--out {out}: {out} is a directory" in err
+
+
+def test_acc_energy_refuses_an_out_it_cannot_create(monkeypatch, capsys, tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    out = blocker / "joint.csv"
+    args = ["acc-energy", "--model", "m.bnn", "--data-dir", str(tmp_path), "--bers", "1e-3",
+            "--out", str(out)]
+    err = _refused_before_any_work(monkeypatch, capsys, args)
+    assert f"--out {out}: cannot create {out}" in err
+
+
+def test_energy_curve_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "dev.cfg"
     cfg.write_text("resistance=5\n")
     code = main(
         ["energy-curve", "--device", str(cfg), "--bers", "1e-3", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 3
+    assert f"error: {cfg}: device config line 1: unknown key 'resistance'" in capsys.readouterr().err
+
+
+def test_energy_curve_device_config_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_bytes(b"tmr=1.5\n\xff\n")
+    code = main(
+        ["energy-curve", "--device", str(cfg), "--bers", "1e-3", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: device config is not UTF-8 text (at byte offset 8)" in err
 
 
 def test_energy_curve_rejects_boundary_bers(tmp_path):
@@ -503,7 +570,9 @@ def test_acc_energy_join(trained, synth_data_dir, tmp_path):
     manifest = (tmp_path / "join.csv.manifest").read_text().splitlines()
     assert "sweep.incremental_trials=2" in manifest
     assert "sweep.dense_trials=4" in manifest
+    assert "sweep.recounts=0" in manifest
     assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
+    assert any(line.startswith("stage.incremental_s=") for line in manifest)
     _energy_manifest_keys(manifest, [1e-4, 1e-2, 1e-1])
 
     first = out.read_bytes()

@@ -333,7 +333,8 @@ def test_mixed_grid_trials_match_dense_path(synth_model, synth_test):
     bers = [0.0, 1e-4, 1e-3, 0.05, 0.2]
     result = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=15)
     assert (result.incremental_trials, result.dense_trials) == (4, 6)
-    assert result.clean_pass_s > 0.0
+    assert result.clean_pass_s > 0.0 and result.incremental_s > 0.0
+    assert result.recounts == 0  # no trained margin reaches the int8 bound
 
     inputs = binarize_input(synth_test.images)
     for bi, ber in enumerate(bers):
@@ -346,6 +347,7 @@ def test_mixed_grid_trials_match_dense_path(synth_model, synth_test):
 def test_dense_only_grid_skips_clean_pass(synth_model, synth_test):
     result = ber_sweep(synth_model, synth_test, [0.01, 0.1], trials=1, master_seed=3)
     assert (result.incremental_trials, result.dense_trials, result.clean_pass_s) == (0, 2, 0.0)
+    assert (result.incremental_s, result.recounts) == (0.0, 0)
 
 
 def test_incremental_matches_dense_across_kernel_chunks():
@@ -383,8 +385,9 @@ def test_incremental_equals_dense_by_flipped_layer(layers, rows):
     assert _assert_incremental_exact(model, inputs, [faulty]) > 0
 
 
-def test_incremental_state_holds_counts_only_where_inputs_change():
-    # the first layer's input never changes, so only the second layer keeps counts
+def test_incremental_int8_margins_fit_the_int16_count_budget():
+    # two int8 margin arrays, the output scores and the activations stay
+    # within 1.5 int16 count arrays of one hidden layer
     rows, width = 4000, 256
     model = _random_model(68, (784, width, width, 10))
     inputs = _random_inputs(69, rows, 784)

@@ -2,7 +2,8 @@
 
 Valid model and IDX inputs are mutated at random (bytes overwritten, the
 file cut short, bytes appended), device configs are built from random
-lines, and random bytes and text are fed in whole. No other exception type
+lines, and random bytes and text are fed in whole, device config bytes
+through a file. No other exception type
 may escape: the CLI maps FormatError to exit code 3 (bad data), while any
 other ValueError would leave as exit code 2 (usage error).
 """
@@ -25,7 +26,7 @@ from bitflip_bnn.bitcore import (
 )
 from bitflip_bnn.errors import FormatError
 from bitflip_bnn.mnist_io import IMAGE_MAGIC, LABEL_MAGIC, load_idx_images, load_idx_labels
-from bitflip_bnn.mtj import _CONFIG_DEFAULTS, parse_device_config
+from bitflip_bnn.mtj import _CONFIG_DEFAULTS, load_device_config, parse_device_config
 
 
 def _model_bytes() -> tuple[bytes, list[int]]:
@@ -130,3 +131,25 @@ def test_parse_device_config_parses_or_raises_format_error(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a v_write close to v_c only warns
         _parses_or_format_error(parse_device_config, text)
+
+
+_CONFIG_FILE = st.one_of(
+    st.lists(_CONFIG_LINE, max_size=12).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=64),
+    # a valid line with a byte that is not UTF-8 on either side
+    st.tuples(st.binary(max_size=8), st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+    .map(lambda parts: b"tmr=1.5\n" + parts[0] + parts[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_CONFIG_FILE)
+def test_load_device_config_parses_or_raises_format_error_naming_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a v_write close to v_c only warns
+        try:
+            load_device_config(path)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{path}: ")

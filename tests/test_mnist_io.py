@@ -5,6 +5,7 @@ import pytest
 
 from bitflip_bnn import mnist_io as mio
 from bitflip_bnn.errors import FormatError
+from tests.conftest import write_idx_images, write_idx_labels
 
 
 def _image_file(tmp_path, payload: bytes, n=1, rows=2, cols=2, magic=mio.IMAGE_MAGIC):
@@ -73,14 +74,14 @@ def test_write_read_round_trip_bytes(tmp_path):
     images = rng.integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
     labels = rng.integers(0, 10, size=7, dtype=np.uint8)
     ipath, lpath = tmp_path / "imgs", tmp_path / "lbls"
-    mio.write_idx_images(ipath, images)
-    mio.write_idx_labels(lpath, labels)
+    write_idx_images(ipath, images)
+    write_idx_labels(lpath, labels)
     assert np.array_equal(mio.load_idx_images(ipath), images)
     assert np.array_equal(mio.load_idx_labels(lpath), labels)
     # writing the reloaded data reproduces the files byte for byte
     ipath2, lpath2 = tmp_path / "imgs2", tmp_path / "lbls2"
-    mio.write_idx_images(ipath2, mio.load_idx_images(ipath))
-    mio.write_idx_labels(lpath2, mio.load_idx_labels(lpath))
+    write_idx_images(ipath2, mio.load_idx_images(ipath))
+    write_idx_labels(lpath2, mio.load_idx_labels(lpath))
     assert ipath.read_bytes() == ipath2.read_bytes()
     assert lpath.read_bytes() == lpath2.read_bytes()
 
@@ -88,8 +89,8 @@ def test_write_read_round_trip_bytes(tmp_path):
 def test_load_dataset_counts_must_match(tmp_path):
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     labels = np.zeros(2, dtype=np.uint8)
-    mio.write_idx_images(tmp_path / mio.TRAIN_IMAGES, images)
-    mio.write_idx_labels(tmp_path / mio.TRAIN_LABELS, labels)
+    write_idx_images(tmp_path / mio.TRAIN_IMAGES, images)
+    write_idx_labels(tmp_path / mio.TRAIN_LABELS, labels)
     with pytest.raises(FormatError, match="images but"):
         mio.load_dataset(tmp_path, "train")
 
@@ -97,8 +98,8 @@ def test_load_dataset_counts_must_match(tmp_path):
 def test_load_dataset_normalizes(tmp_path):
     # every byte value loads as the bit its float32 intensity v/255 thresholds to
     images = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
-    mio.write_idx_images(tmp_path / mio.TEST_IMAGES, images)
-    mio.write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([9], dtype=np.uint8))
+    write_idx_images(tmp_path / mio.TEST_IMAGES, images)
+    write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([9], dtype=np.uint8))
     ds = mio.load_dataset(tmp_path, "test")
     assert ds.split == "test"
     assert ds.images.dtype == bool and ds.images.shape == (1, 16, 16)
@@ -149,8 +150,8 @@ def test_dataset_take_is_prefix():
 def test_binarized_agrees_with_binarize_input_on_every_pixel_value(tmp_path):
     # load_dataset's bits pack as the float32 intensities v/255 of all 256 byte values do
     pixels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
-    mio.write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
-    mio.write_idx_labels(tmp_path / mio.TEST_LABELS, np.zeros(1, dtype=np.uint8))
+    write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
+    write_idx_labels(tmp_path / mio.TEST_LABELS, np.zeros(1, dtype=np.uint8))
     ds = mio.load_dataset(tmp_path, "test")
     assert ds.images.itemsize == 1
     assert mio.binarize_input(ds.images) == mio.binarize_input(pixels.astype(np.float32) / 255.0)
@@ -158,8 +159,8 @@ def test_binarized_agrees_with_binarize_input_on_every_pixel_value(tmp_path):
 
 def test_binarized_dataset_loads_from_idx(tmp_path):
     pixels = np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4) * 8
-    mio.write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
-    mio.write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([3, 7]))
+    write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
+    write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([3, 7]))
     ds = mio.load_dataset(tmp_path, "test")
     assert np.array_equal(ds.images, pixels >= 128)
     assert ds.take(1).images.dtype == bool

@@ -90,14 +90,19 @@ def test_paired_kernel_matches_int64_dot_products(n, k, rows):
     assert [lo for lo, _ in chunks] == list(range(0, rows, _C))
     assert np.array_equal(np.concatenate([c for _, c in chunks]), agree)
 
-    for i, thresholds in enumerate(_threshold_sets(rng, n, k)):
-        counts = np.full((rows, k), -1, dtype=np.int16) if i == 0 else None
-        words = bc._hidden_words(weights.words, thresholds, x.words, n, counts)
+    for thresholds in _threshold_sets(rng, n, k):
+        words = bc._hidden_words(weights.words, thresholds, x.words, n)
         bits = BitTensor((rows, k), words).unpack_bool()
         assert np.array_equal(bits, agree >= thresholds)
-        if counts is not None:
-            # what the clean pass of IncrementalEvaluator stores
-            assert np.array_equal(counts, agree)
+        # what the clean pass of IncrementalEvaluator stores, thresholds
+        # outside [0, n] included: the margin of T clipped to [-1, n+1]
+        margins = np.full((rows, k), 99, dtype=np.int8)
+        assert np.array_equal(
+            bc._hidden_words(weights.words, thresholds, x.words, n, margins), words
+        )
+        clipped = np.clip(thresholds.astype(np.int64), -1, n + 1)
+        assert np.array_equal(margins, np.clip(agree - clipped, -127, 127))
+        assert np.array_equal(margins >= 0, bits)
 
         output = BinarizedLinearLayer(weights, thresholds, is_output=True)
         scores = linear_forward(output, x)
