@@ -70,13 +70,15 @@ _ROUNDER = np.float32(3 * 2**22 * _PAIR_SHIFT)
 
 # Rows per gemm chunk. Bounds the chunk's float32 temporaries: its 0/1 inputs
 # (3 MiB for 784 inputs) and, for a paired 1024-wide layer, its (rows x 512)
-# product and split, 2 MiB each. On a 2-vCPU Xeon with OpenBLAS and 10k rows
-# of a 784-1024-1024-10 model, the paired l0 took 76, 67, 66 and 67 ms in
-# 256-, 512-, 768- and 1024-row chunks, and l1 91, 83, 83 and 84 ms. 512 rows
-# cut the sweep-steep benchmark's peak RSS from 61.8 to 56.0 MiB (lower in 10
-# of 10 pairs on each of seeds 1 and 2) at the same speed, but slowed
-# sweep-flat, whose incremental trials loop over the same chunks, from 47.4k
-# to 45.6k items/s (slower in 7 of 10 pairs).
+# product and split, 2 MiB each. On a 2-vCPU Xeon with OpenBLAS (2 threads)
+# and 10k rows of a 784-1024-1024-10 model, the paired l0 took 76, 77, 80 and
+# 81 ms in 256-, 512-, 768- and 1024-row chunks, and l1 94, 97, 101 and 99 ms
+# (medians of 9). With the splits loaded packed, 512 rows cut the
+# sweep-steep benchmark's peak RSS from 54.7 to 48.8 MiB (medians; lower in 9
+# of 9 alternating pairs, seed 1) at the same speed, 30.9k against 30.7k
+# items/s. The value also sets the row counts, and so the names, of the
+# kernel's chunk-boundary tests in tests/test_popcount_oracle.py: changing it
+# renames 24 of them.
 _MATRIX_CHUNK_ROWS = 1024
 
 
@@ -554,8 +556,9 @@ def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:
 
     Equivalent to gathering each receptive field into a row of
     C*k_h*k_w sign bits (padding supplying -1) and running the
-    XNOR-popcount threshold kernel against the flattened filters. The
-    gathered booleans go to the count kernel as 0/1 float32, never packed.
+    XNOR-popcount threshold kernel against the flattened filters: the
+    gathered rows are packed and go through the hidden-layer kernel of
+    linear_forward, one row per output position.
     """
     if len(x.shape) != 3:
         raise ValueError("conv input must be [channels, height, width]")
@@ -578,15 +581,10 @@ def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:
     patches = windows.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c * kh * kw)
 
     n = c * kh * kw
-    filt, m = _weight_operands(_unpack_bits(layer.weights.words, kw).reshape(layer.filters, n))
-    levels = _fire_levels(layer.thresholds, m, n)
-
-    bits = np.empty((len(patches), layer.filters), dtype=bool)  # (positions, filters)
-    for lo in range(0, len(patches), _MATRIX_CHUNK_ROWS):
-        chunk = patches[lo : lo + _MATRIX_CHUNK_ROWS]
-        bits[lo : lo + len(chunk)] = chunk.astype(np.float32) @ filt.T >= levels
-    fmaps = bits.T.reshape(layer.filters, h_out, w_out)
-    return BitTensor.from_bool(fmaps)
+    filters = _pack_bool_rows(_unpack_bits(layer.weights.words, kw).reshape(layer.filters, n))
+    words = _hidden_words(filters, layer.thresholds, _pack_bool_rows(patches), n)
+    bits = _unpack_bits(words, layer.filters)  # (positions, filters)
+    return BitTensor.from_bool(bits.T.reshape(layer.filters, h_out, w_out))
 
 
 def model_scores(model: BnnModel, x: BitTensor) -> np.ndarray:

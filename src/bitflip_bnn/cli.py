@@ -19,6 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import __version__
 from .errors import FormatError, NumericError
 from .bitcore import BnnModel, load_model, require_linear, save_model
@@ -85,7 +90,9 @@ def _write_manifest(
 
     One key=value line each, in this order: the command, the sorted
     parameters, the seed, the outputs, the package versions, the sorted
-    measured run figures, and the wall time since `started`.
+    measured run figures, the process's peak resident set size so far
+    (omitted where the resource module is missing), and the wall time since
+    `started`.
     """
     duration_s = time.monotonic() - started
     stats = stats or {}
@@ -96,6 +103,11 @@ def _write_manifest(
     lines += [f"output.{i}={out}" for i, out in enumerate(outputs)]
     lines += [f"version.bitflip_bnn={__version__}", f"version.numpy={np.__version__}"]
     lines += [f"{key}={_fmt(stats[key])}" for key in sorted(stats)]
+    if resource is not None:
+        # ru_maxrss counts KiB on Linux and bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        unit = 2**20 if sys.platform == "darwin" else 2**10
+        lines.append(f"peak_rss_mib={peak / unit!r}")
     lines.append(f"duration_s={duration_s!r}")
     Path(str(csv_path) + ".manifest").write_text("\n".join(lines) + "\n")
 
@@ -159,7 +171,7 @@ def _load_linear_model(path) -> BnnModel:
 def _load_split(data_dir, split: str, n_in: int) -> Dataset:
     """Load a split for a model of n_in inputs, which takes one bit per pixel."""
     data = load_dataset(data_dir, split)
-    width = data.images.shape[1] * data.images.shape[2]
+    width = data.images.shape[-1]
     if width != n_in:
         name = TRAIN_IMAGES if split == "train" else TEST_IMAGES
         raise FormatError(
@@ -182,15 +194,15 @@ def _device_params(args) -> MtjDeviceParams:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
+    if args.limit is not None and args.limit < 1:
+        raise UsageError("--limit must be >= 1")
     out = Path(args.out)
     log_path = Path(str(out) + ".log.csv")
     _check_out(out, log_path, Path(str(log_path) + ".manifest"))
     train_set = _load_split(args.data_dir, "train", MNIST_LAYER_SIZES[0])
-    test_set = _load_split(args.data_dir, "test", MNIST_LAYER_SIZES[0])
     if args.limit is not None:
-        if args.limit < 1:
-            raise UsageError("--limit must be >= 1")
         train_set = train_set.take(args.limit)
+    test_set = _load_split(args.data_dir, "test", MNIST_LAYER_SIZES[0])
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr, seed=args.seed
     )

@@ -1,9 +1,12 @@
 """IDX-format MNIST ingestion and input binarization.
 
-The loaders are strict: magics, declared dimensions and payload lengths must
-match the file exactly (no trailing bytes), and failures report the byte
-offset. Files are never fetched from the network; the caller supplies the
-canonical MNIST files:
+load_dataset reads a split's pixels a block of images at a time and keeps
+them packed, 1 bit per pixel (byte >= 128), from the file on; the public
+load_idx_images still returns the raw uint8 pixels. Both share one statement
+of the checks: magics, declared dimensions and payload lengths must match
+the file exactly (no trailing bytes), and failures report the byte offset.
+Files are never fetched from the network; the caller supplies the canonical
+MNIST files:
 
     train-images-idx3-ubyte   train-labels-idx1-ubyte
     t10k-images-idx3-ubyte    t10k-labels-idx1-ubyte
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitcore import BitTensor
+from .bitcore import BitTensor, words_per_row
 from .errors import FormatError
 
 IMAGE_MAGIC = 0x00000803
@@ -31,34 +34,85 @@ TEST_LABELS = "t10k-labels-idx1-ubyte"
 
 BINARIZE_THRESHOLD = 0.5  # on [0,1] intensities; >= threshold -> +1 bit
 
+# Images per block of a packed load: a 392 KiB buffer for 28x28 images.
+_LOAD_BLOCK_ROWS = 512
+
 
 @dataclass
 class Dataset:
-    """Images as [N, rows, cols] bool pixel bits, labels 0..9.
+    """Images, one per label 0..9, in either of two forms.
 
-    load_dataset gives bool images: True is a pixel byte >= 128, the +1 bit of
-    binarize_input. Direct callers may also pass float32 intensities in [0,1],
-    which binarize_input thresholds at BINARIZE_THRESHOLD into the same bits.
+    load_dataset gives a BitTensor of shape [N, rows*cols]: bit 1 is a pixel
+    byte >= 128, the +1 bit of binarize_input, and no byte per pixel is ever
+    held. Direct callers may instead pass [N, rows, cols] bool pixel bits or
+    float32 intensities in [0,1], which binarize_input thresholds at
+    BINARIZE_THRESHOLD into the same bits; NaN intensities are refused.
     """
 
-    images: np.ndarray
+    images: np.ndarray | BitTensor
     labels: np.ndarray
     split: str = ""
 
     def __post_init__(self):
-        if self.images.ndim != 3:
-            raise ValueError("images must be [N, rows, cols]")
-        if self.labels.ndim != 1 or len(self.labels) != len(self.images):
+        if isinstance(self.images, BitTensor):
+            if len(self.images.shape) != 2:
+                raise ValueError("packed images must be [N, rows*cols]")
+        else:
+            if self.images.ndim != 3:
+                raise ValueError("images must be [N, rows, cols]")
+            # stated so that NaN, which compares false, fails it too
+            if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
+                raise ValueError("intensities must lie in [0,1]")
+        if self.labels.ndim != 1 or len(self.labels) != len(self):
             raise ValueError("labels must be one per image")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValueError("intensities must lie in [0,1]")
 
     def __len__(self) -> int:
-        return len(self.images)
+        return self.images.shape[0]
 
     def take(self, n: int) -> "Dataset":
-        """First n samples, in file order (deterministic subsetting)."""
-        return Dataset(self.images[:n], self.labels[:n], self.split)
+        """First n samples, in file order (deterministic subsetting).
+
+        Packed images are copied, so the subset keeps no reference to the
+        words of the whole split.
+        """
+        if isinstance(self.images, BitTensor):
+            words = self.images.words[:n].copy()
+            images = BitTensor((len(words), self.images.n_bits), words, validate=False)
+        else:
+            images = self.images[:n]
+        return Dataset(images, self.labels[:n], self.split)
+
+
+def _image_header(f) -> tuple[int, int, int]:
+    """(n, rows, cols) of an open IDX image file, after checking its header and length.
+
+    Leaves the file at the first payload byte.
+    """
+    size = os.fstat(f.fileno()).st_size
+    header = f.read(16)
+    if len(header) < 16:
+        raise FormatError("file too short for an IDX image header", size)
+    magic, n, rows, cols = struct.unpack(">IIII", header)
+    if magic != IMAGE_MAGIC:
+        raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}", 0)
+    for offset, dim, what in ((4, n, "images"), (8, rows, "rows"), (12, cols, "columns")):
+        if dim == 0:
+            raise FormatError(f"image header declares 0 {what}", offset)
+    expected = 16 + n * rows * cols
+    if size < expected:
+        raise FormatError(f"truncated image payload: need {expected} bytes, have {size}", size)
+    if size > expected:
+        raise FormatError(f"{size - expected} trailing bytes after image payload", expected)
+    return n, rows, cols
+
+
+def _read_pixels(f, out: np.ndarray, done: int, total: int) -> None:
+    """Read the next out.nbytes payload bytes into out; `done` of `total` are read already."""
+    got = f.readinto(out)
+    if got != out.nbytes:
+        raise FormatError(
+            f"short read of image payload: need {total} bytes, got {done + got}", 16 + done + got
+        )
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -67,30 +121,32 @@ def load_idx_images(path) -> np.ndarray:
     The payload is read straight into the returned array, with no bytes copy.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(16)
-        if len(header) < 16:
-            raise FormatError("file too short for an IDX image header", size)
-        magic, n, rows, cols = struct.unpack(">IIII", header)
-        if magic != IMAGE_MAGIC:
-            raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}", 0)
-        for offset, dim, what in ((4, n, "images"), (8, rows, "rows"), (12, cols, "columns")):
-            if dim == 0:
-                raise FormatError(f"image header declares 0 {what}", offset)
-        expected = 16 + n * rows * cols
-        if size < expected:
-            raise FormatError(
-                f"truncated image payload: need {expected} bytes, have {size}", size
-            )
-        if size > expected:
-            raise FormatError(f"{size - expected} trailing bytes after image payload", expected)
+        n, rows, cols = _image_header(f)
         pixels = np.empty((n, rows, cols), dtype=np.uint8)
-        got = f.readinto(pixels)
-        if got != pixels.nbytes:
-            raise FormatError(
-                f"short read of image payload: need {pixels.nbytes} bytes, got {got}", 16 + got
-            )
+        _read_pixels(f, pixels, 0, pixels.nbytes)
     return pixels
+
+
+def _load_packed_images(path) -> BitTensor:
+    """Parse an IDX image file into packed pixel bits, [N, rows*cols], bit 1 iff byte >= 128.
+
+    The payload is read _LOAD_BLOCK_ROWS images at a time into one reused
+    buffer, thresholded in place and packed into the preallocated words, so
+    no byte-per-pixel array of the file exists.
+    """
+    with open(path, "rb") as f:
+        n, rows, cols = _image_header(f)
+        width = rows * cols
+        words = np.zeros((n, words_per_row(width)), dtype="<u8")
+        as_bytes = words.view(np.uint8)[:, : (width + 7) // 8]
+        buf = np.empty((min(n, _LOAD_BLOCK_ROWS), width), dtype=np.uint8)
+        for lo in range(0, n, _LOAD_BLOCK_ROWS):
+            block = buf[: min(n - lo, _LOAD_BLOCK_ROWS)]
+            _read_pixels(f, block, lo * width, n * width)
+            # v >= 128 iff float32(v)/255 >= BINARIZE_THRESHOLD, for every byte value v
+            bits = np.greater_equal(block, 128, out=block.view(bool))
+            as_bytes[lo : lo + len(block)] = np.packbits(bits, axis=-1, bitorder="little")
+    return BitTensor((n, width), words, validate=False)
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -118,8 +174,8 @@ def load_idx_labels(path) -> np.ndarray:
 def load_dataset(data_dir, split: str) -> Dataset:
     """Load the train or test split from a directory of canonical IDX files.
 
-    Images come back as bool pixel bits (byte >= 128), thresholded in place in
-    the loaded uint8 array: the split costs 1 byte per pixel and no float copy.
+    Images come back packed, a BitTensor of shape [N, rows*cols] whose bit 1
+    is a pixel byte >= 128: the split costs 1 bit per pixel from the file on.
     """
     names = {
         "train": (TRAIN_IMAGES, TRAIN_LABELS),
@@ -129,23 +185,24 @@ def load_dataset(data_dir, split: str) -> Dataset:
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     img_name, lbl_name = names[split]
     data_dir = Path(data_dir)
-    raw = load_idx_images(data_dir / img_name)
+    images = _load_packed_images(data_dir / img_name)
     labels = load_idx_labels(data_dir / lbl_name)
-    if len(raw) != len(labels):
-        raise FormatError(f"{len(raw)} images but {len(labels)} labels in {split} split")
-    # v >= 128 iff float32(v)/255 >= BINARIZE_THRESHOLD, for every byte value v
-    images = np.greater_equal(raw, 128, out=raw.view(bool))
+    if images.n_rows != len(labels):
+        raise FormatError(f"{images.n_rows} images but {len(labels)} labels in {split} split")
     return Dataset(images, labels.astype(np.int64), split)
 
 
-def binarize_input(images: np.ndarray) -> BitTensor:
+def binarize_input(images) -> BitTensor:
     """Threshold [0,1] intensities into packed sign bits, one row per image.
 
     A pixel maps to +1 (bit 1) iff its intensity is >= 0.5; bool images are
-    already those bits and are packed as they are. Spatial dimensions are
+    already those bits and are packed as they are, and a BitTensor, the form
+    load_dataset gives, is returned unchanged. Spatial dimensions are
     flattened, giving [N, rows*cols] (or a single flat row for one unbatched
     image).
     """
+    if isinstance(images, BitTensor):
+        return images
     arr = np.asarray(images)
     if arr.ndim not in (2, 3):
         raise ValueError("expected [rows, cols] or [N, rows, cols] intensities")

@@ -20,7 +20,13 @@ from bitflip_bnn.bitcore import (
 from bitflip_bnn.cli import main
 from bitflip_bnn.faultsim import flip_bits, trial_seed
 from bitflip_bnn import mtj
-from bitflip_bnn.mnist_io import TEST_IMAGES, TEST_LABELS, binarize_input, load_dataset
+from bitflip_bnn.mnist_io import (
+    TEST_IMAGES,
+    TEST_LABELS,
+    binarize_input,
+    load_dataset,
+    load_idx_images,
+)
 from bitflip_bnn.mtj import WITH_DEVICE_VARIATIONS, parse_device_config
 from tests.conftest import write_idx_images, write_idx_labels
 from tests.test_bitcore import fan_in_bound_model_bytes
@@ -217,11 +223,13 @@ def test_manifest_lines_in_golden_order(trained, synth_data_dir, tmp_path):
             "--bers", "1e-05,0.01", "--trials", "1", "--seed", "6", "--out", str(out)]
     assert main(args) == 0
     lines = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
-    timed = ("stage.clean_pass_s=", "stage.incremental_s=", "duration_s=")
+    timed = ("stage.clean_pass_s=", "stage.incremental_s=", "peak_rss_mib=", "duration_s=")
     for line in lines:
         if line.startswith(timed):
             assert float(line.split("=", 1)[1]) >= 0.0
-    # timing values blanked; every other byte is fixed by the flags and versions
+    peak = next(line for line in lines if line.startswith("peak_rss_mib="))
+    assert float(peak.split("=", 1)[1]) > 1.0  # the interpreter alone holds more
+    # timing and memory values blanked; every other byte is fixed by the flags and versions
     assert [line.split("=", 1)[0] + "=" if line.startswith(timed) else line for line in lines] == [
         "command=ber-sweep",
         "param.bers=1e-05,0.01",
@@ -239,6 +247,7 @@ def test_manifest_lines_in_golden_order(trained, synth_data_dir, tmp_path):
         "sweep.dense_trials=1",
         "sweep.incremental_trials=1",
         "sweep.recounts=0",
+        "peak_rss_mib=",
         "duration_s=",
     ]
 
@@ -378,10 +387,10 @@ def test_energy_curve_device_file_and_mode(tmp_path):
     assert out.read_text().splitlines()[1].endswith("with_device_variations")
 
 
-def _refused_before_any_work(monkeypatch, capsys, args):
+def _refused_before_any_work(monkeypatch, capsys, args, code=3):
     """Run the command with its data loaders and compute stubbed out; return stderr.
 
-    The command must exit 3 without calling any of them.
+    The command must exit with `code` (3 unless given) without calling any of them.
     """
     from bitflip_bnn import cli
 
@@ -391,9 +400,19 @@ def _refused_before_any_work(monkeypatch, capsys, args):
         "energy_ber_curve",
     ):
         monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: ran.append(_name))
-    assert main(args) == 3
+    assert main(args) == code
     assert ran == []
     return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_train_refuses_limit_below_one_before_reading_data(monkeypatch, capsys, tmp_path, limit):
+    # the data dir does not exist: reading it would exit 3
+    args = ["train", "--data-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "m.bnn"),
+            "--limit", limit]
+    err = _refused_before_any_work(monkeypatch, capsys, args, code=2)
+    assert "error: --limit must be >= 1" in err
+    assert not (tmp_path / "m.bnn.log.csv").exists()
 
 
 def test_train_refuses_a_directory_out_before_any_epoch(monkeypatch, capsys, tmp_path):
@@ -645,13 +664,14 @@ def test_ber_sweep_library_checks_are_usage_errors(
 
 
 def test_mnist_commands_pass_bool_images(trained, synth_data_dir, tmp_path, monkeypatch):
+    # the pixel bits reach the library packed: a [N, 784] BitTensor, bit 1 iff byte >= 128
     from bitflip_bnn import cli
 
     seen = []
 
     def spy(original):
         def wrapped(*args, **kwargs):
-            seen.extend(a.images.dtype for a in (*args, *kwargs.values()) if hasattr(a, "images"))
+            seen.extend(a.images for a in (*args, *kwargs.values()) if hasattr(a, "images"))
             return original(*args, **kwargs)
 
         return wrapped
@@ -668,7 +688,15 @@ def test_mnist_commands_pass_bool_images(trained, synth_data_dir, tmp_path, monk
         "--epochs", "1", "--limit", "100",
     ]
     assert main(train_args) == 0
-    assert seen == [np.dtype(bool)] * 3  # the sweep's test split, train's train and test
+
+    def bits(name, n=None):
+        pixels = load_idx_images(synth_data_dir / name)[:n]
+        return binarize_input(pixels >= 128)
+
+    # the sweep's test split, train's first 100 training images and its test split
+    expected = [bits(TEST_IMAGES), bits("train-images-idx3-ubyte", 100), bits(TEST_IMAGES)]
+    assert all(isinstance(images, BitTensor) for images in seen)
+    assert seen == expected
 
 
 @pytest.fixture(scope="module")

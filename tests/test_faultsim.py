@@ -351,8 +351,9 @@ def test_dense_only_grid_skips_clean_pass(synth_model, synth_test):
 
 
 def test_incremental_matches_dense_across_kernel_chunks():
-    # the clean pass writes its counts, and a trial updates its rows, one kernel chunk at a time
-    rows = 2 * bc._MATRIX_CHUNK_ROWS + 5
+    # the clean pass writes its margins one kernel chunk at a time, and a
+    # trial updates its rows one update block at a time
+    rows = 2 * max(bc._MATRIX_CHUNK_ROWS, fs._UPDATE_BLOCK_ROWS) + 5
     model = _random_model(64, (100, 70, 50, 10))
     inputs = _random_inputs(65, rows, 100)
     faulty = [flip_bits(model, ber, trial_seed(8, bi, 0)) for bi, ber in enumerate(LOW_BERS)]
@@ -360,6 +361,9 @@ def test_incremental_matches_dense_across_kernel_chunks():
 
 
 _C = bc._MATRIX_CHUNK_ROWS
+_B = fs._UPDATE_BLOCK_ROWS
+# around the kernel's chunk and the incremental update's block
+BOUNDARY_ROWS = sorted({_C - 1, _C, _C + 1, 2 * _C + 5, _B - 1, _B, _B + 1, 2 * _B + 5})
 THREE_HIDDEN = (100, 70, 50, 40, 10)  # padded widths: no layer is a whole number of words
 # (layer, [(neuron, input)]) flips: word boundaries, the last valid bit, two in one neuron
 _FLIPS = {
@@ -370,7 +374,7 @@ _FLIPS = {
 }
 
 
-@pytest.mark.parametrize("rows", [_C - 1, _C, _C + 1, 2 * _C + 5])
+@pytest.mark.parametrize("rows", BOUNDARY_ROWS)
 @pytest.mark.parametrize(
     "layers",
     [(0,), (1,), (2,), (0, 2), (3,)],

@@ -3,9 +3,10 @@
 Valid model and IDX inputs are mutated at random (bytes overwritten, the
 file cut short, bytes appended), device configs are built from random
 lines, and random bytes and text are fed in whole, device config bytes
-through a file. No other exception type
-may escape: the CLI maps FormatError to exit code 3 (bad data), while any
-other ValueError would leave as exit code 2 (usage error).
+through a file; random image bytes also go through load_dataset, which must
+agree with load_idx_images. No other exception type may escape: the CLI
+maps FormatError to exit code 3 (bad data), while any other ValueError would
+leave as exit code 2 (usage error).
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import struct
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,16 @@ from bitflip_bnn.bitcore import (
     load_model_bytes,
 )
 from bitflip_bnn.errors import FormatError
-from bitflip_bnn.mnist_io import IMAGE_MAGIC, LABEL_MAGIC, load_idx_images, load_idx_labels
+from bitflip_bnn.mnist_io import (
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
+    TEST_IMAGES,
+    TEST_LABELS,
+    binarize_input,
+    load_dataset,
+    load_idx_images,
+    load_idx_labels,
+)
 from bitflip_bnn.mtj import _CONFIG_DEFAULTS, load_device_config, parse_device_config
 
 
@@ -103,6 +114,30 @@ def _load_file(tmp_path_factory, loader, data) -> None:
 @given(data=st.one_of(_mutations(IMAGES, range(16)), st.binary(max_size=40)))
 def test_load_idx_images_parses_or_raises_format_error(tmp_path_factory, data):
     _load_file(tmp_path_factory, load_idx_images, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(_mutations(IMAGES, range(16)), st.binary(max_size=40)))
+def test_load_dataset_parses_images_as_load_idx_images_does(tmp_path_factory, data):
+    # the packed block reader and load_idx_images state the checks once: the
+    # same bytes parse to the same bits, or raise the same FormatError
+    root = tmp_path_factory.getbasetemp() / "fuzz-split"
+    root.mkdir(exist_ok=True)
+    (root / TEST_IMAGES).write_bytes(data)
+    (root / TEST_LABELS).write_bytes(struct.pack(">II", LABEL_MAGIC, 2) + bytes([4, 1]))
+    try:
+        pixels = load_idx_images(root / TEST_IMAGES)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as packed:
+            load_dataset(root, "test")
+        assert str(packed.value) == str(exc)
+        return
+    try:
+        dataset = load_dataset(root, "test")
+    except FormatError as exc:
+        assert len(pixels) != 2 and "images but 2 labels" in str(exc)
+        return
+    assert dataset.images == binarize_input(pixels >= 128)
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,8 +5,9 @@ neuron's output from q and the exact change d of its count, recounting only
 saturated pairs whose change could reach 127. These models are built so that
 the second layer sees margins of exactly -127, -126, 126 and 127 (and beyond)
 on rows whose input changes by 125 to 128 bits, and neurons with 0, 1 and more
-than 126 flipped weights. The special rows sit at 0 and around the kernel's
-row chunk, at c - 1, c and c + 1.
+than 126 flipped weights. The special rows sit at 0, around the kernel's
+row chunk, at c - 1, c and c + 1, and around the block of the evaluator's
+trial update, at b - 1, b and b + 1.
 
 Every trial is checked two ways, exact on the integers: each hidden layer's
 words against the dense kernel on the faulty model, and the predictions
@@ -20,13 +21,16 @@ import numpy as np
 import pytest
 
 from bitflip_bnn import bitcore as bc
+from bitflip_bnn import faultsim
 from bitflip_bnn.bitcore import BinarizedLinearLayer, BitTensor, BnnModel, model_predict_batch
 from bitflip_bnn.faultsim import IncrementalEvaluator
 
 _C = bc._MATRIX_CHUNK_ROWS
-ROWS = _C + 6
-SPECIAL_ROWS = [0, _C - 1, _C, _C + 1]
-CHANGED_BITS = [125, 126, 127, 128]  # second-layer input bits that change, per special row
+_B = faultsim._UPDATE_BLOCK_ROWS
+SPECIAL_ROWS = sorted({0, _C - 1, _C, _C + 1, _B - 1, _B, _B + 1})
+ROWS = SPECIAL_ROWS[-1] + 5
+# second-layer input bits that change, per special row
+CHANGED_BITS = [125 + a % 4 for a in range(len(SPECIAL_ROWS))]
 N_IN = 96
 GROUP = 128  # first-layer neurons tuned to one special row each
 TARGETS = [-130, -128, -127, -126, -125, -1, 0, 1, 125, 126, 127, 128, 130]
@@ -47,7 +51,7 @@ def _probe(a: int, t: int, s: int) -> int:
 
 
 def _saturation_model(seed=70):
-    """(model, inputs, faulty): a 96-512-WIDTH-10 model and a faulty copy at the int8 bounds.
+    """(model, inputs, faulty): a 96-(128 per special row)-WIDTH-10 model and a faulty copy.
 
     First layer: group a of 128 neurons sits at margin 0 on special row a, so
     one flipped weight that agreed with that row clears the neuron's output

@@ -1,9 +1,12 @@
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bitflip_bnn import mnist_io as mio
+from bitflip_bnn.bitcore import BitTensor
 from bitflip_bnn.errors import FormatError
 from tests.conftest import write_idx_images, write_idx_labels
 
@@ -102,10 +105,12 @@ def test_load_dataset_normalizes(tmp_path):
     write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([9], dtype=np.uint8))
     ds = mio.load_dataset(tmp_path, "test")
     assert ds.split == "test"
-    assert ds.images.dtype == bool and ds.images.shape == (1, 16, 16)
-    assert ds.images.reshape(-1).tolist() == [v >= 128 for v in range(256)]
+    assert isinstance(ds.images, BitTensor) and ds.images.shape == (1, 256)
+    assert ds.images.unpack_bool().reshape(-1).tolist() == [v >= 128 for v in range(256)]
     intensities = images.astype(np.float32) / 255.0
-    assert np.array_equal(ds.images, intensities >= mio.BINARIZE_THRESHOLD)
+    assert np.array_equal(
+        ds.images.unpack_bool(), (intensities >= mio.BINARIZE_THRESHOLD).reshape(1, 256)
+    )
     assert ds.labels.tolist() == [9]
 
 
@@ -153,8 +158,8 @@ def test_binarized_agrees_with_binarize_input_on_every_pixel_value(tmp_path):
     write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
     write_idx_labels(tmp_path / mio.TEST_LABELS, np.zeros(1, dtype=np.uint8))
     ds = mio.load_dataset(tmp_path, "test")
-    assert ds.images.itemsize == 1
-    assert mio.binarize_input(ds.images) == mio.binarize_input(pixels.astype(np.float32) / 255.0)
+    assert mio.binarize_input(ds.images) is ds.images  # already packed: 1 bit per pixel
+    assert ds.images == mio.binarize_input(pixels.astype(np.float32) / 255.0)
 
 
 def test_binarized_dataset_loads_from_idx(tmp_path):
@@ -162,5 +167,80 @@ def test_binarized_dataset_loads_from_idx(tmp_path):
     write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
     write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([3, 7]))
     ds = mio.load_dataset(tmp_path, "test")
-    assert np.array_equal(ds.images, pixels >= 128)
-    assert ds.take(1).images.dtype == bool
+    assert ds.images == mio.binarize_input(pixels >= 128)
+    first = ds.take(1).images
+    assert first == mio.binarize_input(pixels[:1] >= 128)
+    assert not np.shares_memory(first.words, ds.images.words)  # a copy, not a view
+
+
+def _split_files(root, pixels: np.ndarray) -> None:
+    write_idx_images(root / mio.TEST_IMAGES, pixels)
+    write_idx_labels(root / mio.TEST_LABELS, np.arange(len(pixels)) % 10)
+
+
+@pytest.mark.parametrize("rows,cols", [(14, 14), (28, 28), (8, 16)], ids=["196", "784", "128"])
+@pytest.mark.parametrize("delta", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+def test_packed_load_equals_binarize_input_around_the_block(tmp_path, rows, cols, delta):
+    n = mio._LOAD_BLOCK_ROWS + delta
+    pixels = np.random.default_rng(n * cols).integers(0, 256, (n, rows, cols), dtype=np.uint8)
+    pixels.reshape(-1)[:256] = np.arange(256)  # every byte value
+    pixels[-1] = np.arange(rows * cols).reshape(rows, cols) % 256  # and in the last row
+    _split_files(tmp_path, pixels)
+    ds = mio.load_dataset(tmp_path, "test")
+    assert ds.images.shape == (n, rows * cols)
+    assert ds.images == mio.binarize_input(pixels >= 128)
+    assert ds.images == mio.binarize_input(mio.load_idx_images(tmp_path / mio.TEST_IMAGES) >= 128)
+
+
+def test_packed_load_builds_no_byte_per_pixel_array(tmp_path):
+    n, side = 10_000, 28
+    rng = np.random.default_rng(44)
+    _split_files(tmp_path, rng.integers(0, 256, (n, side, side), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        ds = mio.load_dataset(tmp_path, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = ds.images.words.nbytes + ds.labels.nbytes
+    block = mio._LOAD_BLOCK_ROWS * side * side
+    # what the dataset holds, plus one block's pixel bytes and their packed
+    # copy; a uint8 or bool copy of the split would add n * 784 bytes, 7.8 MB
+    assert peak < held + block + block // 8
+    assert block < n * side * side / 10
+
+
+@pytest.mark.parametrize("have", [5, 10], ids=["first-block", "second-block"])
+def test_short_read_reports_the_same_offset_in_both_loaders(tmp_path, monkeypatch, have):
+    # a file that holds fewer bytes at the read than its size said at the
+    # check; load_dataset reads it in blocks of two 4-byte images
+    write_idx_images(tmp_path / mio.TEST_IMAGES, np.zeros((3, 2, 2), dtype=np.uint8))
+    write_idx_labels(tmp_path / mio.TEST_LABELS, np.zeros(3, dtype=np.uint8))
+    path = tmp_path / mio.TEST_IMAGES
+    path.write_bytes(path.read_bytes()[: 16 + have])
+    monkeypatch.setattr(mio.os, "fstat", lambda fd: SimpleNamespace(st_size=16 + 12))
+    monkeypatch.setattr(mio, "_LOAD_BLOCK_ROWS", 2)
+    with pytest.raises(FormatError) as raw:
+        mio.load_idx_images(path)
+    with pytest.raises(FormatError) as packed:
+        mio.load_dataset(tmp_path, "test")
+    message = f"short read of image payload: need 12 bytes, got {have}"
+    assert str(raw.value) == str(packed.value) == f"{message} (at byte offset {16 + have})"
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+def test_dataset_refuses_intensities_outside_the_unit_interval(bad):
+    images = np.full((2, 3, 3), 0.5, dtype=np.float32)
+    images[1, 2, 0] = bad
+    with pytest.raises(ValueError, match=r"intensities must lie in \[0,1\]"):
+        mio.Dataset(images, np.zeros(2, dtype=np.int64))
+
+
+def test_packed_dataset_take_and_checks():
+    images = mio.binarize_input(np.random.default_rng(45).random((6, 4, 4)) < 0.5)
+    ds = mio.Dataset(images, np.arange(6), "x")
+    assert len(ds) == 6 and len(ds.take(4)) == 4 and len(ds.take(10)) == 6
+    with pytest.raises(ValueError, match="one per image"):
+        mio.Dataset(images, np.arange(5))
+    with pytest.raises(ValueError, match="packed images"):
+        mio.Dataset(BitTensor.from_bool(np.zeros((2, 4, 4), dtype=bool)), np.arange(2))
