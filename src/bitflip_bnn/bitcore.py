@@ -69,17 +69,16 @@ _MAX_PAIRED_FAN_IN = 2047
 _ROUNDER = np.float32(3 * 2**22 * _PAIR_SHIFT)
 
 # Rows per gemm chunk. Bounds the chunk's float32 temporaries: its 0/1 inputs
-# (3 MiB for 784 inputs) and, for a paired 1024-wide layer, its (rows x 512)
-# product and split, 2 MiB each. On a 2-vCPU Xeon with OpenBLAS (2 threads)
+# (1.5 MiB for 784 inputs) and, for a paired 1024-wide layer, its (rows x 512)
+# product and split, 1 MiB each. On a 2-vCPU Xeon with OpenBLAS (2 threads)
 # and 10k rows of a 784-1024-1024-10 model, the paired l0 took 76, 77, 80 and
 # 81 ms in 256-, 512-, 768- and 1024-row chunks, and l1 94, 97, 101 and 99 ms
 # (medians of 9). With the splits loaded packed, 512 rows cut the
 # sweep-steep benchmark's peak RSS from 54.7 to 48.8 MiB (medians; lower in 9
 # of 9 alternating pairs, seed 1) at the same speed, 30.9k against 30.7k
-# items/s. The value also sets the row counts, and so the names, of the
-# kernel's chunk-boundary tests in tests/test_popcount_oracle.py: changing it
-# renames 24 of them.
-_MATRIX_CHUNK_ROWS = 1024
+# items/s. The kernel's chunk-boundary tests name their row counts relative
+# to this value, so changing it renames none of them.
+_MATRIX_CHUNK_ROWS = 512
 
 
 def words_per_row(n_bits: int) -> int:
@@ -531,11 +530,26 @@ def _hidden_words(w_words, thresholds, x_words, n_bits: int, margins=None) -> np
     neuron's margin clip(count - T, -127, 127), T clipped as in _fire_levels,
     written by the same chunk loop; the neuron fires iff its margin is >= 0.
     """
+    operands = _hidden_operands(w_words, thresholds, n_bits)
+    return _fire_words(operands, x_words, n_bits, margins)
+
+
+def _hidden_operands(w_words, thresholds, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, levels) of a hidden layer: its matrix columns and float32 fire levels.
+
+    They depend on the layer alone, so a caller that runs the same layer over
+    many row sets computes them once and passes them to _fire_words.
+    """
     w, m = _paired_operands(w_words, n_bits)
-    levels = _fire_levels(thresholds, m, n_bits)
-    out = np.empty((len(x_words), words_per_row(len(m))), dtype=np.uint64)
-    bits_buf = np.empty((min(len(x_words), _MATRIX_CHUNK_ROWS), len(m)), dtype=bool)
-    for rows, parts in _products(x_words, w, len(m), n_bits):
+    return w, _fire_levels(thresholds, m, n_bits)
+
+
+def _fire_words(operands, x_words, n_bits: int, margins=None) -> np.ndarray:
+    """The chunk loop of _hidden_words, on operands from _hidden_operands."""
+    w, levels = operands
+    out = np.empty((len(x_words), words_per_row(len(levels))), dtype=np.uint64)
+    bits_buf = np.empty((min(len(x_words), _MATRIX_CHUNK_ROWS), len(levels)), dtype=bool)
+    for rows, parts in _products(x_words, w, len(levels), n_bits):
         bits = bits_buf[: rows.stop - rows.start]
         for neurons, p in parts:
             if margins is None:

@@ -8,18 +8,21 @@ touched. Trials are independent; each derives its own RNG stream from
 (master_seed, ber_index, trial_index), so a sweep is reproducible for any
 execution order.
 
-A sweep runs its trials in the calling process, in (ber, trial) order, and
-scores each on one of two paths, chosen by BER alone:
+A sweep runs its trials in the calling process and scores each on one of
+two paths, chosen by BER alone:
 
 * at or below INCREMENTAL_MAX_BER (a fixed constant, no flag or environment
-  variable), an IncrementalEvaluator makes one clean pass over the dataset,
-  keeping each hidden neuron's int8 margin clip(count - T, -127, 127) per
-  row, and each trial adds up the exact changes of the counts its flips
-  cause: over a flipped weight's columns, over a row's changed input bits,
-  and into the clean output scores. A new bit is decided from the margin
-  alone, and only saturated margins that the change could carry across 0
-  are recounted;
-* above it, each trial flips a copy and runs the full dense forward
+  variable), the trials run first. Each trial's flips are drawn and only
+  what they change is kept. The dataset is then taken one block of
+  _SWEEP_BLOCK_ROWS rows at a time: an IncrementalEvaluator makes a clean
+  pass over the block, keeping each hidden neuron's int8 margin
+  clip(count - T, -127, 127) per row, and every trial adds up the exact
+  changes of the counts its flips cause: over a flipped weight's columns,
+  over a row's changed input bits, and into the clean output scores. A new
+  bit is decided from the margin alone, and only saturated margins that the
+  change could carry across 0 are recounted. A trial's accuracy is its
+  correct predictions summed over the blocks;
+* above it, each trial in turn flips a copy and runs the full dense forward
   (_run_trial).
 
 Both paths take their flips from flip_bits and compute the same integers,
@@ -41,7 +44,8 @@ from .bitcore import (
     BinarizedLinearLayer,
     BitTensor,
     BnnModel,
-    _hidden_words,
+    _fire_words,
+    _hidden_operands,
     _pack_bool_rows,
     _unpack_bits,
     model_predict_batch,
@@ -51,20 +55,29 @@ from .mnist_io import Dataset, binarize_input
 
 # Trials at or below this BER are scored incrementally against a clean pass.
 # On the 784-1024-1024-10 sweep model of the benchmark and 10k rows (2-vCPU
-# box, 2 BLAS threads, wall time, medians of 5 trials) an update costs 0.06 s
-# at 1e-4, 0.09 s at 2e-4, 0.12 s at 3e-4, 0.15 s at 5e-4 and 0.26 s at 1e-3,
-# against 0.15-0.17 s for a dense trial: the crossover lies between 5e-4 and
-# 1e-3, so of the decade grid the paper sweeps, 1e-4 is the last BER that
-# pays to score incrementally.
+# box, 2 BLAS threads, wall time, medians of 7 in-process runs of 3 trials;
+# 2048-row sweep blocks, 512-row kernel chunks) an update costs 48 ms at
+# 1e-4, 66 ms at 2e-4, 89 ms at 3e-4, 142 ms at 5e-4 and 270 ms at 1e-3,
+# against 158 ms for a dense trial with its flips: the crossover lies just
+# above 5e-4, so of the decade grid the paper sweeps, 1e-4 is the last BER
+# that pays to score incrementally.
 INCREMENTAL_MAX_BER = 1e-4
 
+# Test rows per block of the low-BER trials: each block gets its own clean
+# pass, and every trial is scored on it before the next block's, so the
+# margins, activations and scores are a block's. On the same model, 10k rows
+# and 3 trials (1e-6, 1e-5, 1e-4; medians of 11 alternating in-process runs,
+# 512-row kernel chunks and update blocks) the phase took 247, 238, 241 and
+# 250 ms in blocks of 1024, 2048, 4096 and 10k rows, with tracemalloc peaks
+# of 10.8, 13.1, 17.6 and 32.2 MiB. Below 2048 rows the per-block work of
+# every trial starts to show (updates 71 against 60 ms at 1024 rows).
+_SWEEP_BLOCK_ROWS = 2048
+
 # Rows per block of an incremental trial's update and of the clean output
-# scores, which bounds their temporaries. The clean pass itself runs on the
-# dense kernel's chunks (bitcore._MATRIX_CHUNK_ROWS), so the two sizes are
-# chosen apart. On the sweep-flat benchmark (2-vCPU box, seed 1, 10
-# alternating pairs against 1024 rows, kernel chunks of 1024 rows), 512 rows
-# here lowered the peak RSS from 72.1 to 70.5 MiB in 10 of 10 pairs at the
-# same speed: 47.1k against 47.2k items/s in the median, faster in 4 pairs.
+# scores, which bounds their temporaries. In the measurement above (2048-row
+# sweep blocks), 256, 512, 1024 and 2048 rows here gave updates of 74, 60,
+# 59 and 57 ms, and tracemalloc peaks of 13.1 MiB up to 1024 rows and 14.7
+# MiB at 2048: 512 is the smallest block at full speed.
 _UPDATE_BLOCK_ROWS = 512
 
 # Weight bits per block of flip draws: a 1 MiB float64 block in place of one
@@ -80,8 +93,8 @@ class SweepResult:
     trials: int
     accuracies: np.ndarray  # (n_bers, trials)
     incremental_trials: int = 0  # trials scored by IncrementalEvaluator
-    clean_pass_s: float = 0.0  # wall time of its clean pass
-    incremental_s: float = 0.0  # wall time of all its trial updates
+    clean_pass_s: float = 0.0  # wall time of its clean passes, summed over the blocks
+    incremental_s: float = 0.0  # wall time of all its trial updates, summed over the blocks
     recounts: int = 0  # saturated (row, neuron) pairs it recounted
     mean_accuracy: np.ndarray = field(init=False)
     std_accuracy: np.ndarray = field(init=False)
@@ -208,16 +221,28 @@ def _disagreements(x_words: np.ndarray, w_words: np.ndarray, within=None) -> np.
 
 
 class _Flips:
-    """The weight bits of one layer that a faulty copy flips, grouped by neuron."""
+    """The weight bits of one layer that a faulty copy flips, grouped by neuron.
+
+    Beside the clean layer, it holds the flips' positions and the faulty
+    weight rows of the neurons that hold one, so it grows with the flips.
+    """
 
     def __init__(self, clean: BinarizedLinearLayer, bad: BinarizedLinearLayer):
+        self.clean = clean
         neurons, self.inputs = _set_bits(clean.weights.words ^ bad.weights.words)
         self.hit, self.starts, self.per_neuron = np.unique(
             neurons, return_index=True, return_counts=True
         )
         self.clean_bits = _bits(clean.weights.words, neurons, self.inputs)
+        self.bad_rows = bad.weights.words[self.hit]
         self.most = int(self.per_neuron.max()) if neurons.size else 0
         self.reach = np.minimum(self.per_neuron, _SATURATED).astype(np.int8)
+
+    def weights(self) -> np.ndarray:
+        """A new array of the faulty layer's packed weight rows."""
+        words = self.clean.weights.words.copy()
+        words[self.hit] = self.bad_rows
+        return words
 
     def deltas(self, x_words: np.ndarray, rows: np.ndarray, hit: np.ndarray) -> np.ndarray:
         """int32 change of the count of neuron self.hit[hit[i]] on clean x row rows[i].
@@ -245,15 +270,15 @@ class _InputChanges:
     so that a row's summed slots are minus its exact change d of every count.
     """
 
-    def __init__(self, x_words, bad: BinarizedLinearLayer, rows, new):
-        n = bad.in_features
+    def __init__(self, x_words, flips: _Flips, rows, new):
+        n = flips.clean.in_features
         self.rows, self.new = rows, new
         self.diff = new ^ x_words[rows]
         self.flipped = np.bitwise_count(self.diff).sum(axis=1, dtype=np.int64)
         union = np.bitwise_or.reduce(self.diff, axis=0)[None]
         cols = np.flatnonzero(_unpack_bits(union, n)[0])
-        neurons = np.arange(bad.out_features)
-        signs = pm1(_bits(bad.weights.words, neurons[None, :], cols[:, None]), np.int8)
+        neurons = np.arange(flips.clean.out_features)
+        signs = pm1(_bits(flips.weights(), neurons[None, :], cols[:, None]), np.int8)
         self.table = np.concatenate([-signs, signs])
         local = np.zeros(n, dtype=np.intp)
         local[cols] = np.arange(len(cols))
@@ -283,15 +308,21 @@ class _InputChanges:
         return order, acc
 
 
+def _layer_flips(model: BnnModel, faulty: BnnModel) -> list[_Flips]:
+    """The flips of a faulty copy of the model, layer by layer."""
+    return [_Flips(clean, bad) for clean, bad in zip(model.layers, faulty.layers)]
+
+
 class IncrementalEvaluator:
     """Exact predictions of faulty copies of one linear model on fixed inputs.
 
     One clean pass, through the dense kernel's own chunk loop, stores for
     every hidden layer its packed activations and its int8 margins
     q = clip(count - T, -127, 127) (row-major; the neuron fires iff q >= 0),
-    and the clean output scores. A faulty model is then scored layer by
-    layer, one block of _UPDATE_BLOCK_ROWS rows at a time, as exact changes d
-    of the counts:
+    and the clean output scores, so the state scales with the input rows: a
+    sweep builds one evaluator per block of _SWEEP_BLOCK_ROWS rows. A faulty
+    model is then scored layer by layer, one block of _UPDATE_BLOCK_ROWS rows
+    at a time, as exact changes d of the counts:
 
     * a flipped weight moves its neuron's count by a delta over its flipped
       columns, computed on the clean input;
@@ -310,21 +341,22 @@ class IncrementalEvaluator:
     model_predict_batch(faulty, inputs), ties included (lowest class index).
     """
 
-    def __init__(self, model: BnnModel, inputs: BitTensor):
+    def __init__(self, model: BnnModel, inputs: BitTensor, operands=None):
+        """`operands`, the model's operands(), may be given to spare recomputing them."""
         if not self.supports(model):
             raise ValueError("incremental evaluation needs linear layers with fan-in < 2^15")
         n_in = model.layers[0].in_features
         if len(inputs.shape) != 2 or inputs.shape[1] != n_in:
             raise ValueError(f"expected inputs of {n_in} bits, got shape {inputs.shape}")
+        if operands is None:
+            operands = self.operands(model)
         self.model = model
         self.acts = [inputs.words]  # acts[l]: clean packed input of layer l
         self.margins = []  # margins[l]: int8 clip(count - T, -127, 127) of hidden layer l
-        for layer in model.layers[:-1]:
+        for layer, layer_operands in zip(model.layers[:-1], operands):
             x = self.acts[-1]
             margins = np.empty((len(x), layer.out_features), dtype=np.int8)
-            self.acts.append(
-                _hidden_words(layer.weights.words, layer.thresholds, x, layer.in_features, margins)
-            )
+            self.acts.append(_fire_words(layer_operands, x, layer.in_features, margins))
             self.margins.append(margins)
         out = model.layers[-1]
         # the integer scores 2 * count - n - T of the dense output layer
@@ -344,25 +376,37 @@ class IncrementalEvaluator:
             for layer in model.layers
         )
 
+    @staticmethod
+    def operands(model: BnnModel) -> list:
+        """The dense kernel's operands of each hidden layer, which depend on the model alone."""
+        return [
+            _hidden_operands(layer.weights.words, layer.thresholds, layer.in_features)
+            for layer in model.layers[:-1]
+        ]
+
     def predict(self, faulty: BnnModel) -> np.ndarray:
         """Class predictions of `faulty`, a copy of the model with flipped weight bits."""
+        return self.predict_flips(_layer_flips(self.model, faulty))
+
+    def predict_flips(self, flips: list[_Flips]) -> np.ndarray:
+        """Class predictions of the faulty copy whose flips, per layer, are `flips`."""
         rows = np.empty(0, dtype=np.intp)  # input rows that differ from the clean pass
         new = self.acts[0][:0]  # their packed words
-        for l, (clean, bad) in enumerate(zip(self.model.layers[:-1], faulty.layers[:-1])):
-            rows, new = self._update_layer(l, clean, bad, rows, new)
-        return self._predict_output(self.model.layers[-1], faulty.layers[-1], rows, new)
+        for l, layer_flips in enumerate(flips[:-1]):
+            rows, new = self._update_layer(l, layer_flips, rows, new)
+        return self._predict_output(flips[-1], rows, new)
 
-    def _update_layer(self, l, clean, bad, rows, new):
+    def _update_layer(self, l, flips, rows, new):
         """Hidden layer l's output rows that differ from the clean pass, and their words.
 
-        `rows` (ascending) and `new` give the same for the layer's input.
+        `flips` are the layer's; `rows` (ascending) and `new` give the same
+        for the layer's input.
         """
         x, act, q = self.acts[l], self.acts[l + 1], self.margins[l]
-        flips = _Flips(clean, bad)
         hit = flips.hit
         if not hit.size and not rows.size:
             return rows, act[:0]
-        changes = _InputChanges(x, bad, rows, new) if rows.size else None
+        changes = _InputChanges(x, flips, rows, new) if rows.size else None
         out_rows, out_words = [rows[:0]], [act[:0]]
         for lo in range(0, len(x), _UPDATE_BLOCK_ROWS):
             hi = min(lo + _UPDATE_BLOCK_ROWS, len(x))
@@ -387,7 +431,7 @@ class IncrementalEvaluator:
                 self._toggle_hits(words, x[lo:hi], flips, same, q_hit[same])
             most = changes.flipped[a:b].max() if b > a else 0
             if most + flips.most >= _SATURATED:
-                self._recount_saturated(l, bad, flips, changes, lo, hi, a, b, words)
+                self._recount_saturated(l, flips, changes, lo, hi, a, b, words)
             moved = np.flatnonzero((words != act[lo:hi]).any(axis=1))
             out_rows.append(lo + moved)
             out_words.append(words[moved])
@@ -417,14 +461,15 @@ class IncrementalEvaluator:
             _ONE << (j % WORD_BITS).astype(np.uint64),
         )
 
-    def _recount_saturated(self, l, bad, flips, changes, lo, hi, a, b, words):
+    def _recount_saturated(self, l, flips, changes, lo, hi, a, b, words):
         """Recount, by popcount, the pairs of rows lo..hi-1 whose saturated margin is ambiguous."""
+        clean = flips.clean
         bound = np.zeros((hi - lo, 1), dtype=np.int64)
         x = self.acts[l][lo:hi].copy()
         if b > a:
             bound[changes.rows[a:b] - lo, 0] = changes.flipped[a:b]
             x[changes.rows[a:b] - lo] = changes.new[a:b]
-        per_neuron = np.zeros(bad.out_features, dtype=np.int64)
+        per_neuron = np.zeros(clean.out_features, dtype=np.int64)
         per_neuron[flips.hit] = flips.per_neuron
         ambiguous = (np.abs(self.margins[l][lo:hi]) == _SATURATED) & (
             bound + per_neuron >= _SATURATED
@@ -433,16 +478,16 @@ class IncrementalEvaluator:
         if not r.size:
             return
         self.recounts += len(r)
-        n = bad.in_features
-        agree = n - np.bitwise_count(x[r] ^ bad.weights.words[j]).sum(axis=1, dtype=np.int64)
-        fires = (agree >= bad.thresholds[j]).astype(np.uint64)
+        bad = flips.weights()[j]
+        agree = clean.in_features - np.bitwise_count(x[r] ^ bad).sum(axis=1, dtype=np.int64)
+        fires = (agree >= clean.thresholds[j]).astype(np.uint64)
         flat = words.reshape(-1)
         index = r * words.shape[1] + j // WORD_BITS
         bit = _ONE << (j % WORD_BITS).astype(np.uint64)
         np.bitwise_and.at(flat, index, ~bit)
         np.bitwise_or.at(flat, index, bit * fires)
 
-    def _predict_output(self, clean, bad, rows, new):
+    def _predict_output(self, flips, rows, new):
         """Class predictions from the clean scores plus each row's and class's exact change.
 
         A score moves by at most 2 per changed input bit of its row and per
@@ -450,7 +495,6 @@ class IncrementalEvaluator:
         runner-up by more than twice that keeps its prediction and is skipped.
         """
         x = self.acts[-1]
-        flips = _Flips(clean, bad)
         predictions = self.predictions.copy()
         if self.lead is None:
             return predictions
@@ -469,7 +513,7 @@ class IncrementalEvaluator:
         at = at[moved]
         # each changed input bit adds +1 to a class's count where it now agrees
         # with the faulty weight and -1 where it now disagrees
-        d = -2 * _disagreements(new[at], bad.weights.words, within=diff[at])
+        d = -2 * _disagreements(new[at], flips.weights(), within=diff[at])
         d += np.bitwise_count(diff[at]).sum(axis=1, dtype=np.int64)[:, None]
         scores[moved] += 2 * d  # a score is 2 * count - n - T
         predictions[near] = np.argmax(scores, axis=1)
@@ -487,9 +531,10 @@ def ber_sweep(
 
     BERs must be sorted ascending. Each (ber, trial) evaluation flips a fresh
     copy of the model with its derived seed and scores it on the dataset:
-    incrementally against one clean pass at or below INCREMENTAL_MAX_BER,
-    with a dense forward above it. Trials run in (ber, trial) order in this
-    process, and the outcome does not depend on the path that scored them.
+    incrementally, block by block, at or below INCREMENTAL_MAX_BER
+    (_score_low_bers), with a dense forward above it. The low-BER trials run
+    first, and their state is freed before the dense trials start. The
+    outcome does not depend on the path that scored a trial.
     """
     if not bers:
         raise ValueError("need at least one BER")
@@ -506,33 +551,56 @@ def ber_sweep(
     # binarize once; every trial scores the same packed bits
     inputs = binarize_input(dataset.images)
     labels = np.asarray(dataset.labels)
-    supported = IncrementalEvaluator.supports(model)
-    evaluator, clean_pass_s, incremental_s, incremental_trials, recounts = None, 0.0, 0.0, 0, 0
     accuracies = np.empty((len(bers), trials))
-    for bi, ber in enumerate(bers):
-        incremental = supported and ber <= INCREMENTAL_MAX_BER
-        if not incremental and evaluator is not None:
-            # BERs ascend, so no later trial needs the clean pass: free its
-            # state before the dense forwards allocate theirs
-            recounts, evaluator = evaluator.recounts, None
-        elif incremental and evaluator is None:
-            started = time.perf_counter()
-            evaluator = IncrementalEvaluator(model, inputs)
-            clean_pass_s = time.perf_counter() - started
+    # BERs ascend, so the low ones are a prefix of the grid
+    n_low = 0
+    if IncrementalEvaluator.supports(model):
+        n_low = sum(ber <= INCREMENTAL_MAX_BER for ber in bers)
+    clean_pass_s, incremental_s, recounts = 0.0, 0.0, 0
+    if n_low:
+        accuracies[:n_low], clean_pass_s, incremental_s, recounts = _score_low_bers(
+            model, inputs, labels, bers[:n_low], trials, master_seed
+        )
+    for bi in range(n_low, len(bers)):
         for ti in range(trials):
-            if incremental:
-                # the flips _run_trial would draw, so the accuracy is the one it returns
-                faulty = flip_bits(model, ber, trial_seed(master_seed, bi, ti))
-                started = time.perf_counter()
-                predictions = evaluator.predict(faulty)
-                incremental_s += time.perf_counter() - started
-                accuracies[bi, ti] = np.mean(predictions == labels)
-                incremental_trials += 1
-            else:
-                job = (model, inputs, labels, ber, master_seed, bi, ti)
-                accuracies[bi, ti] = _run_trial(job)[2]
-    if evaluator is not None:
-        recounts = evaluator.recounts
+            job = (model, inputs, labels, bers[bi], master_seed, bi, ti)
+            accuracies[bi, ti] = _run_trial(job)[2]
     return SweepResult(
-        list(bers), trials, accuracies, incremental_trials, clean_pass_s, incremental_s, recounts
+        list(bers), trials, accuracies, n_low * trials, clean_pass_s, incremental_s, recounts
     )
+
+
+def _score_low_bers(model, inputs, labels, bers, trials, master_seed):
+    """(accuracies, clean_pass_s, incremental_s, recounts) of the trials of the first BERs.
+
+    Every trial's flips are drawn first, from the streams _run_trial would
+    use, and only what they change is held (_Flips). The rows are then taken
+    _SWEEP_BLOCK_ROWS at a time: a clean pass over the block, on kernel
+    operands computed once, and every trial's update on it. A trial's
+    accuracy is its correct predictions summed over the blocks, over N. The
+    times are sums over the blocks: the clean passes, and the trial updates.
+    """
+    faults = [
+        _layer_flips(model, flip_bits(model, ber, trial_seed(master_seed, bi, ti)))
+        for bi, ber in enumerate(bers)
+        for ti in range(trials)
+    ]
+    started = time.perf_counter()
+    operands = IncrementalEvaluator.operands(model)
+    clean_pass_s, incremental_s, recounts = time.perf_counter() - started, 0.0, 0
+    correct = np.zeros(len(faults), dtype=np.int64)
+    n_rows, n_bits = inputs.shape
+    for lo in range(0, n_rows, _SWEEP_BLOCK_ROWS):
+        hi = min(lo + _SWEEP_BLOCK_ROWS, n_rows)
+        block = BitTensor((hi - lo, n_bits), inputs.words[lo:hi], validate=False)
+        started = time.perf_counter()
+        evaluator = IncrementalEvaluator(model, block, operands)
+        clean_pass_s += time.perf_counter() - started
+        started = time.perf_counter()
+        for t, flips in enumerate(faults):
+            correct[t] += np.count_nonzero(evaluator.predict_flips(flips) == labels[lo:hi])
+        incremental_s += time.perf_counter() - started
+        recounts += evaluator.recounts
+        del evaluator  # before the next block's clean pass allocates its own
+    accuracies = (correct / n_rows).reshape(len(bers), trials)
+    return accuracies, clean_pass_s, incremental_s, recounts

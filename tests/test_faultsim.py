@@ -362,8 +362,19 @@ def test_incremental_matches_dense_across_kernel_chunks():
 
 _C = bc._MATRIX_CHUNK_ROWS
 _B = fs._UPDATE_BLOCK_ROWS
-# around the kernel's chunk and the incremental update's block
-BOUNDARY_ROWS = sorted({_C - 1, _C, _C + 1, 2 * _C + 5, _B - 1, _B, _B + 1, 2 * _B + 5})
+# fixed counts, named by their value, then counts around the kernel's chunk
+# (c) and the incremental update's block (b), named relative to each, so
+# that neither size renames or merges them
+BOUNDARY_ROWS = [511, 512, 513, 1023, 1024, 1025, 1029, 2053] + [
+    pytest.param(rows, id=name)
+    for size, symbol in [(_C, "c"), (_B, "b")]
+    for name, rows in [
+        (f"{symbol}-1", size - 1),
+        (symbol, size),
+        (f"{symbol}+1", size + 1),
+        (f"2{symbol}+5", 2 * size + 5),
+    ]
+]
 THREE_HIDDEN = (100, 70, 50, 40, 10)  # padded widths: no layer is a whole number of words
 # (layer, [(neuron, input)]) flips: word boundaries, the last valid bit, two in one neuron
 _FLIPS = {
@@ -441,3 +452,101 @@ def test_mixed_grid_frees_the_clean_pass_before_dense_trials():
     # to the dense trial's peak; freed, the mixed grid peaks like one path
     assert mixed < max(incremental_only, dense_only) + state / 2
     assert mixed < state + dense_only
+
+
+# ---------------------------------------------------------------------------
+# the low-BER phase of a sweep, scored one block of test rows at a time
+# ---------------------------------------------------------------------------
+
+_S = fs._SWEEP_BLOCK_ROWS
+# two low BERs, zero flips and one dense BER
+BLOCKED_GRID = [0.0, fs.INCREMENTAL_MAX_BER / 2, fs.INCREMENTAL_MAX_BER, 1e-2]
+
+
+def _random_dataset(seed, rows):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.random((rows, 28, 28)) < 0.5, rng.integers(0, 10, rows), "test")
+
+
+def _assert_sweep_equals_dense_trials(model, data, bers, trials, seed):
+    result = ber_sweep(model, data, bers, trials, seed)
+    inputs = binarize_input(data.images)
+    clean = model_predict_batch(model, inputs)
+    moved = 0
+    for bi, ber in enumerate(bers):
+        for ti in range(trials):
+            predictions = model_predict_batch(flip_bits(model, ber, trial_seed(seed, bi, ti)), inputs)
+            assert result.accuracies[bi, ti] == float(np.mean(predictions == data.labels))
+            moved += int(np.sum(predictions != clean))
+    return result, moved
+
+
+@pytest.mark.parametrize(
+    "rows", [_S - 1, _S, _S + 1, 2 * _S + 5], ids=["s-1", "s", "s+1", "2s+5"]
+)
+def test_blocked_sweep_equals_dense_trials_around_the_block(rows):
+    model = _random_model(72, (784, 256, 256, 10))
+    result, moved = _assert_sweep_equals_dense_trials(
+        model, _random_dataset(73, rows), BLOCKED_GRID, trials=2, seed=16
+    )
+    assert (result.incremental_trials, result.dense_trials) == (6, 2)
+    assert moved > 0  # faults reached the output
+
+
+def test_blocked_sweep_equals_dense_trials_on_blocks_below_one_kernel_chunk(monkeypatch):
+    monkeypatch.setattr(fs, "_SWEEP_BLOCK_ROWS", bc._MATRIX_CHUNK_ROWS // 3)
+    model = _random_model(74, (784, 256, 256, 10))
+    result, moved = _assert_sweep_equals_dense_trials(
+        model, _random_dataset(75, bc._MATRIX_CHUNK_ROWS + 7), BLOCKED_GRID, trials=2, seed=17
+    )
+    assert result.incremental_trials == 6 and moved > 0
+
+
+def test_sweep_draws_each_trials_flips_once_from_its_seed(monkeypatch, synth_model, synth_test):
+    # no block re-draws flips, so perfbench's flip and zero-flip counters stay right
+    calls = []
+
+    def spy(model, ber, seed):
+        calls.append((ber, tuple(seed.generate_state(4))))
+        return flip_bits(model, ber, seed)
+
+    monkeypatch.setattr(fs, "_SWEEP_BLOCK_ROWS", len(synth_test) // 3)
+    monkeypatch.setattr(fs, "flip_bits", spy)
+    bers = [0.0, 1e-5, fs.INCREMENTAL_MAX_BER, 1e-2, 0.1]
+    result = ber_sweep(synth_model, synth_test, bers, trials=3, master_seed=18)
+    assert result.incremental_trials == 9
+    expected = [
+        (ber, tuple(trial_seed(18, bi, ti).generate_state(4)))
+        for bi, ber in enumerate(bers)
+        for ti in range(3)
+    ]
+    assert sorted(calls) == sorted(expected)
+
+
+def _model_bytes(model):
+    return sum(layer.weights.words.nbytes + layer.thresholds.nbytes for layer in model.layers)
+
+
+def test_low_ber_sweep_peak_does_not_grow_with_the_test_rows():
+    # the clean pass's margins, activations and scores are a block's, so
+    # four blocks of rows peak like one: at all rows at once, the two hidden
+    # layers' margins alone would add 6 * _S * 1024 bytes
+    model = _random_model(76, (784, 1024, 1024, 10))
+
+    def sweep(rows):
+        data = _random_dataset(77, rows)
+        return _traced_peak(lambda: ber_sweep(model, data, [1e-6, 1e-5], 1, 5))
+
+    one_block, four_blocks = sweep(_S), sweep(4 * _S)
+    margins_of_one_block = _S * 1024 * np.dtype(np.int8).itemsize
+    assert four_blocks - one_block < margins_of_one_block
+
+
+def test_low_ber_trials_hold_their_flips_not_faulty_models():
+    # each trial keeps only what its flips change: 40 trials at 1e-6 hold a
+    # few flips each, where 40 faulty copies would add 40 models
+    model = _random_model(78, (784, 1024, 1024, 10))
+    data = _random_dataset(79, 600)
+    one = _traced_peak(lambda: ber_sweep(model, data, [1e-6], 1, 6))
+    forty = _traced_peak(lambda: ber_sweep(model, data, [1e-6], 40, 6))
+    assert forty - one < 5 * _model_bytes(model)

@@ -5,9 +5,9 @@ neuron's output from q and the exact change d of its count, recounting only
 saturated pairs whose change could reach 127. These models are built so that
 the second layer sees margins of exactly -127, -126, 126 and 127 (and beyond)
 on rows whose input changes by 125 to 128 bits, and neurons with 0, 1 and more
-than 126 flipped weights. The special rows sit at 0, around the kernel's
-row chunk, at c - 1, c and c + 1, and around the block of the evaluator's
-trial update, at b - 1, b and b + 1.
+than 126 flipped weights. The special rows sit at 0, at fixed rows 511-513
+and 1023-1025, around the kernel's row chunk, at c - 1, c and c + 1, and
+around the block of the evaluator's trial update, at b - 1, b and b + 1.
 
 Every trial is checked two ways, exact on the integers: each hidden layer's
 words against the dense kernel on the faulty model, and the predictions
@@ -27,7 +27,15 @@ from bitflip_bnn.faultsim import IncrementalEvaluator
 
 _C = bc._MATRIX_CHUNK_ROWS
 _B = faultsim._UPDATE_BLOCK_ROWS
-SPECIAL_ROWS = sorted({0, _C - 1, _C, _C + 1, _B - 1, _B, _B + 1})
+# test ids of the special rows: fixed rows, named by their value, then rows
+# around the kernel's chunk (c) and the update's block (b), named relative to
+# each, so that neither size renames or merges them
+ROW_IDS = {f"row{r}": r for r in (0, 511, 512, 513, 1023, 1024, 1025)} | {
+    name: size + offset
+    for size, symbol in [(_C, "c"), (_B, "b")]
+    for name, offset in [(f"{symbol}-1", -1), (symbol, 0), (f"{symbol}+1", 1)]
+}
+SPECIAL_ROWS = sorted(set(ROW_IDS.values()))
 ROWS = SPECIAL_ROWS[-1] + 5
 # second-layer input bits that change, per special row
 CHANGED_BITS = [125 + a % 4 for a in range(len(SPECIAL_ROWS))]
@@ -115,8 +123,8 @@ def _updated_hidden_words(evaluator, model, faulty):
     """Each hidden layer's packed outputs on the faulty model, as the evaluator updates them."""
     rows, new = np.empty(0, dtype=np.intp), evaluator.acts[0][:0]
     words = []
-    for l, (clean, bad) in enumerate(zip(model.layers[:-1], faulty.layers[:-1])):
-        rows, new = evaluator._update_layer(l, clean, bad, rows, new)
+    for l, flips in enumerate(faultsim._layer_flips(model, faulty)[:-1]):
+        rows, new = evaluator._update_layer(l, flips, rows, new)
         layer_words = evaluator.acts[l + 1].copy()
         layer_words[rows] = new
         words.append(layer_words)
@@ -180,7 +188,7 @@ def _readout(model, j):
     return BnnModel(model.layers[:-1] + [out], model.input_shape)
 
 
-@pytest.mark.parametrize("a", range(len(SPECIAL_ROWS)), ids=[f"row{r}" for r in SPECIAL_ROWS])
+@pytest.mark.parametrize("a", [SPECIAL_ROWS.index(r) for r in ROW_IDS.values()], ids=list(ROW_IDS))
 @pytest.mark.parametrize("t,s", [(-127, +1), (-126, +1), (126, -1), (127, -1), (-128, +1)])
 def test_predictions_read_saturated_neurons_exactly(saturated, a, t, s):
     model, inputs, faulty = saturated

@@ -22,7 +22,11 @@ _C = bc._MATRIX_CHUNK_ROWS
 FAN_INS = [1, 63, 64, 65, 784, 2047, 2048, 2049]
 # odd counts leave the last low column without a partner
 NEURONS = [1, 2, 3, 10, 1023, 1025]
-ROWS = [_C - 1, _C, _C + 1]
+# fixed counts, named by their value, then counts around the gemm chunk
+# boundary, named relative to the chunk so that its size never renames them
+ROWS = [1023, 1024, 1025] + [
+    pytest.param(rows, id=name) for name, rows in [("c-1", _C - 1), ("c", _C), ("c+1", _C + 1)]
+]
 _I32_MAX = 2**31 - 1
 
 

@@ -26,8 +26,17 @@ from bitflip_bnn.bitcore import (
 
 IN_FEATURES = [1, 63, 64, 70, 784, 1000]
 _CHUNK = bc._MATRIX_CHUNK_ROWS
-# counts inside one gemm chunk, then around the chunk boundary
-ROW_COUNTS = [1, 255, 256, 257, 600, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5]
+# fixed counts, named by their value, then counts around the gemm chunk
+# boundary, named relative to the chunk so that its size never renames them
+ROW_COUNTS = [1, 255, 256, 257, 600, 1023, 1024, 1025, 2053] + [
+    pytest.param(rows, id=name)
+    for name, rows in [
+        ("c-1", _CHUNK - 1),
+        ("c", _CHUNK),
+        ("c+1", _CHUNK + 1),
+        ("2c+5", 2 * _CHUNK + 5),
+    ]
+]
 OUT_FEATURES = 37
 
 
@@ -136,7 +145,7 @@ def _oracle_conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> np.ndarray:
     "c,h,w,f,k,stride,padding",
     [
         (1, 5, 5, 3, 3, 1, 0),  # 9 positions, one chunk
-        (3, 20, 20, 4, 3, 1, 1),  # 400 positions, two chunks
+        (3, 20, 20, 4, 3, 1, 1),  # 400 positions, padding 1
         (2, 33, 17, 5, 5, 2, 2),  # 50-bit fields, strided
         (8, 16, 16, 2, 3, 1, 0),  # 72-bit fields: two words per field
     ],
