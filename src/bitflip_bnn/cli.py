@@ -42,6 +42,9 @@ from .mtj import (
 from .trainer import MNIST_LAYER_SIZES, TrainConfig, export_model, train
 
 _MODE_FLAGS = {"intrinsic": INTRINSIC_ONLY, "variations": WITH_DEVICE_VARIATIONS}
+# accuracy a BER may lose against the lowest one and still count as the
+# paper's low-energy operating point (acceptance criterion 7's one point)
+TRADEOFF_ACC_TOLERANCE = 0.01
 
 
 class UsageError(Exception):
@@ -122,13 +125,36 @@ def _sweep_stats(result: SweepResult) -> dict:
     }
 
 
-def _energy_stats(points: list[ProgrammingPoint]) -> dict:
+def _energy_stats(points: list[ProgrammingPoint], samples: int) -> dict:
+    """Per point: the target BER and, per direction, the observed BER and its
+    binomial z-score against the target (infinite where the target's standard
+    error underflows to 0)."""
     stats = {"energy.workers": curve_workers(len(points))}
     for i, point in enumerate(points):
         stats[f"energy.point.{i}.target_ber"] = point.ber
+        inv_sigma = (samples / (point.ber * (1.0 - point.ber))) ** 0.5
         for direction, observed in zip(DIRECTIONS, point.ber_observed):
             stats[f"energy.point.{i}.ber_observed.{direction}"] = observed
+            stats[f"energy.point.{i}.ber_observed_z.{direction}"] = (observed - point.ber) * inv_sigma
     return stats
+
+
+def _tradeoff_stats(rows: list[tuple[float, float, float, float]]) -> dict:
+    """The paper's operating point on an acc-energy grid, from its CSV rows
+    (ber, energy_mean_fj, mean_accuracy, std_accuracy): the largest BER whose
+    mean accuracy is within TRADEOFF_ACC_TOLERANCE of the lowest BER's, and
+    its energy over the lowest BER's."""
+    ref_ber, ref_energy, ref_acc, _ = min(rows)
+    ber, energy = max(
+        (ber, energy)
+        for ber, energy, acc, _ in rows
+        if abs(acc - ref_acc) <= TRADEOFF_ACC_TOLERANCE
+    )
+    return {
+        "tradeoff.reference_ber": ref_ber,
+        "tradeoff.max_ber_within_1pt": ber,
+        "tradeoff.energy_ratio": energy / ref_energy,
+    }
 
 
 def _sibling(path: Path, tag: str) -> Path:
@@ -299,7 +325,7 @@ def cmd_energy_curve(args) -> int:
         "seed": args.seed,
     }
     _write_manifest(
-        out, "energy-curve", manifest_params, [out], started, _energy_stats(points)
+        out, "energy-curve", manifest_params, [out], started, _energy_stats(points, args.samples)
     )
     print(f"energy curve written to {out}")
     return 0
@@ -327,13 +353,13 @@ def cmd_acc_energy(args) -> int:
         ber: (float(sweep.mean_accuracy[i]), float(sweep.std_accuracy[i]))
         for i, ber in enumerate(ascending)
     }
-    rows = []
-    for point in curve:  # descending BER, ascending energy
-        mean_acc, std_acc = acc_by_ber[point.ber]
-        rows.append(
-            f"{point.ber!r},{point.energy_mean * 1e15!r},{mean_acc!r},{std_acc!r}"
-        )
-    _write_csv(out, "ber,energy_mean_fj,mean_accuracy,std_accuracy", rows)
+    # descending BER, ascending energy
+    rows = [(p.ber, p.energy_mean * 1e15, *acc_by_ber[p.ber]) for p in curve]
+    _write_csv(
+        out,
+        "ber,energy_mean_fj,mean_accuracy,std_accuracy",
+        [",".join(map(repr, row)) for row in rows],
+    )
     params = {
         "model": args.model,
         "data_dir": args.data_dir,
@@ -344,7 +370,7 @@ def cmd_acc_energy(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
     }
-    stats = {**_sweep_stats(sweep), **_energy_stats(curve)}
+    stats = {**_sweep_stats(sweep), **_energy_stats(curve, args.samples), **_tradeoff_stats(rows)}
     _write_manifest(out, "acc-energy", params, [out], started, stats)
     print(f"accuracy-energy curve written to {out}")
     return 0

@@ -44,8 +44,8 @@ DIRECTIONS = (P_TO_AP, AP_TO_P)
 
 _MC_CHUNK = 1 << 20  # samples per vectorized chunk; fixed so results do not
 # depend on how a caller splits the total sample count
-_BLOCK = 1 << 15  # samples per pass of the in-place energy step; its 256 KiB
-# scratch stays in cache while each chunk array streams through once
+_BLOCK = 1 << 15  # switching times drawn per pass of the in-place energy step;
+# its 256 KiB of draws stay in cache while each chunk array streams through once
 
 
 @dataclass
@@ -238,7 +238,7 @@ def pulse_for_ber(
     )
 
 
-def conduction_energy(t_sw, t_pulse: float, r_init, r_final, v_write: float):
+def conduction_energy(t_sw, t_pulse: float, r_init, r_final, v_write: float, out=None):
     """Junction conduction energy of one write pulse.
 
     The cell conducts at the initial-state resistance until min(t_sw, t_pulse)
@@ -246,12 +246,16 @@ def conduction_energy(t_sw, t_pulse: float, r_init, r_final, v_write: float):
 
         E = V^2 * [ min(t_sw, t_p)/R_init + max(0, t_p - t_sw)/R_final ]
 
-    Accepts scalars or arrays (broadcast).
+    Accepts scalars or arrays (broadcast). With `out`, a float64 array of the
+    broadcast shape that may be t_sw itself but not a resistance, E is
+    written into it in place and `out` is returned.
     """
-    t_sw = np.asarray(t_sw, dtype=np.float64)
-    return v_write**2 * (
-        np.minimum(t_sw, t_pulse) / r_init + np.maximum(0.0, t_pulse - t_sw) / r_final
-    )
+    a = np.minimum(t_sw, t_pulse) / r_init
+    e = np.subtract(t_pulse, t_sw, out=out)
+    e = np.maximum(0.0, e, out=out)
+    e = np.divide(e, r_final, out=out)
+    e = np.add(e, a, out=out)
+    return np.multiply(e, v_write**2, out=out)
 
 
 def write_energy_mc(
@@ -265,16 +269,17 @@ def write_energy_mc(
     """Monte Carlo per-write conduction energy for one switching direction.
 
     Each sample optionally perturbs R_P and TMR (relative Gaussian noise),
-    draws a switching time, and conducts at the initial-state resistance
-    until min(t_sw, t_pulse) and at the final-state resistance for the
-    remainder when the cell switched:
+    draws a switching time, and dissipates conduction_energy. Returns the
+    sample mean and std of E and the observed unswitched fraction.
 
-        E = V^2 * [ min(t_sw, t_p)/R_init + max(0, t_p - t_sw)/R_final ]
-
-    Returns the sample mean and std of E and the observed unswitched
-    fraction. Samples are processed in fixed-size chunks merged by streaming
-    mean/variance combination, so chunking does not change the result.
-    Raises NumericError when device variations sample an R_P or R_AP <= 0.
+    Samples are processed in fixed-size chunks merged by streaming
+    mean/variance combination, so chunking does not change the result. A
+    chunk draws its resistances whole, then its switching times one _BLOCK
+    at a time, and each block's energies overwrite the resistance slots the
+    block has just read: a call holds two float64 arrays of min(samples,
+    _MC_CHUNK) with device variations and one without, plus one block.
+    Raises NumericError when device variations sample an R_P or R_AP <= 0,
+    before any switching time is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -287,8 +292,6 @@ def write_energy_mc(
 
     r_p_nom, _ = resistances(params)
     theta = _gamma_theta(params)
-    v_sq = params.v_write**2
-    scratch = np.empty(min(samples, _BLOCK))
 
     count = 0
     mean = 0.0
@@ -317,25 +320,22 @@ def write_energy_mc(
                     f"{params.sigma_rp_rel!r} and sigma_tmr_rel={params.sigma_tmr_rel!r} "
                     "are too large for Gaussian device variations"
                 )
+            energy = r_p  # each block's energies replace the R_P it has just read
         else:
             r_p = np.broadcast_to(r_p_nom, (n,))
             r_ap = np.broadcast_to(r_p_nom * (1.0 + params.tmr), (n,))
-        t_sw = rng.gamma(params.k, theta, size=n)
-        unswitched += int(np.count_nonzero(t_sw > t_pulse))
+            energy = np.empty(n)
         r_init, r_final = (r_p, r_ap) if direction == P_TO_AP else (r_ap, r_p)
-        # conduction_energy written over t_sw block by block, same operations
-        energy = t_sw
+        # the switching times are the stream's last draws, so drawing them a
+        # block at a time gives the same samples as one draw of n
         for lo in range(0, n, _BLOCK):
-            piece = slice(lo, lo + _BLOCK)
-            t = energy[piece]
-            a = scratch[: len(t)]
-            np.minimum(t, t_pulse, out=a)
-            a /= r_init[piece]
-            np.subtract(t_pulse, t, out=t)
-            np.maximum(0.0, t, out=t)
-            t /= r_final[piece]
-            t += a
-            t *= v_sq
+            piece = slice(lo, min(lo + _BLOCK, n))
+            t_sw = rng.gamma(params.k, theta, size=piece.stop - lo)
+            unswitched += int(np.count_nonzero(t_sw > t_pulse))
+            conduction_energy(
+                t_sw, t_pulse, r_init[piece], r_final[piece], params.v_write, out=t_sw
+            )
+            energy[piece] = t_sw
 
         # Chan et al. parallel mean/M2 combination
         c_mean = float(energy.mean())

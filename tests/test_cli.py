@@ -481,13 +481,21 @@ def test_energy_curve_rejects_boundary_bers(tmp_path):
         assert code == 2
 
 
-def _energy_manifest_keys(manifest: list[str], bers: list[float]) -> None:
+def _energy_manifest_keys(manifest: list[str], bers: list[float], samples: int) -> list[float]:
+    """Check the per-point energy keys; return every observed-BER z-score."""
     keys = dict(line.split("=", 1) for line in manifest)
     assert int(keys["energy.workers"]) >= 1
+    zs = []
     for i, ber in enumerate(sorted(bers, reverse=True)):
-        assert float(keys[f"energy.point.{i}.target_ber"]) == ber
+        target = float(keys[f"energy.point.{i}.target_ber"])
+        assert target == ber
         for direction in ("p_to_ap", "ap_to_p"):
-            assert 0.0 <= float(keys[f"energy.point.{i}.ber_observed.{direction}"]) <= 1.0
+            observed = float(keys[f"energy.point.{i}.ber_observed.{direction}"])
+            assert 0.0 <= observed <= 1.0
+            z = float(keys[f"energy.point.{i}.ber_observed_z.{direction}"])
+            assert z == (observed - target) * (samples / (target * (1.0 - target))) ** 0.5
+            zs.append(z)
+    return zs
 
 
 def test_energy_curve_manifest_and_bytes_match_serial_reference(tmp_path):
@@ -509,7 +517,30 @@ def test_energy_curve_manifest_and_bytes_match_serial_reference(tmp_path):
     ]
     header = "ber,t_pulse_ns,energy_mean_fj,energy_std_fj,mode\n"
     assert out.read_text() == header + "".join(rows)
-    _energy_manifest_keys((tmp_path / "energy.csv.manifest").read_text().splitlines(), bers)
+    manifest = (tmp_path / "energy.csv.manifest").read_text().splitlines()
+    _energy_manifest_keys(manifest, bers, 3001)
+
+
+def test_energy_curve_observed_ber_within_five_sigma_on_the_nominal_device(tmp_path):
+    out = tmp_path / "energy.csv"
+    bers = [1e-1, 1e-2, 1e-3]
+    args = [
+        "energy-curve", "--bers", "1e-1,1e-2,1e-3", "--samples", "20000",
+        "--mode", "variations", "--seed", "13", "--out", str(out),
+    ]
+    assert main(args) == 0
+    manifest = (tmp_path / "energy.csv.manifest").read_text().splitlines()
+    zs = _energy_manifest_keys(manifest, bers, 20000)
+    assert len(zs) == 6 and all(abs(z) < 5 for z in zs)  # perfbench's oracle bound
+
+
+def test_energy_curve_subnormal_ber_gets_an_infinite_z_score(tmp_path):
+    # the target's standard error, (1e-320 / 1e4) ** 0.5, underflows to 0
+    out = tmp_path / "energy.csv"
+    args = ["energy-curve", "--bers", "1e-320", "--samples", "10000", "--out", str(out)]
+    assert main(args) == 0
+    manifest = (tmp_path / "energy.csv.manifest").read_text().splitlines()
+    assert _energy_manifest_keys(manifest, [1e-320], 10000) == [-np.inf, -np.inf]
 
 
 @pytest.mark.parametrize("key", ["tmr", "diameter_nm"])
@@ -592,11 +623,52 @@ def test_acc_energy_join(trained, synth_data_dir, tmp_path):
     assert "sweep.recounts=0" in manifest
     assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
     assert any(line.startswith("stage.incremental_s=") for line in manifest)
-    _energy_manifest_keys(manifest, [1e-4, 1e-2, 1e-1])
+    _energy_manifest_keys(manifest, [1e-4, 1e-2, 1e-1], 2000)
+    assert _tradeoff_keys(manifest) == _tradeoff_from_rows(rows)
 
     first = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == first
+
+
+def _tradeoff_keys(manifest: list[str]) -> dict:
+    return {
+        key: float(value)
+        for key, value in (line.split("=", 1) for line in manifest)
+        if key.startswith("tradeoff.")
+    }
+
+
+def _tradeoff_from_rows(rows: list[list[str]]) -> dict:
+    """The operating point as read off the written CSV rows."""
+    ref_ber, ref_energy, ref_acc = (float(v) for v in min(rows, key=lambda r: float(r[0]))[:3])
+    within = [r for r in rows if abs(float(r[2]) - ref_acc) <= 0.01]
+    best = max(within, key=lambda r: float(r[0]))
+    return {
+        "tradeoff.reference_ber": ref_ber,
+        "tradeoff.max_ber_within_1pt": float(best[0]),
+        "tradeoff.energy_ratio": float(best[1]) / ref_energy,
+    }
+
+
+def test_acc_energy_operating_point_is_the_reference_when_no_other_ber_qualifies(
+    trained, synth_data_dir, tmp_path
+):
+    out = tmp_path / "join.csv"
+    args = [
+        "acc-energy", "--model", str(trained), "--data-dir", str(synth_data_dir),
+        "--bers", "1e-4,0.45", "--trials", "1", "--samples", "1000", "--seed", "6",
+        "--out", str(out),
+    ]
+    assert main(args) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert float(rows[1][2]) - float(rows[0][2]) > 0.01  # 0.45 is near chance
+    manifest = (tmp_path / "join.csv.manifest").read_text().splitlines()
+    assert _tradeoff_keys(manifest) == {
+        "tradeoff.reference_ber": 1e-4,
+        "tradeoff.max_ber_within_1pt": 1e-4,
+        "tradeoff.energy_ratio": 1.0,
+    }
 
 
 def test_acc_energy_rejects_zero_ber(trained, synth_data_dir, tmp_path):

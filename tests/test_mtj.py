@@ -254,6 +254,40 @@ def test_conduction_energy_additive_in_no_switch_regime(params):
     assert e2 == 2 * e1
 
 
+def _conduction_cases(params):
+    """(t_sw, r_init, r_final) on scalars, arrays and broadcast resistances."""
+    rng = np.random.default_rng(41)
+    r_p, r_ap = resistances(params)
+    t_sw = rng.gamma(params.k, mean_switching_time(params) / params.k, size=1000)
+    t_sw[:3] = [0.0, 2e-9, 4e-9]  # at and around the pulse end
+    r_init = r_p * (1.0 + 0.05 * rng.standard_normal(1000))
+    r_final = r_init * (1.0 + params.tmr)
+    return {
+        "scalars": (1.5e-9, r_p, r_ap),
+        "arrays": (t_sw, r_init, r_final),
+        "scalar-resistances": (t_sw, r_ap, r_p),
+        "broadcast-resistances": (t_sw, np.broadcast_to(r_p, t_sw.shape), r_final),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["scalars", "arrays", "scalar-resistances", "broadcast-resistances"]
+)
+@pytest.mark.parametrize("out", ["plain", "fresh-out", "out-is-t_sw"])
+def test_conduction_energy_equals_the_formula_bit_for_bit(params, case, out):
+    t_sw, r_init, r_final = _conduction_cases(params)[case]
+    t = np.asarray(t_sw, dtype=np.float64)
+    want = params.v_write**2 * (
+        np.minimum(t, 2e-9) / r_init + np.maximum(0.0, 2e-9 - t) / r_final
+    )
+    t_in = np.array(t_sw, dtype=np.float64)
+    target = {"plain": None, "fresh-out": np.empty_like(t_in), "out-is-t_sw": t_in}[out]
+    got = conduction_energy(t_in, 2e-9, r_init, r_final, params.v_write, out=target)
+    if target is not None:
+        assert got is target
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_mc_no_switch_regime_is_deterministic(params):
     # pulse far below the distribution support: nothing switches
     theta = mean_switching_time(params) / params.k

@@ -10,6 +10,7 @@ thread pool; it must give the same floats exactly.
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,14 @@ from bitflip_bnn.mtj import (
 from bitflip_bnn.errors import NumericError
 
 REF_MC_CHUNK = 1 << 20
-SAMPLES = [1, 777, 2**15 + 1, 2**20 + 3]  # one sample, a partial block, blocks, chunks
+_B = mtj._BLOCK
+# fixed counts, named by their value (one sample, a partial block, blocks,
+# chunks), then counts around the switching-time block (b), named relative
+# to it, so that a new block size neither renames nor merges them
+SAMPLES = [1, 777, 2**15 + 1, 2**20 + 3] + [
+    pytest.param(samples, id=name)
+    for name, samples in [("b-1", _B - 1), ("b", _B), ("b+1", _B + 1), ("2b+5", 2 * _B + 5)]
+]
 CURVE_BERS = [1e-7, 1e-1, 1e-3, 1e-5]
 
 
@@ -141,6 +149,19 @@ def test_write_energy_mc_equals_reference(params, mode, direction, samples):
 
 
 @pytest.mark.parametrize("mode", VARIABILITY_MODES)
+def test_write_energy_mc_equals_reference_with_blocks_across_chunks(params, mode, monkeypatch):
+    # blocks that do not divide the chunk: each chunk ends on a partial block
+    monkeypatch.setattr(mtj, "_BLOCK", 1000)
+    t_pulse = pulse_for_ber(params, 1e-2)
+    samples = 2**20 + 3
+    got = write_energy_mc(params, t_pulse, P_TO_AP, samples, np.random.default_rng(78), mode)
+    want = reference_write_energy_mc(
+        params, t_pulse, P_TO_AP, samples, np.random.default_rng(78), mode
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", VARIABILITY_MODES)
 def test_write_energy_mc_equals_reference_without_switching(params, mode):
     # a pulse far below the switching-time support: the max(0, t_p - t) term is 0
     t_pulse = mean_theta(params) * 1e-6
@@ -150,6 +171,51 @@ def test_write_energy_mc_equals_reference_without_switching(params, mode):
     )
     assert got == want
     assert got.ber_observed == 1.0
+
+
+# one chunk's float64 arrays per call (8 bytes a sample): R_P and R_AP with
+# device variations, the energies alone without; the rest is one block
+PEAK_BOUNDS = {WITH_DEVICE_VARIATIONS: 2.5, INTRINSIC_ONLY: 1.25}
+
+
+@pytest.mark.parametrize("mode", VARIABILITY_MODES)
+def test_write_energy_mc_peak_memory_per_chunk(params, mode):
+    n = mtj._MC_CHUNK
+    t_pulse = pulse_for_ber(params, 1e-3)
+    rng = np.random.default_rng(79)
+    write_energy_mc(params, t_pulse, P_TO_AP, 1000, rng, mode)  # one-time costs
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_energy_mc(params, t_pulse, P_TO_AP, n, rng, mode)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < PEAK_BOUNDS[mode] * 8 * n, f"peak {peak / (8 * n):.2f} x 8n bytes"
+
+
+class _DrawLog:
+    """A Generator that records the name of every method drawn from it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def __getattr__(self, name):
+        self.draws.append(name)
+        return getattr(self.rng, name)
+
+
+def test_nonpositive_sampled_resistance_is_refused_before_any_switching_time(params):
+    wide = MtjDeviceParams(**{**vars(params), "sigma_rp_rel": 2.0})
+    rng = _DrawLog(np.random.default_rng(80))
+    with pytest.raises(NumericError, match="R_P or R_AP is <= 0"):
+        write_energy_mc(wide, 1e-9, P_TO_AP, 2**20 + 3, rng, WITH_DEVICE_VARIATIONS)
+    assert rng.draws == ["standard_normal", "standard_normal"]
 
 
 # ---------------------------------------------------------------------------
