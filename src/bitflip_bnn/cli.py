@@ -81,6 +81,29 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
             f.write(row + "\n")
 
 
+def _peak_rss() -> tuple[str, float] | None:
+    """(source, MiB) of this process's peak resident set size so far.
+
+    VmHWM from /proc/self/status resets at exec, so it is this command's own
+    peak. ru_maxrss, the fallback where /proc is missing, carries the peak of
+    the process that launched the command across fork and exec. None where
+    neither exists.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return "vmhwm", int(line.split()[1]) / 2**10  # counted in KiB
+    except OSError:
+        pass
+    if resource is None:
+        return None
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    unit = 2**20 if sys.platform == "darwin" else 2**10
+    return "ru_maxrss", peak / unit
+
+
 def _write_manifest(
     csv_path: Path,
     command: str,
@@ -93,9 +116,9 @@ def _write_manifest(
 
     One key=value line each, in this order: the command, the sorted
     parameters, the seed, the outputs, the package versions, the sorted
-    measured run figures, the process's peak resident set size so far
-    (omitted where the resource module is missing), and the wall time since
-    `started`.
+    measured run figures, the source and value of the process's peak
+    resident set size so far (both omitted where neither source exists; see
+    _peak_rss), and the wall time since `started`.
     """
     duration_s = time.monotonic() - started
     stats = stats or {}
@@ -106,11 +129,10 @@ def _write_manifest(
     lines += [f"output.{i}={out}" for i, out in enumerate(outputs)]
     lines += [f"version.bitflip_bnn={__version__}", f"version.numpy={np.__version__}"]
     lines += [f"{key}={_fmt(stats[key])}" for key in sorted(stats)]
-    if resource is not None:
-        # ru_maxrss counts KiB on Linux and bytes on macOS
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        unit = 2**20 if sys.platform == "darwin" else 2**10
-        lines.append(f"peak_rss_mib={peak / unit!r}")
+    peak = _peak_rss()
+    if peak is not None:
+        source, mib = peak
+        lines += [f"peak_rss_source={source}", f"peak_rss_mib={mib!r}"]
     lines.append(f"duration_s={duration_s!r}")
     Path(str(csv_path) + ".manifest").write_text("\n".join(lines) + "\n")
 
@@ -233,8 +255,16 @@ def cmd_train(args) -> int:
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr, seed=args.seed
     )
     out.parent.mkdir(parents=True, exist_ok=True)
+    # each epoch's wall time, its test pass included; the first also counts
+    # train()'s set-up
+    stats = {}
+    epoch_started = time.monotonic()
 
     def progress(epoch, loss, acc):
+        nonlocal epoch_started
+        now = time.monotonic()
+        stats[f"stage.epoch.{epoch}_s"] = now - epoch_started
+        epoch_started = now
         print(f"epoch {epoch}: train_loss={loss:.4f} test_accuracy={acc:.4f}", file=sys.stderr)
 
     latent, history = train(
@@ -250,7 +280,7 @@ def cmd_train(args) -> int:
         "seed": args.seed,
         "limit": args.limit if args.limit is not None else "",
     }
-    _write_manifest(log_path, "train", params, [out, log_path], started)
+    _write_manifest(log_path, "train", params, [out, log_path], started, stats)
     print(f"model written to {out}; final test accuracy {history[-1][2]!r}")
     return 0
 

@@ -19,7 +19,10 @@ training dropout rate of hidden activations (DROPOUT) are module constants;
 TrainConfig holds the epochs, batch size, learning rate and seed. The Adam
 update runs in place on cache-sized blocks of each parameter, with the same
 float operations, in the same order and dtypes, as the whole-array
-expression.
+expression. Within a step each large array lives until its last use: the
+forward cache keeps the weight signs of every layer but the first, and the
+backward pass pops each layer's cache entry and drops its signs before it
+allocates that layer's weight gradient.
 
 Reproducibility: a single seeded RNG stream is consumed in a fixed order --
 weight init (layer order), then per epoch one shuffle, then per step the
@@ -150,7 +153,8 @@ def forward_train(
     batch statistics (updating the running estimates) and dropout masks are
     drawn from `rng`; otherwise running statistics are used and dropout is a
     no-op. binarize=False switches weight and activation binarization to the
-    identity (full-precision mode, used by gradient checks).
+    identity (full-precision mode, used by gradient checks). The cache holds
+    only what backward_ste reads, and backward_ste consumes it.
     """
     x = np.asarray(batch)
     if x.ndim != 2:
@@ -160,10 +164,13 @@ def forward_train(
 
     cache = {"layers": [], "training": training, "binarize": binarize}
     act = x
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers):
         wb = _sign_pm1(layer.weight) if binarize else layer.weight
         s = act @ wb.T
-        entry = {"x": act, "wb": wb, "s": s}
+        entry = {"x": act, "s": s}
+        if i > 0:  # backward_ste reads the signs of every layer but the first
+            entry["wb"] = wb
+        del wb  # layer 0's signs go before the next layer's are built
         if layer.is_output:
             scale = 1.0 / math.sqrt(layer.in_features)
             logits = s * scale
@@ -213,28 +220,43 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def _gate_weight_grad(dwb: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Zero, in place, the gradient of latent weights outside [-1, 1]; returns dwb."""
-    # two comparisons give the mask of |w| <= 1 (NaN and ±inf excluded) without
-    # a float copy of the weights
-    return np.multiply(dwb, (weight >= -1.0) & (weight <= 1.0), out=dwb)
+    """Zero, in place, the gradient of latent weights outside [-1, 1]; returns dwb.
+
+    Runs over blocks of whole rows of about _ADAM_BLOCK elements, so the masks
+    stay block-sized.
+    """
+    rows = max(1, _ADAM_BLOCK // max(1, dwb[:1].size))
+    for lo in range(0, len(dwb), rows):
+        g, w = dwb[lo : lo + rows], weight[lo : lo + rows]
+        # two comparisons give the mask of |w| <= 1 (NaN and ±inf excluded)
+        # without a float copy of the weights
+        np.multiply(g, (w >= -1.0) & (w <= 1.0), out=g)
+    return dwb
 
 
 def backward_ste(model: LatentModel, cache: dict, grad_logits: np.ndarray) -> list[dict]:
-    """Backprop with straight-through sign gradients; returns per-layer grads."""
+    """Backprop with straight-through sign gradients; returns per-layer grads.
+
+    Consumes the cache: each layer's entry is popped when its layer is
+    reached, and a layer's signs are dropped as soon as the activation
+    gradient below it is computed, before the weight gradient is allocated.
+    `cache["layers"]` is empty afterwards.
+    """
     binarize = cache["binarize"]
     grads: list[dict] = [None] * len(model.layers)
 
-    entry = cache["layers"][-1]
+    entry = cache["layers"].pop()
     layer = model.layers[-1]
     ds = grad_logits * entry["scale"]
+    if len(model.layers) > 1:
+        da = ds @ entry.pop("wb")
     dwb = ds.T @ entry["x"]
     dw = _gate_weight_grad(dwb, layer.weight) if binarize else dwb
     grads[-1] = {"weight": dw}
-    da = ds @ entry["wb"]
 
     for i in range(len(model.layers) - 2, -1, -1):
         layer = model.layers[i]
-        entry = cache["layers"][i]
+        entry = cache["layers"].pop()
         if "mask" in entry:
             da = da * entry["mask"] / entry["keep"]
         dz = da * (np.abs(entry["z"]) <= 1.0) if binarize else da
@@ -256,11 +278,11 @@ def backward_ste(model: LatentModel, cache: dict, grad_logits: np.ndarray) -> li
             )
         else:
             ds = ds_hat * entry["istd"]
+        if i > 0:
+            da = ds @ entry.pop("wb")
         dwb = ds.T @ entry["x"]
         dw = _gate_weight_grad(dwb, layer.weight) if binarize else dwb
         grads[i] = {"weight": dw, "gamma": dgamma, "beta": dbeta}
-        if i > 0:
-            da = ds @ entry["wb"]
     return grads
 
 

@@ -33,6 +33,10 @@ from tests.test_bitcore import fan_in_bound_model_bytes
 from tests.test_mtj_reference import reference_energy_ber_curve
 
 
+# where /proc is missing the manifest falls back to ru_maxrss
+PEAK_RSS_SOURCE = "vmhwm" if Path("/proc/self/status").exists() else "ru_maxrss"
+
+
 def test_every_public_name_resolves():
     for name in bitflip_bnn.__all__:
         assert getattr(bitflip_bnn, name, None) is not None, name
@@ -247,9 +251,68 @@ def test_manifest_lines_in_golden_order(trained, synth_data_dir, tmp_path):
         "sweep.dense_trials=1",
         "sweep.incremental_trials=1",
         "sweep.recounts=0",
+        f"peak_rss_source={PEAK_RSS_SOURCE}",
         "peak_rss_mib=",
         "duration_s=",
     ]
+
+
+def test_train_manifest_lines_in_golden_order(trained, synth_data_dir):
+    log = trained.parent / (trained.name + ".log.csv")
+    lines = (log.parent / (log.name + ".manifest")).read_text().splitlines()
+    timed = ("stage.epoch.1_s=", "stage.epoch.2_s=", "peak_rss_mib=", "duration_s=")
+    values = {}
+    for line in lines:
+        if line.startswith(timed):
+            key, value = line.split("=", 1)
+            values[key] = float(value)
+            assert values[key] >= 0.0
+    # the epochs are timed inside the command's wall time
+    assert values["stage.epoch.1_s"] + values["stage.epoch.2_s"] <= values["duration_s"]
+    # timing and memory values blanked; every other byte is fixed by the flags and versions
+    assert [line.split("=", 1)[0] + "=" if line.startswith(timed) else line for line in lines] == [
+        "command=train",
+        "param.batch=50",
+        f"param.data_dir={synth_data_dir}",
+        "param.epochs=2",
+        "param.limit=1200",
+        "param.lr=0.001",
+        f"param.out={trained}",
+        "param.seed=3",
+        "seed=3",
+        f"output.0={trained}",
+        f"output.1={log}",
+        f"version.bitflip_bnn={bitflip_bnn.__version__}",
+        f"version.numpy={np.__version__}",
+        "stage.epoch.1_s=",
+        "stage.epoch.2_s=",
+        f"peak_rss_source={PEAK_RSS_SOURCE}",
+        "peak_rss_mib=",
+        "duration_s=",
+    ]
+
+
+@pytest.mark.skipif(
+    PEAK_RSS_SOURCE != "vmhwm", reason="the ru_maxrss fallback may carry the launcher's peak"
+)
+def test_manifest_peak_is_the_commands_own(tmp_path):
+    # Linux carries ru_maxrss across fork and exec, so a command launched by a
+    # process holding this array would report at least the array's size
+    held = np.ones(208 * 2**20, dtype=np.uint8)  # written, so resident
+    src = Path(bitflip_bnn.__file__).resolve().parent.parent
+    out = tmp_path / "energy.csv"
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "bitflip_bnn.cli", "energy-curve",
+            "--bers", "1e-2", "--samples", "1000", "--out", str(out),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    manifest = (tmp_path / "energy.csv.manifest").read_text().splitlines()
+    keys = dict(line.split("=", 1) for line in manifest)
+    assert keys["peak_rss_source"] == "vmhwm"
+    assert 1.0 < float(keys["peak_rss_mib"]) < held.nbytes / 2**20
 
 
 def test_ber_sweep_bytes_same_for_any_blas_thread_count(trained, synth_data_dir, tmp_path):

@@ -2,11 +2,14 @@
 
 The reference functions below are the trainer's earlier whole-array
 expressions: signs through `np.where`, the Adam update with a fresh temporary
-per operation, and the straight-through weight mask as a new product. The
-current code must give the same floats bit for bit, so arrays are compared as
+per operation, the straight-through weight mask as a new product, and the
+backward pass that reads the forward cache without consuming it. The current
+code must give the same floats bit for bit, so arrays are compared as
 unsigned integers of the same width (which tells -0.0 from 0.0 and compares
 NaN payloads).
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -19,7 +22,11 @@ from bitflip_bnn.trainer import (
     LatentModel,
     TrainConfig,
     adam_step,
+    backward_ste,
     export_model,
+    forward_train,
+    init_latent_model,
+    softmax_cross_entropy,
     train,
 )
 from tests.conftest import synthetic_dataset
@@ -45,6 +52,49 @@ def reference_sign_pm1(arr):
 
 def reference_gate_weight_grad(dwb, weight):
     return dwb * (np.abs(weight) <= 1.0)
+
+
+def reference_backward_ste(model, cache, grad_logits):
+    binarize = cache["binarize"]
+    grads = [None] * len(model.layers)
+
+    entry = cache["layers"][-1]
+    layer = model.layers[-1]
+    ds = grad_logits * entry["scale"]
+    dwb = ds.T @ entry["x"]
+    dw = reference_gate_weight_grad(dwb, layer.weight) if binarize else dwb
+    grads[-1] = {"weight": dw}
+    da = ds @ entry["wb"]
+
+    for i in range(len(model.layers) - 2, -1, -1):
+        layer = model.layers[i]
+        entry = cache["layers"][i]
+        if "mask" in entry:
+            da = da * entry["mask"] / entry["keep"]
+        dz = da * (np.abs(entry["z"]) <= 1.0) if binarize else da
+
+        dgamma = (dz * entry["s_hat"]).sum(axis=0)
+        dbeta = dz.sum(axis=0)
+        ds_hat = dz * layer.gamma
+        if cache["training"]:
+            b = ds_hat.shape[0]
+            ds = (
+                entry["istd"]
+                / b
+                * (
+                    b * ds_hat
+                    - ds_hat.sum(axis=0)
+                    - entry["s_hat"] * (ds_hat * entry["s_hat"]).sum(axis=0)
+                )
+            )
+        else:
+            ds = ds_hat * entry["istd"]
+        dwb = ds.T @ entry["x"]
+        dw = reference_gate_weight_grad(dwb, layer.weight) if binarize else dwb
+        grads[i] = {"weight": dw, "gamma": dgamma, "beta": dbeta}
+        if i > 0:
+            da = ds @ entry["wb"]
+    return grads
 
 
 def reference_adam_step(model, grads, state, config, t):
@@ -138,6 +188,45 @@ def test_gate_weight_grad_matches_reference(shape, dtype):
 
 
 # ---------------------------------------------------------------------------
+# backward pass
+# ---------------------------------------------------------------------------
+
+NETS = [((784, 1024, 1024, 10), 100), ((9, 7, 5, 3), 6), ((6, 3), 4)]  # (sizes, batch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("binarize", [True, False])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("sizes,batch", NETS)
+def test_backward_ste_matches_reference(sizes, batch, training, binarize, dropout, dtype):
+    rng = np.random.default_rng(5)
+    model = init_latent_model(sizes, dropout, rng, dtype)
+    for layer in model.layers:
+        # latents on both sides of the [-1, 1] window, so the weight gate acts
+        layer.weight[...] = rng.uniform(-1.5, 1.5, layer.weight.shape)
+        if not layer.is_output:
+            layer.run_var[...] = layer.in_features  # running statistics near the batch's
+    x = pm1(rng.random((batch, sizes[0])) < 0.5, dtype)
+    logits, cache = forward_train(model, x, rng, training, binarize)
+    _, grad = softmax_cross_entropy(logits, rng.integers(0, sizes[-1], batch))
+
+    ref_cache = copy.deepcopy(cache)
+    if len(sizes) == 2:
+        # the earlier forward pass also cached the signs of a lone output layer
+        weight = model.layers[0].weight
+        ref_cache["layers"][0]["wb"] = reference_sign_pm1(weight) if binarize else weight
+    want = reference_backward_ste(model, ref_cache, grad)
+    got = backward_ste(model, cache, grad)
+    assert cache["layers"] == []  # consumed
+    assert [g.keys() for g in got] == [w.keys() for w in want]
+    for got_layer, want_layer in zip(got, want):
+        for name in got_layer:
+            assert_bits_equal(got_layer[name], want_layer[name])
+    assert np.any(got[0]["weight"] == 0.0) == binarize  # the gate took part
+
+
+# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
@@ -215,6 +304,7 @@ def test_train_matches_reference_formulas(tmp_path, monkeypatch):
     fast = _train_bytes(tmp_path, "fast")
     monkeypatch.setattr(tr, "_sign_pm1", reference_sign_pm1)
     monkeypatch.setattr(tr, "_gate_weight_grad", reference_gate_weight_grad)
+    monkeypatch.setattr(tr, "backward_ste", reference_backward_ste)
     monkeypatch.setattr(tr, "adam_step", reference_adam_step)
     monkeypatch.setattr(tr, "pm1", reference_pm1)
     monkeypatch.setattr(BitTensor, "unpack", reference_unpack)
