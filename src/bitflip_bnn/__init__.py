@@ -9,7 +9,6 @@ from .bitcore import (
     conv_forward,
     linear_forward,
     load_model,
-    model_predict,
     model_predict_batch,
     pack,
     save_model,
@@ -65,7 +64,6 @@ __all__ = [
     "load_idx_labels",
     "load_model",
     "mean_switching_time",
-    "model_predict",
     "model_predict_batch",
     "pack",
     "pulse_for_ber",

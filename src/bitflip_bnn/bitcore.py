@@ -360,7 +360,7 @@ class BinarizedLinearLayer:
     """Fully connected binarized layer.
 
     weights: BitTensor [out_features, in_features]
-    thresholds: int vector, length out_features (popcount-domain; may lie
+    thresholds: int32 vector, length out_features (popcount-domain; may lie
         outside [0, in_features], which forces a constant output)
     is_output: when set the layer emits integer scores instead of sign bits
     """
@@ -373,14 +373,7 @@ class BinarizedLinearLayer:
         if len(self.weights.shape) != 2:
             raise ValueError("linear weights must be 2-D [out, in]")
         _check_fan_in(self.in_features)
-        self.thresholds = np.asarray(self.thresholds)
-        if not np.issubdtype(self.thresholds.dtype, np.integer):
-            raise ValueError("thresholds must be integers")
-        self.thresholds = self.thresholds.astype(np.int32)
-        if self.thresholds.shape != (self.out_features,):
-            raise ValueError(
-                f"expected {self.out_features} thresholds, got shape {self.thresholds.shape}"
-            )
+        self.thresholds = _int32_thresholds(self.thresholds, self.out_features)
 
     @property
     def out_features(self) -> int:
@@ -396,7 +389,7 @@ class BinarizedConvLayer:
     """2-D binarized convolution layer.
 
     weights: BitTensor [filters, in_channels, k_h, k_w]
-    thresholds: int vector, length filters
+    thresholds: int32 vector, length filters, as for the linear layer
     Padded positions contribute -1 bits.
     """
 
@@ -413,14 +406,7 @@ class BinarizedConvLayer:
         if self.padding < 0:
             raise ValueError("padding must be non-negative")
         _check_fan_in(int(np.prod(self.weights.shape[1:], dtype=np.int64)))
-        self.thresholds = np.asarray(self.thresholds)
-        if not np.issubdtype(self.thresholds.dtype, np.integer):
-            raise ValueError("thresholds must be integers")
-        self.thresholds = self.thresholds.astype(np.int32)
-        if self.thresholds.shape != (self.filters,):
-            raise ValueError(
-                f"expected {self.filters} thresholds, got shape {self.thresholds.shape}"
-            )
+        self.thresholds = _int32_thresholds(self.thresholds, self.filters)
 
     @property
     def filters(self) -> int:
@@ -436,6 +422,23 @@ class BinarizedConvLayer:
 
 
 Layer = BinarizedLinearLayer | BinarizedConvLayer
+
+
+def _int32_thresholds(thresholds, count: int) -> np.ndarray:
+    """The thresholds as an int32 vector of `count` values, as BNN1 stores them.
+
+    A value int32 cannot hold is refused, not wrapped: cast, 2^31 ("never
+    fire") would become -2^31 and fire on every input.
+    """
+    thresholds = np.asarray(thresholds)
+    if not np.issubdtype(thresholds.dtype, np.integer):
+        raise ValueError("thresholds must be integers")
+    if thresholds.shape != (count,):
+        raise ValueError(f"expected {count} thresholds, got shape {thresholds.shape}")
+    limits = np.iinfo(np.int32)
+    if np.any(thresholds < limits.min) or np.any(thresholds > limits.max):
+        raise ValueError(f"thresholds must lie in the int32 range [{limits.min}, {limits.max}]")
+    return thresholds.astype(np.int32)
 
 
 def _check_fan_in(n: int) -> None:
@@ -526,8 +529,9 @@ def _hidden_words(w_words, thresholds, x_words, n_bits: int, margins=None) -> np
     """Packed hidden-layer outputs of the x rows: bit j set iff row j of w agrees in >= T_j bits.
 
     Thresholded and packed chunk by chunk, so no (N, neurons) product array
-    exists. A given `margins`, a (N, neurons) int8 array, also receives each
-    neuron's margin clip(count - T, -127, 127), T clipped as in _fire_levels,
+    exists. A given `margins`, a (N, neurons) signed integer array, also
+    receives each neuron's margin clip(count - T, -B, B), where B is the
+    largest value of the array's dtype and T is clipped as in _fire_levels,
     written by the same chunk loop; the neuron fires iff its margin is >= 0.
     """
     operands = _hidden_operands(w_words, thresholds, n_bits)
@@ -547,6 +551,7 @@ def _hidden_operands(w_words, thresholds, n_bits: int) -> tuple[np.ndarray, np.n
 def _fire_words(operands, x_words, n_bits: int, margins=None) -> np.ndarray:
     """The chunk loop of _hidden_words, on operands from _hidden_operands."""
     w, levels = operands
+    bound = None if margins is None else np.iinfo(margins.dtype).max
     out = np.empty((len(x_words), words_per_row(len(levels))), dtype=np.uint64)
     bits_buf = np.empty((min(len(x_words), _MATRIX_CHUNK_ROWS), len(levels)), dtype=bool)
     for rows, parts in _products(x_words, w, len(levels), n_bits):
@@ -557,7 +562,7 @@ def _fire_words(operands, x_words, n_bits: int, margins=None) -> np.ndarray:
                 continue
             # in place on the chunk's own buffer: clipped in float32, then one cast
             p -= levels[neurons]
-            np.clip(p, -127, 127, out=p)
+            np.clip(p, -bound, bound, out=p)
             np.copyto(margins[rows, neurons], p, casting="unsafe")
         if margins is not None:
             np.greater_equal(margins[rows], 0, out=bits)
@@ -617,15 +622,6 @@ def model_scores(model: BnnModel, x: BitTensor) -> np.ndarray:
         else:
             act = conv_forward(layer, act)
     return act
-
-
-def model_predict(model: BnnModel, x: BitTensor) -> int:
-    """Predict the class of a single sample (ties -> lowest class index)."""
-    scores = model_scores(model, x)
-    scores = np.asarray(scores)
-    if scores.ndim != 1:
-        raise ValueError("model_predict expects a single sample")
-    return int(np.argmax(scores))
 
 
 def require_linear(model: BnnModel) -> None:
@@ -704,10 +700,7 @@ def dump_model(model: BnnModel) -> bytes:
                 "<IIIIII", layer.filters, layer.in_channels, kh, kw, layer.stride, layer.padding
             )
             out += struct.pack("<B", 0)
-        thr = layer.thresholds.astype(np.int64)
-        if np.any(thr > np.iinfo(np.int32).max) or np.any(thr < np.iinfo(np.int32).min):
-            raise ValueError("threshold out of i32 range")
-        out += thr.astype("<i4").tobytes()
+        out += layer.thresholds.astype("<i4").tobytes()
         out += layer.weights.words.astype("<u8").tobytes()
     return bytes(out)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -104,6 +105,12 @@ def _peak_rss() -> tuple[str, float] | None:
     return "ru_maxrss", peak / unit
 
 
+def _key_order(key: str) -> list:
+    """Sort key of a manifest key: its runs of digits compare as integers, so
+    energy.point.2.* comes before energy.point.10.*."""
+    return [int(part) if i % 2 else part for i, part in enumerate(re.split(r"(\d+)", key))]
+
+
 def _write_manifest(
     csv_path: Path,
     command: str,
@@ -114,21 +121,21 @@ def _write_manifest(
 ) -> None:
     """Write the reproducibility record <csv_path>.manifest.
 
-    One key=value line each, in this order: the command, the sorted
-    parameters, the seed, the outputs, the package versions, the sorted
-    measured run figures, the source and value of the process's peak
+    One key=value line each, in this order: the command, the parameters, the
+    seed, the outputs, the package versions, the measured run figures (both
+    sorted by _key_order), the source and value of the process's peak
     resident set size so far (both omitted where neither source exists; see
     _peak_rss), and the wall time since `started`.
     """
     duration_s = time.monotonic() - started
     stats = stats or {}
     lines = [f"command={command}"]
-    lines += [f"param.{key}={_fmt(params[key])}" for key in sorted(params)]
+    lines += [f"param.{key}={_fmt(params[key])}" for key in sorted(params, key=_key_order)]
     if params.get("seed") is not None:
         lines.append(f"seed={params['seed']}")
     lines += [f"output.{i}={out}" for i, out in enumerate(outputs)]
     lines += [f"version.bitflip_bnn={__version__}", f"version.numpy={np.__version__}"]
-    lines += [f"{key}={_fmt(stats[key])}" for key in sorted(stats)]
+    lines += [f"{key}={_fmt(stats[key])}" for key in sorted(stats, key=_key_order)]
     peak = _peak_rss()
     if peak is not None:
         source, mib = peak

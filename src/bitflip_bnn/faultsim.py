@@ -172,10 +172,12 @@ def _run_trial(args) -> tuple[int, int, float]:
 
 
 _ONE = np.uint64(1)
-# |margin| at which the int8 margins saturate. A saturated margin stands for
-# any count at least that far from T, so it decides a neuron's new output
-# only while the count can move by at most _SATURATED - 1.
-_SATURATED = 127
+# The clean pass's margins, and the |margin| at which they saturate: the
+# kernel clips them to the dtype's range. A saturated margin stands for any
+# count at least that far from T, so it decides a neuron's new output only
+# while the count can move by at most _SATURATED - 1.
+_MARGIN_DTYPE = np.int8
+_SATURATED = np.iinfo(_MARGIN_DTYPE).max
 
 
 def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +238,7 @@ class _Flips:
         self.clean_bits = _bits(clean.weights.words, neurons, self.inputs)
         self.bad_rows = bad.weights.words[self.hit]
         self.most = int(self.per_neuron.max()) if neurons.size else 0
-        self.reach = np.minimum(self.per_neuron, _SATURATED).astype(np.int8)
+        self.reach = np.minimum(self.per_neuron, _SATURATED).astype(_MARGIN_DTYPE)
 
     def weights(self) -> np.ndarray:
         """A new array of the faulty layer's packed weight rows."""
@@ -317,12 +319,12 @@ class IncrementalEvaluator:
     """Exact predictions of faulty copies of one linear model on fixed inputs.
 
     One clean pass, through the dense kernel's own chunk loop, stores for
-    every hidden layer its packed activations and its int8 margins
-    q = clip(count - T, -127, 127) (row-major; the neuron fires iff q >= 0),
-    and the clean output scores, so the state scales with the input rows: a
-    sweep builds one evaluator per block of _SWEEP_BLOCK_ROWS rows. A faulty
-    model is then scored layer by layer, one block of _UPDATE_BLOCK_ROWS rows
-    at a time, as exact changes d of the counts:
+    every hidden layer its packed activations and its _MARGIN_DTYPE margins
+    q = clip(count - T, -_SATURATED, _SATURATED) (row-major; the neuron fires
+    iff q >= 0), and the clean output scores, so the state scales with the
+    input rows: a sweep builds one evaluator per block of _SWEEP_BLOCK_ROWS
+    rows. A faulty model is then scored layer by layer, one block of
+    _UPDATE_BLOCK_ROWS rows at a time, as exact changes d of the counts:
 
     * a flipped weight moves its neuron's count by a delta over its flipped
       columns, computed on the clean input;
@@ -330,7 +332,7 @@ class IncrementalEvaluator:
       sign, summed per row from a table of signed weight columns (int8);
     * the new output bit is q + d >= 0. A pair can only change where
       |q| <= (changed bits of the row) + (flipped weights of the neuron), and
-      a saturated margin is ambiguous only if that bound reaches 127: those
+      a saturated margin is ambiguous only if that bound reaches it: those
       pairs alone are recounted exactly, by popcount;
     * the output layer is the clean scores plus deltas, for the rows whose
       input changed and the classes that hold a flip, on the rows whose lead
@@ -352,10 +354,10 @@ class IncrementalEvaluator:
             operands = self.operands(model)
         self.model = model
         self.acts = [inputs.words]  # acts[l]: clean packed input of layer l
-        self.margins = []  # margins[l]: int8 clip(count - T, -127, 127) of hidden layer l
+        self.margins = []  # margins[l]: the clipped margins q of hidden layer l
         for layer, layer_operands in zip(model.layers[:-1], operands):
             x = self.acts[-1]
-            margins = np.empty((len(x), layer.out_features), dtype=np.int8)
+            margins = np.empty((len(x), layer.out_features), dtype=_MARGIN_DTYPE)
             self.acts.append(_fire_words(layer_operands, x, layer.in_features, margins))
             self.margins.append(margins)
         out = model.layers[-1]

@@ -159,13 +159,16 @@ def gamma_upper_q(k: float, x: float) -> float:
     Closed form (Poisson sum): Q(k, x) = exp(-x) * sum_{i=0}^{k-1} x^i / i!.
     Evaluated directly for x >= k; for x < k the numerically better route is
     the exact complement 1 - P(k, x) with P from its power series, which
-    avoids accumulated rounding when Q is within a few ulp of 1.
+    avoids accumulated rounding when Q is within a few ulp of 1. Q(k, 0) = 1
+    and Q(k, inf) = 0 exactly; a negative or NaN x is refused.
     """
     ik = _integer_shape(k)
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be non-negative")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x < ik:
         # P(k,x) = x^k e^-x / Gamma(k+1) * sum_{n>=0} x^n / ((k+1)...(k+n))
         term = 1.0 / ik
@@ -197,7 +200,7 @@ def gamma_upper_q(k: float, x: float) -> float:
 
 def ber_at_pulse(params: MtjDeviceParams, t_pulse: float) -> float:
     """Probability that a cell is left unswitched by a pulse of this width."""
-    if t_pulse < 0:
+    if not t_pulse >= 0:
         raise ValueError("pulse width must be non-negative")
     return gamma_upper_q(params.k, t_pulse / _gamma_theta(params))
 
@@ -287,7 +290,7 @@ def write_energy_mc(
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if variability_mode not in VARIABILITY_MODES:
         raise ValueError(f"unknown variability mode {variability_mode!r}")
-    if t_pulse < 0:
+    if not t_pulse >= 0:
         raise ValueError("pulse width must be non-negative")
 
     r_p_nom, _ = resistances(params)

@@ -381,34 +381,32 @@ def _fold_neuron(gamma: float, beta: float, mu: float, var: float, n: int):
     then nudged by evaluating the same float expression at neighboring
     integers, so the integer decision agrees with the real-valued sign at
     every representable s, not just up to rounding of the crossing.
+
+    A gamma < 0 (or NaN) neuron is the gamma > 0 case of the negated row,
+    whose dot product is -s: negating gamma and mu gives gamma*(s-mu) the same
+    value at -s (IEEE negation is exact, (-a)*(-b) == a*b, and >= 0 ignores
+    the sign of a zero), so one search serves both.
     """
     d = math.sqrt(var + BN_EPS)
+    if gamma == 0.0:
+        return False, 0 if beta >= 0.0 else n + 1
+    negate = not gamma > 0
+    if negate:
+        gamma, mu = -gamma, -mu
 
     def fires(s: float) -> bool:
         return gamma * (s - mu) / d + beta >= 0.0
-
-    if gamma == 0.0:
-        return False, 0 if beta >= 0.0 else n + 1
 
     s_star = mu - beta * d / gamma
     if math.isnan(s_star):
         s_star = 0.0
     s_star = min(max(s_star, -(n + 1)), n + 1)
-
-    if gamma > 0:
-        s0 = math.ceil(s_star)
-        while s0 > -(n + 1) and fires(s0 - 1):
-            s0 -= 1
-        while s0 <= n and not fires(s0):
-            s0 += 1
-        return False, (s0 + n + 1) // 2  # fire iff popcount >= T
-    s0 = math.floor(s_star)
-    while s0 < n + 1 and fires(s0 + 1):
-        s0 += 1
-    while s0 >= -n and not fires(s0):
+    s0 = math.ceil(s_star)
+    while s0 > -(n + 1) and fires(s0 - 1):
         s0 -= 1
-    # row is stored negated, flipping the comparison back to >=
-    return True, (n - s0 + 1) // 2
+    while s0 <= n and not fires(s0):
+        s0 += 1
+    return negate, (s0 + n + 1) // 2  # fire iff popcount >= T
 
 
 def export_model(model: LatentModel) -> BnnModel:
@@ -417,12 +415,10 @@ def export_model(model: LatentModel) -> BnnModel:
     for layer in model.layers:
         signs = pm1(layer.weight >= 0, np.int8)
         n = layer.in_features
-        if layer.is_output:
-            thresholds = np.zeros(layer.out_features, dtype=np.int32)
-        else:
+        thresholds = np.zeros(layer.out_features, dtype=np.int32)  # the output layer's
+        if not layer.is_output:
             if np.any(layer.run_var <= 0):
                 raise ValueError("running variance must be positive to export")
-            thresholds = np.empty(layer.out_features, dtype=np.int32)
             for j in range(layer.out_features):
                 negate, t_j = _fold_neuron(
                     float(layer.gamma[j]),

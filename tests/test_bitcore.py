@@ -13,7 +13,6 @@ from bitflip_bnn.bitcore import (
     BnnModel,
     conv_forward,
     linear_forward,
-    model_predict,
     model_predict_batch,
     pack,
     xnor_popcount_row,
@@ -169,6 +168,38 @@ def test_linear_three_input_threshold():
     layer = BinarizedLinearLayer(pack(np.array([[1, -1, 1]])), np.array([2]))
     out = linear_forward(layer, pack([1, 1, -1]))
     assert out.unpack().tolist() == [-1]
+
+
+@pytest.mark.parametrize("bad", [2**31, -(2**31) - 1, np.uint64(2**63)])
+def test_layers_refuse_thresholds_int32_cannot_hold(bad):
+    # cast, 2^31 ("never fire") would wrap to -2^31 and fire on every input
+    thresholds = np.array([bad])
+    with pytest.raises(ValueError, match=r"int32 range \[-2147483648, 2147483647\]"):
+        BinarizedLinearLayer(pack(np.array([[1, -1, 1]])), thresholds)
+    with pytest.raises(ValueError, match="int32 range"):
+        BinarizedConvLayer(BitTensor.from_signs(np.ones((1, 1, 2, 2))), thresholds)
+
+
+def test_thresholds_at_the_int32_limits_keep_their_meaning():
+    row = np.array([[1, -1, 1]])
+    limits = np.array([2**31 - 1, -(2**31 - 1)])
+    never = BinarizedLinearLayer(pack(row), limits[:1])
+    always = BinarizedLinearLayer(pack(row), limits[1:])
+    for x in ([1, -1, 1], [-1, 1, -1]):  # all agree, all disagree
+        assert linear_forward(never, pack(x)).unpack().tolist() == [-1]
+        assert linear_forward(always, pack(x)).unpack().tolist() == [1]
+    assert never.thresholds.dtype == np.int32 and never.thresholds[0] == 2**31 - 1
+
+    conv = BinarizedConvLayer(BitTensor.from_signs(np.ones((2, 1, 2, 2))), limits)
+    out = conv_forward(conv, BitTensor.from_signs(np.ones((1, 3, 3)))).unpack()
+    assert np.all(out[0] == -1) and np.all(out[1] == 1)
+
+    output = BinarizedLinearLayer(pack(np.ones((2, 1))), limits, is_output=True)
+    blob = bc.dump_model(BnnModel([never, output]))
+    loaded = bc.load_model_bytes(blob)
+    assert [layer.thresholds.tolist() for layer in loaded.layers] == [
+        [2**31 - 1], [2**31 - 1, -(2**31 - 1)]
+    ]
 
 
 def dense_linear_reference(weights, thresholds, x, is_output):
@@ -332,12 +363,12 @@ def _score_model(scores):
 def test_predict_argmax():
     model, x = _score_model([0, 5, -3])
     assert np.array_equal(bc.model_scores(model, x), [0, 5, -3])
-    assert model_predict(model, x) == 1
+    assert int(np.argmax(bc.model_scores(model, x))) == 1
 
 
 def test_predict_tie_lowest_index():
     model, x = _score_model([2, 2])
-    assert model_predict(model, x) == 0
+    assert int(np.argmax(bc.model_scores(model, x))) == 0
 
 
 def test_predict_deterministic(synth_model, synth_test):
@@ -347,7 +378,10 @@ def test_predict_deterministic(synth_model, synth_test):
     first = model_predict_batch(synth_model, x)
     for _ in range(3):
         assert np.array_equal(model_predict_batch(synth_model, x), first)
-    singles = [model_predict(synth_model, binarize_input(img)) for img in synth_test.images[:32]]
+    singles = [
+        np.argmax(bc.model_scores(synth_model, binarize_input(img)))
+        for img in synth_test.images[:32]
+    ]
     assert np.array_equal(first, singles)
 
 
@@ -359,7 +393,8 @@ def test_predict_batch_refuses_conv_models():
     )
     model = BnnModel([conv, out])
     x = BitTensor.from_signs(random_signs(rng, (1, 6, 6)))
-    assert model_predict(model, x) in range(3)  # a single [C, H, W] sample still runs
+    scores = bc.model_scores(model, x)  # a single [C, H, W] sample still runs
+    assert scores.shape == (3,) and int(np.argmax(scores)) in range(3)
     # the message the CLI prints, after the file name, for a conv model
     with pytest.raises(ValueError, match="^conv models are not supported: .*stores no input shape"):
         model_predict_batch(model, x)

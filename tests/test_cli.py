@@ -28,7 +28,7 @@ from bitflip_bnn.mnist_io import (
     load_idx_images,
 )
 from bitflip_bnn.mtj import WITH_DEVICE_VARIATIONS, parse_device_config
-from tests.conftest import write_idx_images, write_idx_labels
+from tests.conftest import synthetic_dataset, write_idx_images, write_idx_labels
 from tests.test_bitcore import fan_in_bound_model_bytes
 from tests.test_mtj_reference import reference_energy_ber_curve
 
@@ -289,6 +289,50 @@ def test_train_manifest_lines_in_golden_order(trained, synth_data_dir):
         f"peak_rss_source={PEAK_RSS_SOURCE}",
         "peak_rss_mib=",
         "duration_s=",
+    ]
+
+
+def _manifest_keys(manifest: Path) -> list[str]:
+    return [line.split("=", 1)[0] for line in manifest.read_text().splitlines()]
+
+
+def test_energy_curve_manifest_numbers_its_points_in_numeric_order(tmp_path):
+    out = tmp_path / "energy.csv"
+    bers = ",".join(f"1e-{e}" for e in range(1, 12))
+    args = ["energy-curve", "--bers", bers, "--samples", "10", "--seed", "1", "--out", str(out)]
+    assert main(args) == 0
+    points = [
+        f"energy.point.{i}.{key}"
+        for i in range(11)  # point 10 after point 9, not between 1 and 2
+        for key in (
+            "ber_observed.ap_to_p", "ber_observed.p_to_ap",
+            "ber_observed_z.ap_to_p", "ber_observed_z.p_to_ap", "target_ber",
+        )
+    ]
+    assert _manifest_keys(tmp_path / "energy.csv.manifest") == [
+        "command", "param.bers", "param.device", "param.mode", "param.samples", "param.seed",
+        "seed", "output.0", "version.bitflip_bnn", "version.numpy",
+        *points, "energy.workers", "peak_rss_source", "peak_rss_mib", "duration_s",
+    ]
+
+
+def test_train_manifest_numbers_its_epochs_in_numeric_order(tmp_path):
+    data = tmp_path / "tiny"
+    data.mkdir()
+    for prefix, n, seed in (("train", 20, 41), ("t10k", 10, 42)):
+        ds = synthetic_dataset(n, seed=seed)
+        write_idx_images(data / f"{prefix}-images-idx3-ubyte", (ds.images * 255).astype(np.uint8))
+        write_idx_labels(data / f"{prefix}-labels-idx1-ubyte", ds.labels.astype(np.uint8))
+    out = tmp_path / "model.bnn"
+    args = ["train", "--data-dir", str(data), "--out", str(out), "--epochs", "11",
+            "--batch", "10", "--seed", "1"]
+    assert main(args) == 0
+    assert _manifest_keys(tmp_path / "model.bnn.log.csv.manifest") == [
+        "command", "param.batch", "param.data_dir", "param.epochs", "param.limit", "param.lr",
+        "param.out", "param.seed", "seed", "output.0", "output.1",
+        "version.bitflip_bnn", "version.numpy",
+        *(f"stage.epoch.{e}_s" for e in range(1, 12)),  # 10 and 11 after 9, not after 1
+        "peak_rss_source", "peak_rss_mib", "duration_s",
     ]
 
 

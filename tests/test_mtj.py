@@ -186,6 +186,21 @@ def test_ber_rejects_negative_pulse(params):
         ber_at_pulse(params, -1e-9)
 
 
+def test_q_and_ber_at_infinity_are_zero(params):
+    for k in (1, 16, 200):
+        assert gamma_upper_q(k, math.inf) == 0.0
+    assert ber_at_pulse(params, math.inf) == 0.0
+
+
+def test_nan_pulse_and_tail_argument_are_refused(params):
+    with pytest.raises(ValueError, match="x must be non-negative"):
+        gamma_upper_q(16, math.nan)
+    with pytest.raises(ValueError, match="pulse width must be non-negative"):
+        ber_at_pulse(params, math.nan)
+    with pytest.raises(ValueError, match="pulse width must be non-negative"):
+        write_energy_mc(params, math.nan, P_TO_AP, 10, np.random.default_rng(0))
+
+
 def test_non_integer_shape_rejected(params):
     odd = MtjDeviceParams(
         diameter_nm=32, ra_ohm_um2=4, tmr=1.5, v_c=0.19, tau_0=1e-9, k=15.5, v_write=0.38

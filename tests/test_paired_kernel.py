@@ -112,3 +112,22 @@ def test_paired_kernel_matches_int64_dot_products(n, k, rows):
         scores = linear_forward(output, x)
         assert scores.dtype == np.int64
         assert np.array_equal(scores, dots - thresholds.astype(np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_margins_clip_to_the_range_of_their_dtype(dtype):
+    # the kernel takes the margin format from the array it fills: an int16
+    # array gets every margin of a 784-bit layer unclipped, an int8 one +-127
+    rng = np.random.default_rng(29)
+    n, k, rows = 784, 10, 50
+    w_bool, x_bool = _weights_and_inputs(rng, n, k, rows)
+    weights, x = BitTensor.from_bool(w_bool), BitTensor.from_bool(x_bool)
+    agree = (_dot_pm1(x_bool, w_bool) + n) // 2
+    for thresholds in _threshold_sets(rng, n, k):
+        margins = np.empty((rows, k), dtype=dtype)
+        bc._hidden_words(weights.words, thresholds, x.words, n, margins)
+        bound = np.iinfo(dtype).max
+        clipped = np.clip(thresholds.astype(np.int64), -1, n + 1)
+        assert np.array_equal(margins, np.clip(agree - clipped, -bound, bound))
+        largest = np.abs(margins).max()
+        assert (largest == 127) if dtype == np.int8 else (largest > 127)

@@ -2,14 +2,16 @@
 
 The reference functions below are the trainer's earlier whole-array
 expressions: signs through `np.where`, the Adam update with a fresh temporary
-per operation, the straight-through weight mask as a new product, and the
-backward pass that reads the forward cache without consuming it. The current
-code must give the same floats bit for bit, so arrays are compared as
+per operation, the straight-through weight mask as a new product, the
+backward pass that reads the forward cache without consuming it, and the
+batch-norm fold with its own search for gamma < 0. The current code must give
+the same floats (and fold thresholds) bit for bit, so arrays are compared as
 unsigned integers of the same width (which tells -0.0 from 0.0 and compares
 NaN payloads).
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +116,35 @@ def reference_adam_step(model, grads, state, config, t):
             if name == "weight":
                 np.clip(param, -1.0, 1.0, out=param)
     return model
+
+
+def reference_fold_neuron(gamma, beta, mu, var, n):
+    d = math.sqrt(var + tr.BN_EPS)
+
+    def fires(s: float) -> bool:
+        return gamma * (s - mu) / d + beta >= 0.0
+
+    if gamma == 0.0:
+        return False, 0 if beta >= 0.0 else n + 1
+
+    s_star = mu - beta * d / gamma
+    if math.isnan(s_star):
+        s_star = 0.0
+    s_star = min(max(s_star, -(n + 1)), n + 1)
+
+    if gamma > 0:
+        s0 = math.ceil(s_star)
+        while s0 > -(n + 1) and fires(s0 - 1):
+            s0 -= 1
+        while s0 <= n and not fires(s0):
+            s0 += 1
+        return False, (s0 + n + 1) // 2
+    s0 = math.floor(s_star)
+    while s0 < n + 1 and fires(s0 + 1):
+        s0 += 1
+    while s0 >= -n and not fires(s0):
+        s0 -= 1
+    return True, (n - s0 + 1) // 2
 
 
 def reference_pm1(bits, dtype):
@@ -287,6 +318,64 @@ def test_adam_step_refuses_parameter_it_cannot_update_in_place():
 
 
 # ---------------------------------------------------------------------------
+# batch-norm fold
+# ---------------------------------------------------------------------------
+
+
+def _fold_cases(rng, count):
+    """Random (gamma, beta, mu, var, n), a third of them with an integer crossing."""
+    n = rng.integers(1, 2048, count)
+    scale = lambda: 10.0 ** rng.uniform(-3, 3, count)  # noqa: E731
+    gamma = rng.standard_normal(count) * scale()
+    beta = rng.standard_normal(count) * scale()
+    mu = rng.standard_normal(count) * n / 3
+    var = 10.0 ** rng.uniform(-4, 4, count)
+    exact = rng.random(count) < 1 / 3  # beta = 0 and an integer mu: s* is an integer
+    beta[exact] = 0.0
+    mu[exact] = rng.integers(-n[exact] - 2, n[exact] + 3)
+    return [tuple(case) + (int(k),) for case, k in zip(zip(gamma, beta, mu, var), n)]
+
+
+FOLD_SPECIAL = [
+    (0.0, 0.5, 1.0, 1.0, 8),
+    (-0.0, 0.5, 1.0, 1.0, 8),
+    (-0.0, -0.5, 1.0, 1.0, 8),
+    (0.0, -0.0, 0.0, 1.0, 8),
+    (np.nan, 0.0, 0.0, 1.0, 8),
+    (1.0, np.nan, 0.0, 1.0, 8),
+    (-1.0, np.nan, 0.0, 1.0, 8),
+    (1.0, 0.0, np.nan, 1.0, 8),
+    (-1.0, 0.0, np.nan, 1.0, 8),
+    (1e-300, 1e300, 0.0, 1.0, 100),  # |beta/gamma| overflows: s* = -inf
+    (-1e-300, 1e300, 0.0, 1.0, 100),
+    (1e-300, -1e300, 0.0, 1.0, 100),
+    (-1e-300, -1e300, 0.0, 1.0, 100),
+    (1.0, -100.0, 0.0, 1.0, 8),  # s* clamped to n + 1
+    (-1.0, -100.0, 0.0, 1.0, 8),
+    (1.0, 100.0, 0.0, 1.0, 8),  # s* clamped to -(n + 1)
+    (-1.0, 100.0, 0.0, 1.0, 8),
+    (np.inf, 0.0, 3.0, 1.0, 8),  # gamma * 0 is NaN at s = mu
+    (-np.inf, 0.0, 3.0, 1.0, 8),
+    (2.0, 1.0, 3.0, 4.0, 10),
+    (-2.0, 1.0, 3.0, 4.0, 10),
+    (-1.0, -0.0, 0.0, 1.0, 8),
+]
+
+
+def test_fold_neuron_matches_two_branch_reference():
+    rng = np.random.default_rng(2024)
+    cases = _fold_cases(rng, 100_000) + FOLD_SPECIAL
+    mismatches = [c for c in cases if tr._fold_neuron(*c) != reference_fold_neuron(*c)]
+    assert mismatches == []
+    assert sum(c[0] < 0 for c in cases) > 40_000  # the mirrored search is well covered
+
+
+def test_fold_neuron_nan_gamma_keeps_the_negated_row():
+    for beta, mu in ((0.0, 0.0), (1.0, -2.0), (np.nan, np.nan)):
+        assert tr._fold_neuron(np.nan, beta, mu, 1.0, 8) == (True, 9)  # never fires
+
+
+# ---------------------------------------------------------------------------
 # a whole training run
 # ---------------------------------------------------------------------------
 
@@ -306,6 +395,7 @@ def test_train_matches_reference_formulas(tmp_path, monkeypatch):
     monkeypatch.setattr(tr, "_gate_weight_grad", reference_gate_weight_grad)
     monkeypatch.setattr(tr, "backward_ste", reference_backward_ste)
     monkeypatch.setattr(tr, "adam_step", reference_adam_step)
+    monkeypatch.setattr(tr, "_fold_neuron", reference_fold_neuron)
     monkeypatch.setattr(tr, "pm1", reference_pm1)
     monkeypatch.setattr(BitTensor, "unpack", reference_unpack)
     ref = _train_bytes(tmp_path, "ref")
