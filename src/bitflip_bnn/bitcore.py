@@ -110,11 +110,6 @@ def _unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, count=n_bits, bitorder="little")
 
 
-def _unpack_bool_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of _pack_bool_rows; returns a (rows, n_bits) boolean array."""
-    return _unpack_bits(words, n_bits).astype(bool)
-
-
 def pm1(bits: np.ndarray, dtype) -> np.ndarray:
     """New +1/-1 array of `dtype` from a boolean or 0/1 array (true/1 <-> +1).
 
@@ -208,7 +203,7 @@ class BitTensor:
     # -- conversions -------------------------------------------------------
 
     def unpack_bool(self) -> np.ndarray:
-        return _unpack_bool_rows(self.words, self.n_bits).reshape(self.shape)
+        return _unpack_bits(self.words, self.n_bits).astype(bool).reshape(self.shape)
 
     def unpack(self) -> np.ndarray:
         """Unpack to an int8 array of +1/-1."""
@@ -512,13 +507,10 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
         single = True
 
     if layer.is_output:
-        w, m = _paired_operands(layer.weights.words, n)
         scores = np.empty((x.n_rows, layer.out_features), dtype=np.int64)
-        offset = n + layer.thresholds.astype(np.int64) - 2 * m
-        for rows, parts in _products(x.words, w, len(m), n):
-            for neurons, p in parts:
-                # 2 * (p + m) - n - T
-                scores[rows, neurons] = 2 * p.astype(np.int64) - offset[neurons]
+        offset = n + layer.thresholds.astype(np.int64)
+        for lo, counts in popcount_chunks(x.words, layer.weights.words, n):
+            scores[lo : lo + len(counts)] = 2 * counts - offset
         return scores[0] if single else scores
     out = _hidden_words(layer.weights.words, layer.thresholds, x.words, n)
     shape = (layer.out_features,) if single else (x.n_rows, layer.out_features)

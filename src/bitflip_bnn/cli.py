@@ -148,7 +148,7 @@ def _sweep_stats(result: SweepResult) -> dict:
     return {
         "sweep.incremental_trials": result.incremental_trials,
         "sweep.dense_trials": result.dense_trials,
-        "sweep.recounts": result.recounts,
+        "sweep.fallback_blocks": result.fallback_blocks,
         "stage.clean_pass_s": result.clean_pass_s,
         "stage.incremental_s": result.incremental_s,
     }

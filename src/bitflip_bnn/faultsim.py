@@ -18,10 +18,11 @@ two paths, chosen by BER alone:
   pass over the block, keeping each hidden neuron's int8 margin
   clip(count - T, -127, 127) per row, and every trial adds up the exact
   changes of the counts its flips cause: over a flipped weight's columns,
-  over a row's changed input bits, and into the clean output scores. A new
-  bit is decided from the margin alone, and only saturated margins that the
-  change could carry across 0 are recounted. A trial's accuracy is its
-  correct predictions summed over the blocks;
+  over a row's changed input bits, and into the clean output scores. Every
+  new bit is decided from its margin and its change alone. Where a change
+  could carry a saturated margin across 0, the margins cannot decide, and
+  the trial runs the dense forward on that block instead. A trial's
+  accuracy is its correct predictions summed over the blocks;
 * above it, each trial in turn flips a copy and runs the full dense forward
   (_run_trial).
 
@@ -48,6 +49,7 @@ from .bitcore import (
     _hidden_operands,
     _pack_bool_rows,
     _unpack_bits,
+    linear_forward,
     model_predict_batch,
     pm1,
 )
@@ -73,11 +75,11 @@ INCREMENTAL_MAX_BER = 1e-4
 # every trial starts to show (updates 71 against 60 ms at 1024 rows).
 _SWEEP_BLOCK_ROWS = 2048
 
-# Rows per block of an incremental trial's update and of the clean output
-# scores, which bounds their temporaries. In the measurement above (2048-row
-# sweep blocks), 256, 512, 1024 and 2048 rows here gave updates of 74, 60,
-# 59 and 57 ms, and tracemalloc peaks of 13.1 MiB up to 1024 rows and 14.7
-# MiB at 2048: 512 is the smallest block at full speed.
+# Rows per block of an incremental trial's update, which bounds its
+# temporaries. In the measurement above (2048-row sweep blocks), 256, 512,
+# 1024 and 2048 rows here gave updates of 74, 60, 59 and 57 ms, and
+# tracemalloc peaks of 13.1 MiB up to 1024 rows and 14.7 MiB at 2048: 512 is
+# the smallest block at full speed.
 _UPDATE_BLOCK_ROWS = 512
 
 # Weight bits per block of flip draws: a 1 MiB float64 block in place of one
@@ -95,7 +97,7 @@ class SweepResult:
     incremental_trials: int = 0  # trials scored by IncrementalEvaluator
     clean_pass_s: float = 0.0  # wall time of its clean passes, summed over the blocks
     incremental_s: float = 0.0  # wall time of all its trial updates, summed over the blocks
-    recounts: int = 0  # saturated (row, neuron) pairs it recounted
+    fallback_blocks: int = 0  # (trial, block) pairs whose saturated margins it scored dense
     mean_accuracy: np.ndarray = field(init=False)
     std_accuracy: np.ndarray = field(init=False)
 
@@ -175,7 +177,8 @@ _ONE = np.uint64(1)
 # The clean pass's margins, and the |margin| at which they saturate: the
 # kernel clips them to the dtype's range. A saturated margin stands for any
 # count at least that far from T, so it decides a neuron's new output only
-# while the count can move by at most _SATURATED - 1.
+# while the count can move by at most _SATURATED - 1. Within that bound, a
+# sum of int8 +-1 moves fits the dtype too.
 _MARGIN_DTYPE = np.int8
 _SATURATED = np.iinfo(_MARGIN_DTYPE).max
 
@@ -204,20 +207,19 @@ def _bits(words: np.ndarray, rows: np.ndarray, positions: np.ndarray) -> np.ndar
     return (words.reshape(-1).take(index) >> (positions % WORD_BITS).astype(np.uint64)) & _ONE
 
 
-def _disagreements(x_words: np.ndarray, w_words: np.ndarray, within=None) -> np.ndarray:
-    """(rows, classes) int64 positions where each x row and each w row differ.
+def _disagreements(x_words: np.ndarray, w_words: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """(rows, classes) int64 positions set in `within` where each x row and each w row differ.
 
-    Counted by popcount, _UPDATE_BLOCK_ROWS rows at a time; with `within`,
-    packed rows like x, only among the positions set there. Padding bits are
-    zero in both operands, so they never count.
+    Counted by popcount, _UPDATE_BLOCK_ROWS rows at a time; `within` holds
+    packed rows like x. Padding bits are zero in all three, so they never
+    count.
     """
     counts = np.empty((len(x_words), len(w_words)), dtype=np.int64)
     buf = np.empty((min(len(x_words), _UPDATE_BLOCK_ROWS),) + w_words.shape, dtype=np.uint64)
     for lo in range(0, len(x_words), _UPDATE_BLOCK_ROWS):
         x = x_words[lo : lo + _UPDATE_BLOCK_ROWS]
         differ = np.bitwise_xor(x[:, None, :], w_words[None], out=buf[: len(x)])
-        if within is not None:
-            differ &= within[lo : lo + len(x), None, :]
+        differ &= within[lo : lo + len(x), None, :]
         counts[lo : lo + len(x)] = np.bitwise_count(differ).sum(axis=2, dtype=np.int64)
     return counts
 
@@ -238,13 +240,19 @@ class _Flips:
         self.clean_bits = _bits(clean.weights.words, neurons, self.inputs)
         self.bad_rows = bad.weights.words[self.hit]
         self.most = int(self.per_neuron.max()) if neurons.size else 0
-        self.reach = np.minimum(self.per_neuron, _SATURATED).astype(_MARGIN_DTYPE)
+        # read on the incremental path alone, where no neuron has _SATURATED flips
+        self.reach = self.per_neuron.astype(_MARGIN_DTYPE)
 
     def weights(self) -> np.ndarray:
         """A new array of the faulty layer's packed weight rows."""
         words = self.clean.weights.words.copy()
         words[self.hit] = self.bad_rows
         return words
+
+    def faulty_layer(self) -> BinarizedLinearLayer:
+        """The faulty layer, for the dense forward."""
+        weights = BitTensor(self.clean.weights.shape, self.weights(), validate=False)
+        return replace(self.clean, weights=weights)
 
     def deltas(self, x_words: np.ndarray, rows: np.ndarray, hit: np.ndarray) -> np.ndarray:
         """int32 change of the count of neuron self.hit[hit[i]] on clean x row rows[i].
@@ -302,8 +310,6 @@ class _InputChanges:
         first = (np.cumsum(flipped) - flipped)[order]
         depth = flipped[order]
         acc = self.table.take(keys[first], axis=0)
-        if depth[0] >= _SATURATED:
-            acc = acc.astype(np.int16)  # fan-in < 2^15 bounds every sum
         for slot in range(1, int(depth[0])):
             m = np.count_nonzero(depth > slot)
             acc[:m] += self.table.take(keys[first[:m] + slot], axis=0)
@@ -332,8 +338,10 @@ class IncrementalEvaluator:
       sign, summed per row from a table of signed weight columns (int8);
     * the new output bit is q + d >= 0. A pair can only change where
       |q| <= (changed bits of the row) + (flipped weights of the neuron), and
-      a saturated margin is ambiguous only if that bound reaches it: those
-      pairs alone are recounted exactly, by popcount;
+      a saturated margin decides its bit only while that bound stays below
+      _SATURATED. Where a row's bound reaches it, the margins cannot decide
+      the layer, and the faulty copy runs the dense forward on the block
+      instead (counted in fallback_blocks);
     * the output layer is the clean scores plus deltas, for the rows whose
       input changed and the classes that hold a flip, on the rows whose lead
       over the runner-up class the change could overcome.
@@ -346,13 +354,13 @@ class IncrementalEvaluator:
     def __init__(self, model: BnnModel, inputs: BitTensor, operands=None):
         """`operands`, the model's operands(), may be given to spare recomputing them."""
         if not self.supports(model):
-            raise ValueError("incremental evaluation needs linear layers with fan-in < 2^15")
+            raise ValueError("incremental evaluation needs linear layers")
         n_in = model.layers[0].in_features
         if len(inputs.shape) != 2 or inputs.shape[1] != n_in:
             raise ValueError(f"expected inputs of {n_in} bits, got shape {inputs.shape}")
         if operands is None:
             operands = self.operands(model)
-        self.model = model
+        self.model, self.inputs = model, inputs
         self.acts = [inputs.words]  # acts[l]: clean packed input of layer l
         self.margins = []  # margins[l]: the clipped margins q of hidden layer l
         for layer, layer_operands in zip(model.layers[:-1], operands):
@@ -361,22 +369,18 @@ class IncrementalEvaluator:
             self.acts.append(_fire_words(layer_operands, x, layer.in_features, margins))
             self.margins.append(margins)
         out = model.layers[-1]
-        # the integer scores 2 * count - n - T of the dense output layer
-        disagree = _disagreements(self.acts[-1], out.weights.words)
-        self.scores = out.in_features - out.thresholds.astype(np.int64) - 2 * disagree
+        x = BitTensor((len(self.acts[-1]), out.in_features), self.acts[-1], validate=False)
+        self.scores = linear_forward(out, x)
         self.predictions = np.argmax(self.scores, axis=1)
         self.lead = None  # how far each row's top score leads the runner-up
         if out.out_features > 1:
             top_two = np.partition(self.scores, -2, axis=1)[:, -2:]
             self.lead = top_two[:, 1] - top_two[:, 0]
-        self.recounts = 0  # saturated (row, neuron) pairs recounted, over all trials
+        self.fallback_blocks = 0  # faulty copies scored by the dense forward
 
     @staticmethod
     def supports(model: BnnModel) -> bool:
-        return all(
-            isinstance(layer, BinarizedLinearLayer) and layer.in_features < 2**15
-            for layer in model.layers
-        )
+        return all(isinstance(layer, BinarizedLinearLayer) for layer in model.layers)
 
     @staticmethod
     def operands(model: BnnModel) -> list:
@@ -386,29 +390,38 @@ class IncrementalEvaluator:
             for layer in model.layers[:-1]
         ]
 
-    def predict(self, faulty: BnnModel) -> np.ndarray:
-        """Class predictions of `faulty`, a copy of the model with flipped weight bits."""
-        return self.predict_flips(_layer_flips(self.model, faulty))
-
     def predict_flips(self, flips: list[_Flips]) -> np.ndarray:
-        """Class predictions of the faulty copy whose flips, per layer, are `flips`."""
+        """Class predictions of the faulty copy whose flips, per layer, are `flips`.
+
+        Scored by the dense forward where the margins cannot decide a hidden layer.
+        """
         rows = np.empty(0, dtype=np.intp)  # input rows that differ from the clean pass
         new = self.acts[0][:0]  # their packed words
         for l, layer_flips in enumerate(flips[:-1]):
-            rows, new = self._update_layer(l, layer_flips, rows, new)
+            changed = self._update_layer(l, layer_flips, rows, new)
+            if changed is None:
+                self.fallback_blocks += 1
+                layers = [f.faulty_layer() for f in flips]
+                faulty = BnnModel(layers, self.model.input_shape, self.model.class_count)
+                return model_predict_batch(faulty, self.inputs)
+            rows, new = changed
         return self._predict_output(flips[-1], rows, new)
 
     def _update_layer(self, l, flips, rows, new):
         """Hidden layer l's output rows that differ from the clean pass, and their words.
 
         `flips` are the layer's; `rows` (ascending) and `new` give the same
-        for the layer's input.
+        for the layer's input. None if a change could carry a saturated
+        margin across 0, which the margins cannot decide.
         """
         x, act, q = self.acts[l], self.acts[l + 1], self.margins[l]
         hit = flips.hit
         if not hit.size and not rows.size:
             return rows, act[:0]
         changes = _InputChanges(x, flips, rows, new) if rows.size else None
+        most = changes.flipped.max() if rows.size else 0
+        if most + flips.most >= _SATURATED:
+            return None
         out_rows, out_words = [rows[:0]], [act[:0]]
         for lo in range(0, len(x), _UPDATE_BLOCK_ROWS):
             hi = min(lo + _UPDATE_BLOCK_ROWS, len(x))
@@ -431,9 +444,6 @@ class IncrementalEvaluator:
                     self._toggle_hits(words, x[lo:hi], flips, local, margins)
                 same = np.flatnonzero(same_input)
                 self._toggle_hits(words, x[lo:hi], flips, same, q_hit[same])
-            most = changes.flipped[a:b].max() if b > a else 0
-            if most + flips.most >= _SATURATED:
-                self._recount_saturated(l, flips, changes, lo, hi, a, b, words)
             moved = np.flatnonzero((words != act[lo:hi]).any(axis=1))
             out_rows.append(lo + moved)
             out_words.append(words[moved])
@@ -462,32 +472,6 @@ class IncrementalEvaluator:
             rows * words.shape[1] + j // WORD_BITS,
             _ONE << (j % WORD_BITS).astype(np.uint64),
         )
-
-    def _recount_saturated(self, l, flips, changes, lo, hi, a, b, words):
-        """Recount, by popcount, the pairs of rows lo..hi-1 whose saturated margin is ambiguous."""
-        clean = flips.clean
-        bound = np.zeros((hi - lo, 1), dtype=np.int64)
-        x = self.acts[l][lo:hi].copy()
-        if b > a:
-            bound[changes.rows[a:b] - lo, 0] = changes.flipped[a:b]
-            x[changes.rows[a:b] - lo] = changes.new[a:b]
-        per_neuron = np.zeros(clean.out_features, dtype=np.int64)
-        per_neuron[flips.hit] = flips.per_neuron
-        ambiguous = (np.abs(self.margins[l][lo:hi]) == _SATURATED) & (
-            bound + per_neuron >= _SATURATED
-        )
-        r, j = np.nonzero(ambiguous)
-        if not r.size:
-            return
-        self.recounts += len(r)
-        bad = flips.weights()[j]
-        agree = clean.in_features - np.bitwise_count(x[r] ^ bad).sum(axis=1, dtype=np.int64)
-        fires = (agree >= clean.thresholds[j]).astype(np.uint64)
-        flat = words.reshape(-1)
-        index = r * words.shape[1] + j // WORD_BITS
-        bit = _ONE << (j % WORD_BITS).astype(np.uint64)
-        np.bitwise_and.at(flat, index, ~bit)
-        np.bitwise_or.at(flat, index, bit * fires)
 
     def _predict_output(self, flips, rows, new):
         """Class predictions from the clean scores plus each row's and class's exact change.
@@ -558,9 +542,9 @@ def ber_sweep(
     n_low = 0
     if IncrementalEvaluator.supports(model):
         n_low = sum(ber <= INCREMENTAL_MAX_BER for ber in bers)
-    clean_pass_s, incremental_s, recounts = 0.0, 0.0, 0
+    clean_pass_s, incremental_s, fallbacks = 0.0, 0.0, 0
     if n_low:
-        accuracies[:n_low], clean_pass_s, incremental_s, recounts = _score_low_bers(
+        accuracies[:n_low], clean_pass_s, incremental_s, fallbacks = _score_low_bers(
             model, inputs, labels, bers[:n_low], trials, master_seed
         )
     for bi in range(n_low, len(bers)):
@@ -568,12 +552,12 @@ def ber_sweep(
             job = (model, inputs, labels, bers[bi], master_seed, bi, ti)
             accuracies[bi, ti] = _run_trial(job)[2]
     return SweepResult(
-        list(bers), trials, accuracies, n_low * trials, clean_pass_s, incremental_s, recounts
+        list(bers), trials, accuracies, n_low * trials, clean_pass_s, incremental_s, fallbacks
     )
 
 
 def _score_low_bers(model, inputs, labels, bers, trials, master_seed):
-    """(accuracies, clean_pass_s, incremental_s, recounts) of the trials of the first BERs.
+    """(accuracies, clean_pass_s, incremental_s, fallback_blocks) of the trials of the first BERs.
 
     Every trial's flips are drawn first, from the streams _run_trial would
     use, and only what they change is held (_Flips). The rows are then taken
@@ -589,7 +573,7 @@ def _score_low_bers(model, inputs, labels, bers, trials, master_seed):
     ]
     started = time.perf_counter()
     operands = IncrementalEvaluator.operands(model)
-    clean_pass_s, incremental_s, recounts = time.perf_counter() - started, 0.0, 0
+    clean_pass_s, incremental_s, fallbacks = time.perf_counter() - started, 0.0, 0
     correct = np.zeros(len(faults), dtype=np.int64)
     n_rows, n_bits = inputs.shape
     for lo in range(0, n_rows, _SWEEP_BLOCK_ROWS):
@@ -602,7 +586,7 @@ def _score_low_bers(model, inputs, labels, bers, trials, master_seed):
         for t, flips in enumerate(faults):
             correct[t] += np.count_nonzero(evaluator.predict_flips(flips) == labels[lo:hi])
         incremental_s += time.perf_counter() - started
-        recounts += evaluator.recounts
+        fallbacks += evaluator.fallback_blocks
         del evaluator  # before the next block's clean pass allocates its own
     accuracies = (correct / n_rows).reshape(len(bers), trials)
-    return accuracies, clean_pass_s, incremental_s, recounts
+    return accuracies, clean_pass_s, incremental_s, fallbacks

@@ -290,8 +290,8 @@ def write_energy_mc(
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if variability_mode not in VARIABILITY_MODES:
         raise ValueError(f"unknown variability mode {variability_mode!r}")
-    if not t_pulse >= 0:
-        raise ValueError("pulse width must be non-negative")
+    if not 0 <= t_pulse < math.inf:
+        raise ValueError("pulse width must be non-negative and finite")
 
     r_p_nom, _ = resistances(params)
     theta = _gamma_theta(params)

@@ -216,7 +216,7 @@ def test_ber_sweep_trials_match_dense_reference(trained, synth_data_dir, tmp_pat
     manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
     assert "sweep.incremental_trials=4" in manifest
     assert "sweep.dense_trials=4" in manifest
-    assert "sweep.recounts=0" in manifest
+    assert "sweep.fallback_blocks=0" in manifest
     assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
     assert any(line.startswith("stage.incremental_s=") for line in manifest)
 
@@ -249,8 +249,8 @@ def test_manifest_lines_in_golden_order(trained, synth_data_dir, tmp_path):
         "stage.clean_pass_s=",
         "stage.incremental_s=",
         "sweep.dense_trials=1",
+        "sweep.fallback_blocks=0",
         "sweep.incremental_trials=1",
-        "sweep.recounts=0",
         f"peak_rss_source={PEAK_RSS_SOURCE}",
         "peak_rss_mib=",
         "duration_s=",
@@ -727,7 +727,7 @@ def test_acc_energy_join(trained, synth_data_dir, tmp_path):
     manifest = (tmp_path / "join.csv.manifest").read_text().splitlines()
     assert "sweep.incremental_trials=2" in manifest
     assert "sweep.dense_trials=4" in manifest
-    assert "sweep.recounts=0" in manifest
+    assert "sweep.fallback_blocks=0" in manifest
     assert any(line.startswith("stage.clean_pass_s=") for line in manifest)
     assert any(line.startswith("stage.incremental_s=") for line in manifest)
     _energy_manifest_keys(manifest, [1e-4, 1e-2, 1e-1], 2000)

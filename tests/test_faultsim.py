@@ -265,13 +265,18 @@ def _flip_at(model, layer, positions):
     return faulty
 
 
+def incremental_predict(evaluator, faulty):
+    """The evaluator's predictions of `faulty`, a copy of its model with flipped weight bits."""
+    return evaluator.predict_flips(fs._layer_flips(evaluator.model, faulty))
+
+
 def _assert_incremental_exact(model, inputs, faulty_models):
     evaluator = IncrementalEvaluator(model, inputs)
     clean = model_predict_batch(model, inputs)
     moved = 0
     for faulty in faulty_models:
         expected = model_predict_batch(faulty, inputs)
-        assert np.array_equal(evaluator.predict(faulty), expected)
+        assert np.array_equal(incremental_predict(evaluator, faulty), expected)
         moved += int(np.sum(expected != clean))
     return moved
 
@@ -323,6 +328,15 @@ def test_incremental_targeted_flips():
     assert _assert_incremental_exact(model, inputs, faulty) > 0
 
 
+def test_incremental_matches_dense_at_fan_in_past_int16():
+    # the int8 sums of a row's changes and the fallback do not depend on the fan-in
+    sizes = (2**15 + 1, 70, 10)
+    model = _random_model(58, sizes)
+    inputs = _random_inputs(59, 40, sizes[0])
+    faulty = [flip_bits(model, ber, trial_seed(4, bi, 0)) for bi, ber in enumerate(LOW_BERS)]
+    assert _assert_incremental_exact(model, inputs, faulty) > 0
+
+
 def test_incremental_rejects_mismatched_inputs(synth_model):
     with pytest.raises(ValueError, match="784"):
         IncrementalEvaluator(synth_model, _random_inputs(1, 5, 100))
@@ -334,7 +348,7 @@ def test_mixed_grid_trials_match_dense_path(synth_model, synth_test):
     result = ber_sweep(synth_model, synth_test, bers, trials=2, master_seed=15)
     assert (result.incremental_trials, result.dense_trials) == (4, 6)
     assert result.clean_pass_s > 0.0 and result.incremental_s > 0.0
-    assert result.recounts == 0  # no trained margin reaches the int8 bound
+    assert result.fallback_blocks == 0  # no trained margin is carried from the int8 bound
 
     inputs = binarize_input(synth_test.images)
     for bi, ber in enumerate(bers):
@@ -347,7 +361,7 @@ def test_mixed_grid_trials_match_dense_path(synth_model, synth_test):
 def test_dense_only_grid_skips_clean_pass(synth_model, synth_test):
     result = ber_sweep(synth_model, synth_test, [0.01, 0.1], trials=1, master_seed=3)
     assert (result.incremental_trials, result.dense_trials, result.clean_pass_s) == (0, 2, 0.0)
-    assert (result.incremental_s, result.recounts) == (0.0, 0)
+    assert (result.incremental_s, result.fallback_blocks) == (0.0, 0)
 
 
 def test_incremental_matches_dense_across_kernel_chunks():
@@ -415,7 +429,7 @@ def test_incremental_int8_margins_fit_the_int16_count_budget():
         tracemalloc.stop()
     count_array = rows * width * np.dtype(np.int16).itemsize
     assert held < 1.5 * count_array
-    assert evaluator.predict(model).shape == (rows,)
+    assert incremental_predict(evaluator, model).shape == (rows,)
 
 
 def _traced_peak(fn):

@@ -1,18 +1,20 @@
 """Differential tests of IncrementalEvaluator where its int8 margins saturate.
 
 The evaluator stores q = clip(count - T, -127, 127) and decides a faulty
-neuron's output from q and the exact change d of its count, recounting only
-saturated pairs whose change could reach 127. These models are built so that
-the second layer sees margins of exactly -127, -126, 126 and 127 (and beyond)
-on rows whose input changes by 125 to 128 bits, and neurons with 0, 1 and more
-than 126 flipped weights. The special rows sit at 0, at fixed rows 511-513
-and 1023-1025, around the kernel's row chunk, at c - 1, c and c + 1, and
-around the block of the evaluator's trial update, at b - 1, b and b + 1.
+neuron's output from q and the exact change d of its count while no change
+can reach 127; a block where one could runs the dense forward instead. These
+models are built so that the second layer sees margins of exactly -127, -126,
+126 and 127 (and beyond) on rows whose input changes by up to 126 bits (the
+margins decide), or by 125 to 128 bits with neurons of 1 and more than 126
+flipped weights (the block falls back). The special rows sit at 0, at fixed
+rows 511-513 and 1023-1025, around the kernel's row chunk, at c - 1, c and
+c + 1, and around the block of the evaluator's trial update, at b - 1, b and
+b + 1.
 
-Every trial is checked two ways, exact on the integers: each hidden layer's
-words against the dense kernel on the faulty model, and the predictions
-against model_predict_batch, through output layers that read single neurons
-of the second layer.
+Trials are checked exact on the integers: each hidden layer's words against
+the dense kernel on the faulty model where the margins decide, and the
+predictions against model_predict_batch, through output layers that read
+single neurons of the second layer.
 """
 
 import copy
@@ -24,6 +26,7 @@ from bitflip_bnn import bitcore as bc
 from bitflip_bnn import faultsim
 from bitflip_bnn.bitcore import BinarizedLinearLayer, BitTensor, BnnModel, model_predict_batch
 from bitflip_bnn.faultsim import IncrementalEvaluator
+from tests.test_faultsim import incremental_predict
 
 _C = bc._MATRIX_CHUNK_ROWS
 _B = faultsim._UPDATE_BLOCK_ROWS
@@ -37,8 +40,10 @@ ROW_IDS = {f"row{r}": r for r in (0, 511, 512, 513, 1023, 1024, 1025)} | {
 }
 SPECIAL_ROWS = sorted(set(ROW_IDS.values()))
 ROWS = SPECIAL_ROWS[-1] + 5
-# second-layer input bits that change, per special row
+# second-layer input bits that change, per special row: up to 128, where the
+# margins cannot decide, and up to 126, the most they decide at |q| = 127
 CHANGED_BITS = [125 + a % 4 for a in range(len(SPECIAL_ROWS))]
+DECIDED_BITS = [126 - a % 4 for a in range(len(SPECIAL_ROWS))]
 N_IN = 96
 GROUP = 128  # first-layer neurons tuned to one special row each
 TARGETS = [-130, -128, -127, -126, -125, -1, 0, 1, 125, 126, 127, 128, 130]
@@ -58,16 +63,17 @@ def _probe(a: int, t: int, s: int) -> int:
     return (a * len(TARGETS) + TARGETS.index(t)) * len(SIGNS) + SIGNS.index(s)
 
 
-def _saturation_model(seed=70):
+def _saturation_model(seed=70, changed_bits=CHANGED_BITS, flip_second=True):
     """(model, inputs, faulty): a 96-(128 per special row)-WIDTH-10 model and a faulty copy.
 
     First layer: group a of 128 neurons sits at margin 0 on special row a, so
     one flipped weight that agreed with that row clears the neuron's output
-    there; the faulty copy flips the first CHANGED_BITS[a] neurons of group a.
+    there; the faulty copy flips the first changed_bits[a] neurons of group a.
     Second layer: probe neurons hold the group-a inputs at 0 (each cleared
     bit adds +1 to the count) or at 1 (-1), with T set for margin t on row a.
-    Neuron N_PROBES saturates at -127 on most rows and takes MANY flips;
-    neuron N_PROBES + 1 takes one flip.
+    Neuron N_PROBES saturates at -127 on most rows; with flip_second, it
+    takes MANY flips and neuron N_PROBES + 1 takes one. The model does not
+    depend on changed_bits or flip_second, only the faulty copy does.
     """
     rng = np.random.default_rng(seed)
     x = rng.random((ROWS, N_IN)) < 0.5
@@ -102,7 +108,7 @@ def _saturation_model(seed=70):
     bad0 = w0.copy()
     margins = _counts(x[SPECIAL_ROWS], w0) - t0  # (special rows, neurons)
     for a, row in enumerate(SPECIAL_ROWS):
-        for i in range(a * GROUP, a * GROUP + CHANGED_BITS[a]):
+        for i in range(a * GROUP, a * GROUP + changed_bits[a]):
             # a weight that agrees with row a, and whose flip moves no other
             # special row's margin of neuron i across 0
             agree = w0[i] == x[SPECIAL_ROWS]  # (special rows, inputs)
@@ -111,8 +117,9 @@ def _saturation_model(seed=70):
             col = np.flatnonzero(agree[a] & ~crosses.any(axis=0))[0]
             bad0[i, col] = ~bad0[i, col]
     bad1 = w1.copy()
-    bad1[N_PROBES, rng.permutation(len(w0))[:MANY]] ^= True
-    bad1[N_PROBES + 1, 3] ^= True
+    if flip_second:
+        bad1[N_PROBES, rng.permutation(len(w0))[:MANY]] ^= True
+        bad1[N_PROBES + 1, 3] ^= True
     faulty = copy.deepcopy(model)
     faulty.layers[0].weights = BitTensor.from_bool(bad0)
     faulty.layers[1].weights = BitTensor.from_bool(bad1)
@@ -144,6 +151,12 @@ def saturated():
     return _saturation_model()
 
 
+@pytest.fixture(scope="module")
+def decided():
+    """The same model, with a faulty copy whose changes the margins decide."""
+    return _saturation_model(changed_bits=DECIDED_BITS, flip_second=False)
+
+
 def test_the_model_reaches_the_int8_bounds(saturated):
     model, inputs, faulty = saturated
     evaluator = IncrementalEvaluator(model, inputs)
@@ -159,21 +172,37 @@ def test_the_model_reaches_the_int8_bounds(saturated):
     assert np.count_nonzero(q[:, N_PROBES] == -127) > ROWS // 2
 
 
-def test_hidden_words_equal_the_dense_kernel_at_the_int8_bounds(saturated):
-    model, inputs, faulty = saturated
+def test_hidden_words_equal_the_dense_kernel_at_the_int8_bounds(decided):
+    model, inputs, faulty = decided
     evaluator = IncrementalEvaluator(model, inputs)
+    dense = _dense_hidden_words(faulty, inputs)
+    changed = np.bitwise_count(dense[0] ^ evaluator.acts[1]).sum(axis=1)
+    assert changed[SPECIAL_ROWS].tolist() == DECIDED_BITS
     updated = _updated_hidden_words(evaluator, model, faulty)
-    for got, want in zip(updated, _dense_hidden_words(faulty, inputs)):
+    for got, want in zip(updated, dense):
         assert np.array_equal(got, want)
-    # only the pairs a saturated margin leaves ambiguous are recounted: the
-    # many-flip neuron's, and the probes at |q| = 127 on rows of 127 and 128 changes
-    assert 0 < evaluator.recounts < ROWS * 2
+    predictions = incremental_predict(evaluator, faulty)
+    assert np.array_equal(predictions, model_predict_batch(faulty, inputs))
+    assert evaluator.fallback_blocks == 0  # the margins decided every bit
     # the probes whose margin crosses 0 did move
     y1 = BitTensor((ROWS, WIDTH), updated[1]).unpack_bool()
     clean = evaluator.margins[1] >= 0
-    row, a = SPECIAL_ROWS[1], 1  # 126 changed bits
+    row, a = SPECIAL_ROWS[0], 0  # 126 changed bits
     assert y1[row, _probe(a, -125, +1)] and not clean[row, _probe(a, -125, +1)]
     assert not y1[row, _probe(a, 125, -1)] and clean[row, _probe(a, 125, -1)]
+
+
+def test_saturated_blocks_fall_back_to_the_dense_kernel(saturated):
+    # rows of 127 and 128 changed bits and a neuron of MANY flips could carry
+    # a margin of -127 or 127 across 0: the full model, and read-outs of two
+    # probes whose saturated margins the change does carry across 0
+    model, inputs, faulty = saturated
+    probes = [_probe(2, -128, +1), _probe(3, 127, -1)]  # rows of 127 and 128 changes
+    pairs = [(model, faulty)] + [(_readout(model, j), _readout(faulty, j)) for j in probes]
+    for clean, bad in pairs:
+        evaluator = IncrementalEvaluator(clean, inputs)
+        assert np.array_equal(incremental_predict(evaluator, bad), model_predict_batch(bad, inputs))
+        assert evaluator.fallback_blocks == 1
 
 
 def _readout(model, j):
@@ -194,7 +223,7 @@ def test_predictions_read_saturated_neurons_exactly(saturated, a, t, s):
     model, inputs, faulty = saturated
     j = _probe(a, t, s)
     read, read_faulty = _readout(model, j), _readout(faulty, j)
-    predictions = IncrementalEvaluator(read, inputs).predict(read_faulty)
+    predictions = incremental_predict(IncrementalEvaluator(read, inputs), read_faulty)
     expected = model_predict_batch(read_faulty, inputs)
     assert np.array_equal(predictions, expected)
     # the prediction is the neuron's bit, so the check reaches it
@@ -212,7 +241,7 @@ def test_predictions_equal_dense_with_many_flips_and_only_output_flips(saturated
     both = copy.deepcopy(faulty)
     both.layers[2].weights = output_only.layers[2].weights
     for bad in (faulty, output_only, both, model):
-        assert np.array_equal(evaluator.predict(bad), model_predict_batch(bad, inputs))
+        assert np.array_equal(incremental_predict(evaluator, bad), model_predict_batch(bad, inputs))
 
 
 def test_output_lead_at_the_bound_ties_to_the_lowest_class():
@@ -244,4 +273,5 @@ def test_output_lead_at_the_bound_ties_to_the_lowest_class():
     assert model_predict_batch(faulty, inputs)[2] == 0
     evaluator = IncrementalEvaluator(model, inputs)
     assert evaluator.lead[2] == 4
-    assert np.array_equal(evaluator.predict(faulty), model_predict_batch(faulty, inputs))
+    predictions = incremental_predict(evaluator, faulty)
+    assert np.array_equal(predictions, model_predict_batch(faulty, inputs))

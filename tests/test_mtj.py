@@ -201,6 +201,13 @@ def test_nan_pulse_and_tail_argument_are_refused(params):
         write_energy_mc(params, math.nan, P_TO_AP, 10, np.random.default_rng(0))
 
 
+def test_monte_carlo_refuses_an_infinite_pulse(params):
+    # no cell is left unswitched, but the conduction energy has no finite mean
+    assert ber_at_pulse(params, math.inf) == 0.0
+    with pytest.raises(ValueError, match="pulse width must be non-negative and finite"):
+        write_energy_mc(params, math.inf, P_TO_AP, 10, np.random.default_rng(0))
+
+
 def test_non_integer_shape_rejected(params):
     odd = MtjDeviceParams(
         diameter_nm=32, ra_ohm_um2=4, tmr=1.5, v_c=0.19, tau_0=1e-9, k=15.5, v_write=0.38
