@@ -69,16 +69,30 @@ _MAX_PAIRED_FAN_IN = 2047
 _ROUNDER = np.float32(3 * 2**22 * _PAIR_SHIFT)
 
 # Rows per gemm chunk. Bounds the chunk's float32 temporaries: its 0/1 inputs
-# (1.5 MiB for 784 inputs) and, for a paired 1024-wide layer, its (rows x 512)
-# product and split, 1 MiB each. On a 2-vCPU Xeon with OpenBLAS (2 threads)
-# and 10k rows of a 784-1024-1024-10 model, the paired l0 took 76, 77, 80 and
-# 81 ms in 256-, 512-, 768- and 1024-row chunks, and l1 94, 97, 101 and 99 ms
-# (medians of 9). With the splits loaded packed, 512 rows cut the
-# sweep-steep benchmark's peak RSS from 54.7 to 48.8 MiB (medians; lower in 9
-# of 9 alternating pairs, seed 1) at the same speed, 30.9k against 30.7k
-# items/s. The kernel's chunk-boundary tests name their row counts relative
+# (784 KiB for 784 inputs) and, for a paired 1024-wide layer, its (rows x 512)
+# product and split, 512 KiB each. Chosen with faultsim._SWEEP_BLOCK_ROWS, the
+# low-BER sweep's block, from the sweep-flat benchmark's peak RSS in MiB
+# (seed 1, medians of 3 fresh commands; 2-vCPU Xeon, OpenBLAS with 2 threads):
+#
+#     chunk rows | sweep blocks of 512  1024  2048
+#            128 |                47.7  48.0  50.8
+#            192 |                48.0  48.4  50.9
+#            256 |                48.1  48.6  51.1
+#            384 |                49.3  50.1  52.4
+#            512 |                51.0  51.7  54.1
+#
+# Timed against 512 x 2048 in fresh processes (medians of 10 alternating
+# pairs), 256 x 1024 ran the low-BER phase (3 BERs) in 331 against 321 ms at
+# 1 trial and 787 against 774 ms at 5 trials, faster in 5 and 4 pairs. Its
+# dense forward costs a little more: bare 256-row sgemm calls run about 8%
+# behind 512-row ones in process, and the sweep-steep benchmark (three dense
+# trials) read 3 to 7% fewer items/s, better in 2 of 12 pairs. The points
+# of lower peak were slower still: in process, 128-row chunks took the dense
+# forward from 158 to 189 ms (7 pairs), and in fresh processes the 5-trial
+# phase took 755 against 680 ms at 192 x 1024 and 756 against 665 ms at
+# 256 x 512. The kernel's chunk-boundary tests name their row counts relative
 # to this value, so changing it renames none of them.
-_MATRIX_CHUNK_ROWS = 512
+_MATRIX_CHUNK_ROWS = 256
 
 
 def words_per_row(n_bits: int) -> int:

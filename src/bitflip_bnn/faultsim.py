@@ -58,28 +58,31 @@ from .mnist_io import Dataset, binarize_input
 # Trials at or below this BER are scored incrementally against a clean pass.
 # On the 784-1024-1024-10 sweep model of the benchmark and 10k rows (2-vCPU
 # box, 2 BLAS threads, wall time, medians of 7 in-process runs of 3 trials;
-# 2048-row sweep blocks, 512-row kernel chunks) an update costs 48 ms at
-# 1e-4, 66 ms at 2e-4, 89 ms at 3e-4, 142 ms at 5e-4 and 270 ms at 1e-3,
-# against 158 ms for a dense trial with its flips: the crossover lies just
-# above 5e-4, so of the decade grid the paper sweeps, 1e-4 is the last BER
-# that pays to score incrementally.
+# 1024-row sweep blocks, 256-row kernel chunks) an update costs 55 ms at
+# 1e-4, 101 ms at 2e-4, 158 ms at 3e-4, 224 ms at 5e-4 and 331 ms at 1e-3,
+# against 185 to 207 ms for a dense trial with its flips: the crossover lies
+# between 3e-4 and 5e-4, so of the decade grid the paper sweeps, 1e-4 is the
+# last BER that pays to score incrementally.
 INCREMENTAL_MAX_BER = 1e-4
 
 # Test rows per block of the low-BER trials: each block gets its own clean
 # pass, and every trial is scored on it before the next block's, so the
-# margins, activations and scores are a block's. On the same model, 10k rows
-# and 3 trials (1e-6, 1e-5, 1e-4; medians of 11 alternating in-process runs,
-# 512-row kernel chunks and update blocks) the phase took 247, 238, 241 and
-# 250 ms in blocks of 1024, 2048, 4096 and 10k rows, with tracemalloc peaks
-# of 10.8, 13.1, 17.6 and 32.2 MiB. Below 2048 rows the per-block work of
-# every trial starts to show (updates 71 against 60 ms at 1024 rows).
-_SWEEP_BLOCK_ROWS = 2048
+# margins, activations and scores are a block's. Chosen with
+# bitcore._MATRIX_CHUNK_ROWS from the grid beside it: 1024-row blocks and
+# 256-row chunks hold the sweep-flat benchmark's peak RSS at 48.6 MiB,
+# against 54.1 MiB at 2048 and 512 rows, with no slowdown of the low-BER
+# phase that the box resolves. 512-row blocks saved 0.5 MiB more, but there
+# the per-block work of every trial showed: the phase of 3 BERs x 5 trials
+# took 756 against 665 ms.
+_SWEEP_BLOCK_ROWS = 1024
 
 # Rows per block of an incremental trial's update, which bounds its
-# temporaries. In the measurement above (2048-row sweep blocks), 256, 512,
-# 1024 and 2048 rows here gave updates of 74, 60, 59 and 57 ms, and
-# tracemalloc peaks of 13.1 MiB up to 1024 rows and 14.7 MiB at 2048: 512 is
-# the smallest block at full speed.
+# temporaries. On the same model and 10k rows (1024-row sweep blocks, 256-row
+# kernel chunks; medians of 7 alternating in-process runs), 256, 512 and 1024
+# rows here gave updates of 457, 341 and 319 ms for 3 BERs x 5 trials,
+# and tracemalloc peaks of 8.6, 8.6 and 9.5 MiB. 1024 rows raised the
+# sweep-flat benchmark's peak RSS from 48.8 to 49.2 MiB with the command's
+# wall unchanged (0.748 against 0.752 s, medians of 5), so 512 stays.
 _UPDATE_BLOCK_ROWS = 512
 
 # Weight bits per block of flip draws: a 1 MiB float64 block in place of one

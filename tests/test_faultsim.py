@@ -516,6 +516,41 @@ def test_blocked_sweep_equals_dense_trials_on_blocks_below_one_kernel_chunk(monk
     assert result.incremental_trials == 6 and moved > 0
 
 
+MIXED_GRID = [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.2]
+# kernel chunk rows, then sweep block rows: a third of a chunk, and blocks of
+# several chunks
+ROW_BLOCK_SIZES = [
+    pytest.param(chunk, block, id=f"chunk{chunk}-block{name}")
+    for chunk in (64, 256, 512)
+    for block, name in [(chunk // 3, "c/3"), (1024, "1024"), (2048, "2048")]
+]
+
+
+@pytest.fixture(scope="module")
+def row_block_case():
+    """(model, data, accuracies, predictions) at the module's own row-block sizes."""
+    model = _random_model(78, (784, 100, 70, 10))
+    data = _random_dataset(79, 2 * 2048 + 5)
+    accuracies = ber_sweep(model, data, MIXED_GRID, trials=2, master_seed=19).accuracies
+    predictions = model_predict_batch(model, binarize_input(data.images))
+    clean = float(np.mean(predictions == data.labels))
+    assert np.any(accuracies[1 : MIXED_GRID.index(1e-4) + 1] != clean)  # low-BER faults moved outputs
+    return model, data, accuracies, predictions
+
+
+@pytest.mark.parametrize("chunk,block", ROW_BLOCK_SIZES)
+def test_outputs_do_not_depend_on_the_row_block_sizes(monkeypatch, row_block_case, chunk, block):
+    # the rows span several chunks and blocks at every size, so a retune of
+    # either constant that changed an output would show here
+    model, data, accuracies, predictions = row_block_case
+    monkeypatch.setattr(bc, "_MATRIX_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(fs, "_SWEEP_BLOCK_ROWS", block)
+    result = ber_sweep(model, data, MIXED_GRID, trials=2, master_seed=19)
+    assert result.incremental_trials == 8
+    assert np.array_equal(result.accuracies, accuracies)
+    assert np.array_equal(model_predict_batch(model, binarize_input(data.images)), predictions)
+
+
 def test_sweep_draws_each_trials_flips_once_from_its_seed(monkeypatch, synth_model, synth_test):
     # no block re-draws flips, so perfbench's flip and zero-flip counters stay right
     calls = []
@@ -554,6 +589,22 @@ def test_low_ber_sweep_peak_does_not_grow_with_the_test_rows():
     one_block, four_blocks = sweep(_S), sweep(4 * _S)
     margins_of_one_block = _S * 1024 * np.dtype(np.int8).itemsize
     assert four_blocks - one_block < margins_of_one_block
+
+
+def test_dense_pass_working_set_does_not_grow_with_the_rows():
+    # the kernel unpacks one chunk of rows at a time, so each extra row adds
+    # only its packed activations of both hidden layers, its int64 scores and
+    # its prediction, not its 784 float32 inputs (3136 bytes)
+    model = _random_model(80, (784, 1024, 1024, 10))
+
+    def peak(rows):
+        inputs = _random_inputs(81, rows, 784)
+        return _traced_peak(lambda: model_predict_batch(model, inputs))
+
+    chunk = bc._MATRIX_CHUNK_ROWS
+    few, many = peak(4 * chunk + 3), peak(16 * chunk + 3)
+    per_row = 2 * bc.words_per_row(1024) * 8 + 10 * 8 + 8
+    assert many - few < 12 * chunk * per_row + 64 * 1024
 
 
 def test_low_ber_trials_hold_their_flips_not_faulty_models():

@@ -58,6 +58,22 @@ def _counts(x_bool, w_bool):
     return (x_bool[:, None, :] == w_bool[None, :, :]).sum(axis=2)
 
 
+def _free_column(w, special_x, a: int):
+    """First input column where weight row w agrees with special row a and whose flip
+    moves no other special row's margin across 0, or None.
+
+    The neuron sits at margin 0 on row a. A flip lowers by 1 the count of each
+    row that agreed with the weight and raises the others' by 1, so it moves a
+    margin across 0 where it lowers a 0 or raises a -1.
+    """
+    agree = w == special_x  # (special rows, inputs)
+    margins = agree.sum(axis=1) - agree[a].sum()
+    crosses = (agree & (margins[:, None] == 0)) | (~agree & (margins[:, None] == -1))
+    crosses[a] = False
+    free = np.flatnonzero(agree[a] & ~crosses.any(axis=0))
+    return free[0] if free.size else None
+
+
 def _probe(a: int, t: int, s: int) -> int:
     """Second-layer neuron whose margin on special row a is t and whose input moves it by s per bit."""
     return (a * len(TARGETS) + TARGETS.index(t)) * len(SIGNS) + SIGNS.index(s)
@@ -74,10 +90,20 @@ def _saturation_model(seed=70, changed_bits=CHANGED_BITS, flip_second=True):
     Neuron N_PROBES saturates at -127 on most rows; with flip_second, it
     takes MANY flips and neuron N_PROBES + 1 takes one. The model does not
     depend on changed_bits or flip_second, only the faulty copy does.
+
+    The flip of a first-layer neuron must move no other special row's margin
+    across 0 (_free_column). With more special rows, some random neurons
+    have no such column; they are drawn again, so that any number of a
+    group's neurons, up to GROUP, can be flipped whatever the row sizes.
     """
     rng = np.random.default_rng(seed)
     x = rng.random((ROWS, N_IN)) < 0.5
     w0 = rng.random((len(SPECIAL_ROWS) * GROUP, N_IN)) < 0.5
+    cols = np.empty(len(w0), dtype=np.intp)  # the column each neuron's flip takes
+    for i in range(len(w0)):
+        while (col := _free_column(w0[i], x[SPECIAL_ROWS], i // GROUP)) is None:
+            w0[i] = rng.random(N_IN) < 0.5
+        cols[i] = col
     t0 = np.empty(len(w0), dtype=np.int64)
     for a, row in enumerate(SPECIAL_ROWS):
         group = slice(a * GROUP, (a + 1) * GROUP)
@@ -106,16 +132,9 @@ def _saturation_model(seed=70, changed_bits=CHANGED_BITS, flip_second=True):
     model = BnnModel(layers, (N_IN,))
 
     bad0 = w0.copy()
-    margins = _counts(x[SPECIAL_ROWS], w0) - t0  # (special rows, neurons)
-    for a, row in enumerate(SPECIAL_ROWS):
-        for i in range(a * GROUP, a * GROUP + changed_bits[a]):
-            # a weight that agrees with row a, and whose flip moves no other
-            # special row's margin of neuron i across 0
-            agree = w0[i] == x[SPECIAL_ROWS]  # (special rows, inputs)
-            crosses = (agree & (margins[:, i, None] == 0)) | (~agree & (margins[:, i, None] == -1))
-            crosses[a] = False
-            col = np.flatnonzero(agree[a] & ~crosses.any(axis=0))[0]
-            bad0[i, col] = ~bad0[i, col]
+    for a in range(len(SPECIAL_ROWS)):
+        flipped = np.arange(a * GROUP, a * GROUP + changed_bits[a])
+        bad0[flipped, cols[flipped]] ^= True
     bad1 = w1.copy()
     if flip_second:
         bad1[N_PROBES, rng.permutation(len(w0))[:MANY]] ^= True
