@@ -16,13 +16,16 @@ two paths, chosen by BER alone:
   what they change is kept. The dataset is then taken one block of
   _SWEEP_BLOCK_ROWS rows at a time: an IncrementalEvaluator makes a clean
   pass over the block, keeping each hidden neuron's int8 margin
-  clip(count - T, -127, 127) per row, and every trial adds up the exact
-  changes of the counts its flips cause: over a flipped weight's columns,
-  over a row's changed input bits, and into the clean output scores. Every
-  new bit is decided from its margin and its change alone. Where a change
-  could carry a saturated margin across 0, the margins cannot decide, and
-  the trial runs the dense forward on that block instead. A trial's
-  accuracy is its correct predictions summed over the blocks;
+  clip(count - T, -127, 127) per row, and every trial updates the whole
+  block in one step per layer. In the hidden layers it adds up the exact
+  changes of the counts its flips cause, over a flipped weight's columns
+  and over a row's changed input bits, and decides every new bit from its
+  margin and its change alone. Where a change could carry a saturated
+  margin across 0, the margins cannot decide, and the trial runs the dense
+  forward on that block instead. In the output layer it rescores by
+  popcount, on their faulty inputs and weights, the rows whose prediction
+  the change could move. A trial's accuracy is its correct predictions
+  summed over the blocks;
 * above it, each trial in turn flips a copy and runs the full dense forward
   (_run_trial).
 
@@ -75,15 +78,6 @@ INCREMENTAL_MAX_BER = 1e-4
 # the per-block work of every trial showed: the phase of 3 BERs x 5 trials
 # took 756 against 665 ms.
 _SWEEP_BLOCK_ROWS = 1024
-
-# Rows per block of an incremental trial's update, which bounds its
-# temporaries. On the same model and 10k rows (1024-row sweep blocks, 256-row
-# kernel chunks; medians of 7 alternating in-process runs), 256, 512 and 1024
-# rows here gave updates of 457, 341 and 319 ms for 3 BERs x 5 trials,
-# and tracemalloc peaks of 8.6, 8.6 and 9.5 MiB. 1024 rows raised the
-# sweep-flat benchmark's peak RSS from 48.8 to 49.2 MiB with the command's
-# wall unchanged (0.748 against 0.752 s, medians of 5), so 512 stays.
-_UPDATE_BLOCK_ROWS = 512
 
 # Weight bits per block of flip draws: a 1 MiB float64 block in place of one
 # 8 MiB array of uniforms for a 1024x1024 layer.
@@ -210,21 +204,13 @@ def _bits(words: np.ndarray, rows: np.ndarray, positions: np.ndarray) -> np.ndar
     return (words.reshape(-1).take(index) >> (positions % WORD_BITS).astype(np.uint64)) & _ONE
 
 
-def _disagreements(x_words: np.ndarray, w_words: np.ndarray, within: np.ndarray) -> np.ndarray:
-    """(rows, classes) int64 positions set in `within` where each x row and each w row differ.
+def _disagreements(x_words: np.ndarray, w_words: np.ndarray) -> np.ndarray:
+    """(rows, classes) int64 positions where each x row and each w row differ.
 
-    Counted by popcount, _UPDATE_BLOCK_ROWS rows at a time; `within` holds
-    packed rows like x. Padding bits are zero in all three, so they never
-    count.
+    Counted by popcount. Padding bits are zero in both, so they never count.
     """
-    counts = np.empty((len(x_words), len(w_words)), dtype=np.int64)
-    buf = np.empty((min(len(x_words), _UPDATE_BLOCK_ROWS),) + w_words.shape, dtype=np.uint64)
-    for lo in range(0, len(x_words), _UPDATE_BLOCK_ROWS):
-        x = x_words[lo : lo + _UPDATE_BLOCK_ROWS]
-        differ = np.bitwise_xor(x[:, None, :], w_words[None], out=buf[: len(x)])
-        differ &= within[lo : lo + len(x), None, :]
-        counts[lo : lo + len(x)] = np.bitwise_count(differ).sum(axis=2, dtype=np.int64)
-    return counts
+    differ = np.bitwise_xor(x_words[:, None, :], w_words[None])
+    return np.bitwise_count(differ).sum(axis=2, dtype=np.int64)
 
 
 class _Flips:
@@ -243,8 +229,6 @@ class _Flips:
         self.clean_bits = _bits(clean.weights.words, neurons, self.inputs)
         self.bad_rows = bad.weights.words[self.hit]
         self.most = int(self.per_neuron.max()) if neurons.size else 0
-        # read on the incremental path alone, where no neuron has _SATURATED flips
-        self.reach = self.per_neuron.astype(_MARGIN_DTYPE)
 
     def weights(self) -> np.ndarray:
         """A new array of the faulty layer's packed weight rows."""
@@ -285,7 +269,6 @@ class _InputChanges:
 
     def __init__(self, x_words, flips: _Flips, rows, new):
         n = flips.clean.in_features
-        self.rows, self.new = rows, new
         self.diff = new ^ x_words[rows]
         self.flipped = np.bitwise_count(self.diff).sum(axis=1, dtype=np.int64)
         union = np.bitwise_or.reduce(self.diff, axis=0)[None]
@@ -296,26 +279,25 @@ class _InputChanges:
         local = np.zeros(n, dtype=np.intp)
         local[cols] = np.arange(len(cols))
         # every changed bit, by row, as its table row
-        self.bit_rows, positions = _set_bits(self.diff)
-        now_set = _bits(new, self.bit_rows, positions).astype(np.intp)
+        bit_rows, positions = _set_bits(self.diff)
+        now_set = _bits(new, bit_rows, positions).astype(np.intp)
         self.keys = local[positions] + len(cols) * (1 - now_set)
 
-    def minus_deltas(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """(order, acc) for changed rows a..b-1: acc[i] = -d of row a + order[i], all neurons.
+    def minus_deltas(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, acc) over the changed rows: acc[i] = -d of changed row order[i], all neurons.
 
         Rows are ordered by their changed bits, most first, so that the rows
         holding an s-th changed bit are a prefix and each slot adds one
         contiguous block of table rows.
         """
-        keys = self.keys[slice(*np.searchsorted(self.bit_rows, (a, b)))]
-        flipped = self.flipped[a:b]
+        flipped = self.flipped
         order = np.argsort(-flipped, kind="stable")
         first = (np.cumsum(flipped) - flipped)[order]
         depth = flipped[order]
-        acc = self.table.take(keys[first], axis=0)
+        acc = self.table.take(self.keys[first], axis=0)
         for slot in range(1, int(depth[0])):
             m = np.count_nonzero(depth > slot)
-            acc[:m] += self.table.take(keys[first[:m] + slot], axis=0)
+            acc[:m] += self.table.take(self.keys[first[:m] + slot], axis=0)
         return order, acc
 
 
@@ -330,10 +312,10 @@ class IncrementalEvaluator:
     One clean pass, through the dense kernel's own chunk loop, stores for
     every hidden layer its packed activations and its _MARGIN_DTYPE margins
     q = clip(count - T, -_SATURATED, _SATURATED) (row-major; the neuron fires
-    iff q >= 0), and the clean output scores, so the state scales with the
-    input rows: a sweep builds one evaluator per block of _SWEEP_BLOCK_ROWS
-    rows. A faulty model is then scored layer by layer, one block of
-    _UPDATE_BLOCK_ROWS rows at a time, as exact changes d of the counts:
+    iff q >= 0), and each row's clean prediction and lead over the runner-up
+    class, so the state scales with the input rows: a sweep builds one evaluator per block of _SWEEP_BLOCK_ROWS
+    rows. A faulty model is then scored layer by layer, each layer in one
+    update of all the rows, the hidden ones as exact changes d of the counts:
 
     * a flipped weight moves its neuron's count by a delta over its flipped
       columns, computed on the clean input;
@@ -345,9 +327,9 @@ class IncrementalEvaluator:
       _SATURATED. Where a row's bound reaches it, the margins cannot decide
       the layer, and the faulty copy runs the dense forward on the block
       instead (counted in fallback_blocks);
-    * the output layer is the clean scores plus deltas, for the rows whose
-      input changed and the classes that hold a flip, on the rows whose lead
-      over the runner-up class the change could overcome.
+    * the output layer rescores, by popcount on its faulty input words and
+      the faulty weights, the rows whose lead over the runner-up class the
+      change could overcome; every other row keeps its clean prediction.
 
     Only rows whose outputs really changed are carried to the next layer.
     The integers are the dense path's, so predictions equal
@@ -373,11 +355,11 @@ class IncrementalEvaluator:
             self.margins.append(margins)
         out = model.layers[-1]
         x = BitTensor((len(self.acts[-1]), out.in_features), self.acts[-1], validate=False)
-        self.scores = linear_forward(out, x)
-        self.predictions = np.argmax(self.scores, axis=1)
+        scores = linear_forward(out, x)
+        self.predictions = np.argmax(scores, axis=1)
         self.lead = None  # how far each row's top score leads the runner-up
         if out.out_features > 1:
-            top_two = np.partition(self.scores, -2, axis=1)[:, -2:]
+            top_two = np.partition(scores, -2, axis=1)[:, -2:]
             self.lead = top_two[:, 1] - top_two[:, 0]
         self.fallback_blocks = 0  # faulty copies scored by the dense forward
 
@@ -425,48 +407,33 @@ class IncrementalEvaluator:
         most = changes.flipped.max() if rows.size else 0
         if most + flips.most >= _SATURATED:
             return None
-        out_rows, out_words = [rows[:0]], [act[:0]]
-        for lo in range(0, len(x), _UPDATE_BLOCK_ROWS):
-            hi = min(lo + _UPDATE_BLOCK_ROWS, len(x))
-            a, b = np.searchsorted(rows, (lo, hi))
-            if not hit.size and a == b:
-                continue
-            words = act[lo:hi].copy()
-            same_input = np.ones(hi - lo, dtype=bool)  # rows of the block whose input is clean
-            if b > a:
-                order, acc = changes.minus_deltas(a, b)
-                local = rows[a:b][order] - lo
-                words[local] = _pack_bool_rows(q.take(local + lo, axis=0) >= acc)
-                same_input[local] = False
-            if hit.size:
-                q_hit = q[lo:hi, hit]
-                if b > a:
-                    # q - acc: the margin with the input's change, whose sign `words` holds
-                    margins = q_hit[local].astype(np.int32)
-                    margins -= acc[:, hit]
-                    self._toggle_hits(words, x[lo:hi], flips, local, margins)
-                same = np.flatnonzero(same_input)
-                self._toggle_hits(words, x[lo:hi], flips, same, q_hit[same])
-            moved = np.flatnonzero((words != act[lo:hi]).any(axis=1))
-            out_rows.append(lo + moved)
-            out_words.append(words[moved])
-        return np.concatenate(out_rows), np.concatenate(out_words)
+        words = act.copy()
+        if rows.size:
+            order, acc = changes.minus_deltas()
+            changed = rows[order]
+            words[changed] = _pack_bool_rows(q.take(changed, axis=0) >= acc)
+        if hit.size:
+            # q - acc: the margin with the input's change, whose sign `words` holds
+            margins = q[:, hit].astype(np.int32)
+            if rows.size:
+                margins[changed] -= acc[:, hit]
+            self._toggle_hits(words, x, flips, margins)
+        moved = np.flatnonzero((words != act).any(axis=1))
+        return moved, words[moved]
 
     @staticmethod
-    def _toggle_hits(words, x_words, flips, rows, margins):
+    def _toggle_hits(words, x_words, flips, margins):
         """Flip, in `words`, the hit-neuron bits that the weight flips change.
 
-        margins[i, h] is the margin of row rows[i] at neuron flips.hit[h], with
+        margins[i, h] is the int32 margin of row i at neuron flips.hit[h], with
         any change of its input, and `words` holds its sign. The f flips of a
         neuron move that margin by at most f, so only margins in [-f, f - 1]
         can change sign; only those pairs are scored, on the clean x rows.
         """
-        hit = flips.hit
-        pairs = np.flatnonzero((margins < flips.reach) & (margins >= -flips.reach))
-        i = pairs // len(hit)
-        h = pairs - i * len(hit)
-        before = margins.reshape(-1).take(pairs).astype(np.int32)
-        rows = rows[i]
+        hit, reach = flips.hit, flips.per_neuron
+        pairs = np.flatnonzero((margins < reach) & (margins >= -reach))
+        rows, h = np.divmod(pairs, len(hit))
+        before = margins.reshape(-1).take(pairs)
         after = before + flips.deltas(x_words, rows, h)
         toggled = np.flatnonzero((after >= 0) != (before >= 0))
         rows, j = rows[toggled], hit[h[toggled]]
@@ -477,34 +444,26 @@ class IncrementalEvaluator:
         )
 
     def _predict_output(self, flips, rows, new):
-        """Class predictions from the clean scores plus each row's and class's exact change.
+        """Class predictions, with the rows near a change scored on their faulty inputs.
 
         A score moves by at most 2 per changed input bit of its row and per
         flipped weight of its class, so a row whose top score leads the
         runner-up by more than twice that keeps its prediction and is skipped.
+        Every other row is scored from scratch, n - T - 2 * popcount(x ^ w'),
+        on its faulty input words x and the faulty weights w'.
         """
         x = self.acts[-1]
         predictions = self.predictions.copy()
         if self.lead is None:
             return predictions
-        diff = new ^ x[rows]
         reach = np.full(len(x), flips.most, dtype=np.int64)
-        reach[rows] += np.bitwise_count(diff).sum(axis=1, dtype=np.int64)
+        reach[rows] += np.bitwise_count(new ^ x[rows]).sum(axis=1, dtype=np.int64)
         near = np.flatnonzero(self.lead <= 4 * reach)
-        scores = self.scores[near]
-        if flips.hit.size:
-            r, h = np.divmod(np.arange(len(near) * len(flips.hit)), len(flips.hit))
-            delta = flips.deltas(x, near[r], h).reshape(len(near), len(flips.hit))
-            scores[:, flips.hit] += 2 * delta
-        # the rows of `near` whose input changed, and their place in `rows`
-        at = np.minimum(np.searchsorted(rows, near), len(rows) - 1)
-        moved = np.flatnonzero(rows[at] == near) if rows.size else at[:0]
-        at = at[moved]
-        # each changed input bit adds +1 to a class's count where it now agrees
-        # with the faulty weight and -1 where it now disagrees
-        d = -2 * _disagreements(new[at], flips.weights(), within=diff[at])
-        d += np.bitwise_count(diff[at]).sum(axis=1, dtype=np.int64)[:, None]
-        scores[moved] += 2 * d  # a score is 2 * count - n - T
+        faulty = x.copy()
+        faulty[rows] = new
+        out = flips.clean
+        scores = -2 * _disagreements(faulty[near], flips.weights())
+        scores += out.in_features - out.thresholds.astype(np.int64)
         predictions[near] = np.argmax(scores, axis=1)
         return predictions
 

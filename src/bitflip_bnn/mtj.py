@@ -413,8 +413,13 @@ def energy_ber_curve(
 
 def curve_workers(n_points: int) -> int:
     """Threads energy_ber_curve uses for n_points BERs: one per (point,
-    direction) job, at most one per CPU this process may run on."""
-    return min(n_points * len(DIRECTIONS), len(os.sched_getaffinity(0)))
+    direction) job, at most one per CPU this process may run on (per CPU of
+    the machine where the platform has no os.sched_getaffinity)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(n_points * len(DIRECTIONS), cpus)
 
 
 # ---------------------------------------------------------------------------

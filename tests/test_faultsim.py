@@ -366,8 +366,9 @@ def test_dense_only_grid_skips_clean_pass(synth_model, synth_test):
 
 def test_incremental_matches_dense_across_kernel_chunks():
     # the clean pass writes its margins one kernel chunk at a time, and a
-    # trial updates its rows one update block at a time
-    rows = 2 * max(bc._MATRIX_CHUNK_ROWS, fs._UPDATE_BLOCK_ROWS) + 5
+    # trial updates all of the evaluator's rows at once, here two sweep
+    # blocks and more
+    rows = 2 * max(bc._MATRIX_CHUNK_ROWS, fs._SWEEP_BLOCK_ROWS) + 5
     model = _random_model(64, (100, 70, 50, 10))
     inputs = _random_inputs(65, rows, 100)
     faulty = [flip_bits(model, ber, trial_seed(8, bi, 0)) for bi, ber in enumerate(LOW_BERS)]
@@ -375,10 +376,10 @@ def test_incremental_matches_dense_across_kernel_chunks():
 
 
 _C = bc._MATRIX_CHUNK_ROWS
-_B = fs._UPDATE_BLOCK_ROWS
+_B = fs._SWEEP_BLOCK_ROWS
 # fixed counts, named by their value, then counts around the kernel's chunk
-# (c) and the incremental update's block (b), named relative to each, so
-# that neither size renames or merges them
+# (c) and the sweep's block (b), the rows one incremental update covers,
+# named relative to each, so that neither size renames or merges them
 BOUNDARY_ROWS = [511, 512, 513, 1023, 1024, 1025, 1029, 2053] + [
     pytest.param(rows, id=name)
     for size, symbol in [(_C, "c"), (_B, "b")]
@@ -415,8 +416,8 @@ def test_incremental_equals_dense_by_flipped_layer(layers, rows):
 
 
 def test_incremental_int8_margins_fit_the_int16_count_budget():
-    # two int8 margin arrays, the output scores and the activations stay
-    # within 1.5 int16 count arrays of one hidden layer
+    # two int8 margin arrays, the clean predictions and leads and the
+    # activations stay within 1.5 int16 count arrays of one hidden layer
     rows, width = 4000, 256
     model = _random_model(68, (784, width, width, 10))
     inputs = _random_inputs(69, rows, 784)
@@ -605,6 +606,38 @@ def test_dense_pass_working_set_does_not_grow_with_the_rows():
     few, many = peak(4 * chunk + 3), peak(16 * chunk + 3)
     per_row = 2 * bc.words_per_row(1024) * 8 + 10 * 8 + 8
     assert many - few < 12 * chunk * per_row + 64 * 1024
+
+
+def test_incremental_update_holds_no_wide_count_per_row_and_neuron():
+    # one trial's update of a whole sweep block: most rows of the second
+    # layer's input change, yet each (row, neuron) pair holds at most three
+    # int8-sized values, never an int32 or int64 count
+    rows, width, classes = 1024, 1024, 10
+    model = _random_model(82, (784, width, width, classes))
+    inputs = _random_inputs(83, rows, 784)
+    evaluator = IncrementalEvaluator(model, inputs)
+    faulty = flip_bits(model, 1e-4, trial_seed(20, 0, 0))
+    flips = fs._layer_flips(model, faulty)
+    expected = model_predict_batch(faulty, inputs)
+    changed = (bc.linear_forward(faulty.layers[0], inputs).words != evaluator.acts[1]).any(axis=1)
+    assert np.count_nonzero(changed) > rows // 2
+
+    got = []
+    peak = _traced_peak(lambda: got.append(evaluator.predict_flips(flips)))
+    assert np.array_equal(got[0], expected) and evaluator.fallback_blocks == 0
+    hit = max(len(f.hit) for f in flips[:-1])
+    words = bc.words_per_row(width)
+    # the changed rows' int8 changes, their int8 clean margins and the bool
+    # comparison of the two; the hit neurons' int32 margins, their int8
+    # source and two bool masks; four copies of the packed activations; the
+    # output layer's near rows XORed with every class's weights
+    bound = (
+        3 * rows * width
+        + (4 + 1 + 2) * rows * hit
+        + 4 * rows * words * 8
+        + rows * classes * words * 8
+    )
+    assert peak < bound
 
 
 def test_low_ber_trials_hold_their_flips_not_faulty_models():

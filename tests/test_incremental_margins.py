@@ -8,8 +8,8 @@ models are built so that the second layer sees margins of exactly -127, -126,
 margins decide), or by 125 to 128 bits with neurons of 1 and more than 126
 flipped weights (the block falls back). The special rows sit at 0, at fixed
 rows 511-513 and 1023-1025, around the kernel's row chunk, at c - 1, c and
-c + 1, and around the block of the evaluator's trial update, at b - 1, b and
-b + 1.
+c + 1, and around the sweep's block, the rows one trial update covers, at
+b - 1, b and b + 1.
 
 Trials are checked exact on the integers: each hidden layer's words against
 the dense kernel on the faulty model where the margins decide, and the
@@ -29,9 +29,9 @@ from bitflip_bnn.faultsim import IncrementalEvaluator
 from tests.test_faultsim import incremental_predict
 
 _C = bc._MATRIX_CHUNK_ROWS
-_B = faultsim._UPDATE_BLOCK_ROWS
+_B = faultsim._SWEEP_BLOCK_ROWS
 # test ids of the special rows: fixed rows, named by their value, then rows
-# around the kernel's chunk (c) and the update's block (b), named relative to
+# around the kernel's chunk (c) and the sweep's block (b), named relative to
 # each, so that neither size renames or merges them
 ROW_IDS = {f"row{r}": r for r in (0, 511, 512, 513, 1023, 1024, 1025)} | {
     name: size + offset

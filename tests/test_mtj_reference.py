@@ -261,6 +261,15 @@ def test_curve_workers_bounded_by_jobs_and_cpus(monkeypatch):
     assert mtj.curve_workers(8) == 8
 
 
+@pytest.mark.parametrize("cpu_count,workers", [(4, 4), (None, 1)], ids=["4-cpus", "unknown"])
+def test_curve_workers_without_sched_getaffinity(monkeypatch, cpu_count, workers):
+    # macOS and Windows have no os.sched_getaffinity: count the machine's
+    # CPUs, or run one thread where even that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert mtj.curve_workers(8) == workers
+
+
 def test_nonpositive_sampled_resistance_is_numeric_error_in_a_pool_thread(params, monkeypatch):
     wide = MtjDeviceParams(**{**vars(params), "sigma_rp_rel": 2.0})
     threads = []
