@@ -7,9 +7,9 @@ XNOR + popcount reduction: for rows w and x of length n,
     popcount(XNOR(w, x)) == number of matching positions
     2 * popcount - n     == sum_i w_i * x_i   (the +-1 dot product)
 
-The kernel computes the same counts as a float32 matrix product of the
-inputs unpacked as 0/1 (bit set <-> +1) and the weights unpacked as +-1:
-x01 . w + m, where m counts the -1 weights of the row. It is exact while
+Hidden and conv layers compute the same counts as a float32 matrix product
+of the inputs unpacked as 0/1 (bit set <-> +1) and the weights unpacked as
++-1: x01 . w + m, where m counts the -1 weights of the row. It is exact while
 n < 2^24 (MAX_FAN_IN): every partial sum is then an integer float32 holds
 exactly, in any order.
 
@@ -26,7 +26,9 @@ of larger fan-in, or of one neuron, runs unpaired through the same loop.
 A hidden neuron fires (+1) iff popcount >= T, an integer threshold learned
 during training. The output layer emits the integer score
 2 * popcount - n - T so that an argmax (hardmax) over classes is well
-defined without any floating point.
+defined without any floating point. It is counted on the packed words, as
+n - T - 2 * popcount(x ^ w) with the last word's padding masked off
+(_disagreements), for every caller of linear_forward.
 
 Encoding conventions (fixed, they define the serialization format):
   * bit 1 <-> +1, bit 0 <-> -1; sign ties map to +1
@@ -93,6 +95,13 @@ _ROUNDER = np.float32(3 * 2**22 * _PAIR_SHIFT)
 # 256 x 512. The kernel's chunk-boundary tests name their row counts relative
 # to this value, so changing it renames none of them.
 _MATRIX_CHUNK_ROWS = 256
+
+# Bytes of the XOR buffer of _disagreements: a block takes as many x rows as
+# fit in it against all the w rows, at least one. 512 KiB ran as fast as any
+# budget from 128 KiB to 2 MiB on 10 neurons of 1024 bits over 1024 and 10k
+# rows and on 1025 of 2049 bits over 1025 rows (2-vCPU Xeon, numpy 2.4, three
+# rounds); 128 KiB was 15% slower on 1024 rows, 1 MiB peaked 0.5 MiB higher.
+_XOR_BLOCK_BYTES = 1 << 19
 
 
 def words_per_row(n_bits: int) -> int:
@@ -329,21 +338,24 @@ def _fire_levels(thresholds: np.ndarray, m: np.ndarray, n_bits: int) -> np.ndarr
     return levels.astype(np.float32)
 
 
-def popcount_chunks(x_words: np.ndarray, w_words: np.ndarray, n_bits: int):
-    """Yield (first_row, counts) for successive row chunks of the x rows.
+def _disagreements(x_words: np.ndarray, w_words: np.ndarray, n_bits: int) -> np.ndarray:
+    """(N, M) int64 positions among the first n_bits where each x row and each w row differ.
 
-    x_words: (N, wpr) uint64, w_words: (M, wpr) uint64; counts is a
-    (chunk rows, M) int32 array of the positions among the first n_bits where
-    an x row agrees with a w row, so stray padding bits cannot contribute.
+    Counted by popcount of x ^ w with the last word's padding masked off, so
+    stray padding bits never count, a block of x rows at a time through one
+    (rows, M, words) XOR buffer of about _XOR_BLOCK_BYTES.
     """
-    w, m = _paired_operands(w_words, n_bits)
-    m = m.astype(np.float32)
-    for rows, parts in _products(x_words, w, len(m), n_bits):
-        counts = np.empty((rows.stop - rows.start, len(m)), np.int32)
-        for neurons, p in parts:
-            # p + m in one pass, written as int32: the float32 sums are exact integers
-            np.add(p, m[neurons], out=counts[:, neurons], casting="unsafe")
-        yield rows.start, counts
+    counts = np.empty((len(x_words), len(w_words)), dtype=np.int64)
+    mask = tail_mask(n_bits)
+    step = max(1, _XOR_BLOCK_BYTES // w_words.nbytes)
+    buf = np.empty((min(len(x_words), step), *w_words.shape), dtype=np.uint64)
+    for lo in range(0, len(x_words), step):
+        x = x_words[lo : lo + step, None, :]
+        differ = np.bitwise_xor(x, w_words[None], out=buf[: len(x)])
+        differ[:, :, -1] &= mask
+        np.bitwise_count(differ, out=differ)
+        differ.sum(axis=2, dtype=np.int64, out=counts[lo : lo + len(x)])
+    return counts
 
 
 def xnor_popcount_row(w: BitTensor, x: BitTensor) -> int:
@@ -355,8 +367,7 @@ def xnor_popcount_row(w: BitTensor, x: BitTensor) -> int:
         raise ValueError("xnor_popcount_row expects 1-D packed rows")
     if w.n_bits != x.n_bits:
         raise ValueError(f"bit length mismatch: {w.n_bits} vs {x.n_bits}")
-    _, counts = next(popcount_chunks(x.words, w.words, w.n_bits))
-    return int(counts[0, 0])
+    return w.n_bits - int(_disagreements(x.words, w.words, w.n_bits)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +513,8 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
 
     x may be a single sample [in] (or any shape with in_features total bits)
     or a batch [N, in]. Hidden layers return a BitTensor of sign bits
-    (bit j set iff popcount_j >= T_j); the output layer returns integer
-    scores 2*popcount - n - T per neuron.
+    (bit j set iff popcount_j >= T_j) by the float32 kernel; the output layer
+    returns integer scores 2*popcount - n - T per neuron by XOR-popcount.
     """
     n = layer.in_features
     single = False
@@ -521,27 +532,22 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
         single = True
 
     if layer.is_output:
-        scores = np.empty((x.n_rows, layer.out_features), dtype=np.int64)
-        offset = n + layer.thresholds.astype(np.int64)
-        for lo, counts in popcount_chunks(x.words, layer.weights.words, n):
-            scores[lo : lo + len(counts)] = 2 * counts - offset
+        scores = _disagreements(x.words, layer.weights.words, n)
+        scores *= -2
+        scores += n - layer.thresholds.astype(np.int64)
         return scores[0] if single else scores
     out = _hidden_words(layer.weights.words, layer.thresholds, x.words, n)
     shape = (layer.out_features,) if single else (x.n_rows, layer.out_features)
     return BitTensor(shape, out, validate=False)
 
 
-def _hidden_words(w_words, thresholds, x_words, n_bits: int, margins=None) -> np.ndarray:
+def _hidden_words(w_words, thresholds, x_words, n_bits: int) -> np.ndarray:
     """Packed hidden-layer outputs of the x rows: bit j set iff row j of w agrees in >= T_j bits.
 
     Thresholded and packed chunk by chunk, so no (N, neurons) product array
-    exists. A given `margins`, a (N, neurons) signed integer array, also
-    receives each neuron's margin clip(count - T, -B, B), where B is the
-    largest value of the array's dtype and T is clipped as in _fire_levels,
-    written by the same chunk loop; the neuron fires iff its margin is >= 0.
+    exists.
     """
-    operands = _hidden_operands(w_words, thresholds, n_bits)
-    return _fire_words(operands, x_words, n_bits, margins)
+    return _fire_words(_hidden_operands(w_words, thresholds, n_bits), x_words, n_bits)
 
 
 def _hidden_operands(w_words, thresholds, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -555,7 +561,13 @@ def _hidden_operands(w_words, thresholds, n_bits: int) -> tuple[np.ndarray, np.n
 
 
 def _fire_words(operands, x_words, n_bits: int, margins=None) -> np.ndarray:
-    """The chunk loop of _hidden_words, on operands from _hidden_operands."""
+    """The chunk loop of _hidden_words, on operands from _hidden_operands.
+
+    A given `margins`, a (N, neurons) signed integer array, also receives
+    each neuron's margin clip(count - T, -B, B), where B is the largest value
+    of the array's dtype and T is clipped as in _fire_levels, written by the
+    same chunk loop; the neuron fires iff its margin is >= 0.
+    """
     w, levels = operands
     bound = None if margins is None else np.iinfo(margins.dtype).max
     out = np.empty((len(x_words), words_per_row(len(levels))), dtype=np.uint64)

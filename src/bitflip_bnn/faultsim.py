@@ -23,9 +23,9 @@ two paths, chosen by BER alone:
   margin and its change alone. Where a change could carry a saturated
   margin across 0, the margins cannot decide, and the trial runs the dense
   forward on that block instead. In the output layer it rescores by
-  popcount, on their faulty inputs and weights, the rows whose prediction
-  the change could move. A trial's accuracy is its correct predictions
-  summed over the blocks;
+  linear_forward (XOR-popcount) of the faulty layer the rows whose
+  prediction the change could move, on their faulty inputs. A trial's
+  accuracy is its correct predictions summed over the blocks;
 * above it, each trial in turn flips a copy and runs the full dense forward
   (_run_trial).
 
@@ -55,6 +55,7 @@ from .bitcore import (
     linear_forward,
     model_predict_batch,
     pm1,
+    require_linear,
 )
 from .mnist_io import Dataset, binarize_input
 
@@ -204,15 +205,6 @@ def _bits(words: np.ndarray, rows: np.ndarray, positions: np.ndarray) -> np.ndar
     return (words.reshape(-1).take(index) >> (positions % WORD_BITS).astype(np.uint64)) & _ONE
 
 
-def _disagreements(x_words: np.ndarray, w_words: np.ndarray) -> np.ndarray:
-    """(rows, classes) int64 positions where each x row and each w row differ.
-
-    Counted by popcount. Padding bits are zero in both, so they never count.
-    """
-    differ = np.bitwise_xor(x_words[:, None, :], w_words[None])
-    return np.bitwise_count(differ).sum(axis=2, dtype=np.int64)
-
-
 class _Flips:
     """The weight bits of one layer that a faulty copy flips, grouped by neuron.
 
@@ -327,9 +319,10 @@ class IncrementalEvaluator:
       _SATURATED. Where a row's bound reaches it, the margins cannot decide
       the layer, and the faulty copy runs the dense forward on the block
       instead (counted in fallback_blocks);
-    * the output layer rescores, by popcount on its faulty input words and
-      the faulty weights, the rows whose lead over the runner-up class the
-      change could overcome; every other row keeps its clean prediction.
+    * the output layer rescores the rows whose lead over the runner-up class
+      the change could overcome, by linear_forward (XOR-popcount) of the
+      faulty layer on their faulty inputs; every other row keeps its clean
+      prediction.
 
     Only rows whose outputs really changed are carried to the next layer.
     The integers are the dense path's, so predictions equal
@@ -338,8 +331,7 @@ class IncrementalEvaluator:
 
     def __init__(self, model: BnnModel, inputs: BitTensor, operands=None):
         """`operands`, the model's operands(), may be given to spare recomputing them."""
-        if not self.supports(model):
-            raise ValueError("incremental evaluation needs linear layers")
+        require_linear(model)
         n_in = model.layers[0].in_features
         if len(inputs.shape) != 2 or inputs.shape[1] != n_in:
             raise ValueError(f"expected inputs of {n_in} bits, got shape {inputs.shape}")
@@ -362,10 +354,6 @@ class IncrementalEvaluator:
             top_two = np.partition(scores, -2, axis=1)[:, -2:]
             self.lead = top_two[:, 1] - top_two[:, 0]
         self.fallback_blocks = 0  # faulty copies scored by the dense forward
-
-    @staticmethod
-    def supports(model: BnnModel) -> bool:
-        return all(isinstance(layer, BinarizedLinearLayer) for layer in model.layers)
 
     @staticmethod
     def operands(model: BnnModel) -> list:
@@ -449,8 +437,8 @@ class IncrementalEvaluator:
         A score moves by at most 2 per changed input bit of its row and per
         flipped weight of its class, so a row whose top score leads the
         runner-up by more than twice that keeps its prediction and is skipped.
-        Every other row is scored from scratch, n - T - 2 * popcount(x ^ w'),
-        on its faulty input words x and the faulty weights w'.
+        Every other row is scored anew by linear_forward, on its
+        faulty input words and the faulty layer.
         """
         x = self.acts[-1]
         predictions = self.predictions.copy()
@@ -459,12 +447,12 @@ class IncrementalEvaluator:
         reach = np.full(len(x), flips.most, dtype=np.int64)
         reach[rows] += np.bitwise_count(new ^ x[rows]).sum(axis=1, dtype=np.int64)
         near = np.flatnonzero(self.lead <= 4 * reach)
+        if not near.size:
+            return predictions
         faulty = x.copy()
         faulty[rows] = new
-        out = flips.clean
-        scores = -2 * _disagreements(faulty[near], flips.weights())
-        scores += out.in_features - out.thresholds.astype(np.int64)
-        predictions[near] = np.argmax(scores, axis=1)
+        inputs = BitTensor((len(near), flips.clean.in_features), faulty[near], validate=False)
+        predictions[near] = np.argmax(linear_forward(flips.faulty_layer(), inputs), axis=1)
         return predictions
 
 
@@ -475,7 +463,7 @@ def ber_sweep(
     trials: int,
     master_seed: int,
 ) -> SweepResult:
-    """Accuracy under injected faults over a BER grid, repeated `trials` times.
+    """Accuracy of a linear model under injected faults over a BER grid, `trials` times each.
 
     BERs must be sorted ascending. Each (ber, trial) evaluation flips a fresh
     copy of the model with its derived seed and scores it on the dataset:
@@ -495,15 +483,14 @@ def ber_sweep(
         raise ValueError("trials must be >= 1")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
+    require_linear(model)
 
     # binarize once; every trial scores the same packed bits
     inputs = binarize_input(dataset.images)
     labels = np.asarray(dataset.labels)
     accuracies = np.empty((len(bers), trials))
     # BERs ascend, so the low ones are a prefix of the grid
-    n_low = 0
-    if IncrementalEvaluator.supports(model):
-        n_low = sum(ber <= INCREMENTAL_MAX_BER for ber in bers)
+    n_low = sum(ber <= INCREMENTAL_MAX_BER for ber in bers)
     clean_pass_s, incremental_s, fallbacks = 0.0, 0.0, 0
     if n_low:
         accuracies[:n_low], clean_pass_s, incremental_s, fallbacks = _score_low_bers(

@@ -88,24 +88,36 @@ def test_flatten_preserves_values():
 # ---------------------------------------------------------------------------
 
 
+def _padded_pairs(w: BitTensor, x: BitTensor):
+    """(w, x) as given, then with every padding bit set in storage in w, in x and in both."""
+
+    def dirty(t: BitTensor) -> BitTensor:
+        words = t.words.copy()
+        words[:, -1] |= ~t.tail_mask
+        return BitTensor(t.shape, words, validate=False)
+
+    return [(w, x), (dirty(w), x), (w, dirty(x)), (dirty(w), dirty(x))]
+
+
 def test_popcount_identity_row():
     w = pack([1, -1, 1])
-    assert xnor_popcount_row(w, w) == 3
+    for a, b in _padded_pairs(w, w):
+        assert xnor_popcount_row(a, b) == 3
 
 
 def test_popcount_hand_case():
     # only position 0 matches; +-1 dot product is -1 = 2*1 - 3
-    w = pack([1, -1, 1])
-    x = pack([1, 1, -1])
-    assert xnor_popcount_row(w, x) == 1
+    for w, x in _padded_pairs(pack([1, -1, 1]), pack([1, 1, -1])):
+        assert xnor_popcount_row(w, x) == 1
 
 
 def test_popcount_random_1000_bits_matches_dot_product():
     rng = np.random.default_rng(7)
     a = random_signs(rng, 1000)
     b = random_signs(rng, 1000)
-    pc = xnor_popcount_row(pack(a), pack(b))
-    assert 2 * pc - 1000 == int(np.dot(a.astype(np.int64), b.astype(np.int64)))
+    dot = int(np.dot(a.astype(np.int64), b.astype(np.int64)))
+    for w, x in _padded_pairs(pack(a), pack(b)):
+        assert 2 * xnor_popcount_row(w, x) - 1000 == dot
 
 
 def test_popcount_length_mismatch():
@@ -119,8 +131,9 @@ def test_popcount_equals_pm1_dot_product(n, seed):
     rng = np.random.default_rng(seed)
     a = random_signs(rng, n)
     b = random_signs(rng, n)
-    pc = xnor_popcount_row(pack(a), pack(b))
-    assert 2 * pc - n == int(np.dot(a.astype(np.int64), b.astype(np.int64)))
+    dot = int(np.dot(a.astype(np.int64), b.astype(np.int64)))
+    for w, x in _padded_pairs(pack(a), pack(b)):
+        assert 2 * xnor_popcount_row(w, x) - n == dot
 
 
 def test_padding_bits_never_affect_popcount():

@@ -6,16 +6,19 @@ counts. The reference here never goes through that kernel: it takes the +-1
 dot products of the unpacked rows (a float64 matrix product, exact for these
 integers) as int64 and derives counts, sign bits and scores from them in
 int64. Inputs include rows that agree with, or oppose, both neurons of a pair
-in every position, so that each split sees |p_j| = n.
+in every position, so that each split sees |p_j| = n. The output layer's
+scores, which bitcore counts by XOR-popcount instead, are checked against
+the same dot products, and so is the memory one of its forwards holds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bitflip_bnn import bitcore as bc
-from bitflip_bnn.bitcore import BinarizedLinearLayer, BitTensor, linear_forward, popcount_chunks
+from bitflip_bnn.bitcore import BinarizedLinearLayer, BitTensor, linear_forward
 
 _C = bc._MATRIX_CHUNK_ROWS
 # around the last paired fan-in (2047) and the first unpaired one (2048)
@@ -90,9 +93,11 @@ def test_paired_kernel_matches_int64_dot_products(n, k, rows):
     dots = _dot_pm1(x_bool, w_bool)
     agree = (dots + n) // 2
 
-    chunks = list(popcount_chunks(x.words, weights.words, n))
-    assert [lo for lo, _ in chunks] == list(range(0, rows, _C))
-    assert np.array_equal(np.concatenate([c for _, c in chunks]), agree)
+    # the kernel's int16 margins at T = 0 are its counts, since n < 2^15
+    counts = np.empty((rows, k), dtype=np.int16)
+    zero = np.zeros(k, dtype=np.int32)
+    bc._fire_words(bc._hidden_operands(weights.words, zero, n), x.words, n, counts)
+    assert np.array_equal(counts, agree)
 
     for thresholds in _threshold_sets(rng, n, k):
         words = bc._hidden_words(weights.words, thresholds, x.words, n)
@@ -101,9 +106,8 @@ def test_paired_kernel_matches_int64_dot_products(n, k, rows):
         # what the clean pass of IncrementalEvaluator stores, thresholds
         # outside [0, n] included: the margin of T clipped to [-1, n+1]
         margins = np.full((rows, k), 99, dtype=np.int8)
-        assert np.array_equal(
-            bc._hidden_words(weights.words, thresholds, x.words, n, margins), words
-        )
+        operands = bc._hidden_operands(weights.words, thresholds, n)
+        assert np.array_equal(bc._fire_words(operands, x.words, n, margins), words)
         clipped = np.clip(thresholds.astype(np.int64), -1, n + 1)
         assert np.array_equal(margins, np.clip(agree - clipped, -127, 127))
         assert np.array_equal(margins >= 0, bits)
@@ -125,9 +129,30 @@ def test_margins_clip_to_the_range_of_their_dtype(dtype):
     agree = (_dot_pm1(x_bool, w_bool) + n) // 2
     for thresholds in _threshold_sets(rng, n, k):
         margins = np.empty((rows, k), dtype=dtype)
-        bc._hidden_words(weights.words, thresholds, x.words, n, margins)
+        bc._fire_words(bc._hidden_operands(weights.words, thresholds, n), x.words, n, margins)
         bound = np.iinfo(dtype).max
         clipped = np.clip(thresholds.astype(np.int64), -1, n + 1)
         assert np.array_equal(margins, np.clip(agree - clipped, -bound, bound))
         largest = np.abs(margins).max()
         assert (largest == 127) if dtype == np.int8 else (largest > 127)
+
+
+def test_output_forward_holds_its_scores_and_one_xor_block():
+    # the widest case above: 1025 neurons of 2049 bits over 1025 rows
+    rng = np.random.default_rng(31)
+    n, k, rows = 2049, 1025, 1025
+    w_bool, x_bool = _weights_and_inputs(rng, n, k, rows)
+    weights, x = BitTensor.from_bool(w_bool), BitTensor.from_bool(x_bool)
+    output = BinarizedLinearLayer(weights, rng.integers(0, n, k), is_output=True)
+    # the int64 scores, one XOR block (at least one row against every
+    # neuron), and 64 KiB for the small temporaries: the n - T vector and
+    # the reduction's buffers
+    bound = rows * k * 8 + max(bc._XOR_BLOCK_BYTES, weights.words.nbytes) + 64 * 1024
+    tracemalloc.start()
+    try:
+        scores = linear_forward(output, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(scores, _dot_pm1(x_bool, w_bool) - output.thresholds)
+    assert peak <= bound, f"peak {peak} B above {bound} B"

@@ -1,11 +1,14 @@
-"""Differential tests of the float32 popcount kernel against the uint64 XNOR loop.
+"""Differential tests of the package's two counts against the uint64 XNOR loop.
 
 `popcount_oracle` is the package's former production kernel: for each 64-bit
 word it XNORs every x row with every w row, masks the padding of the last
-word and adds the popcount. Every forward of the package now counts through
-`bitcore.popcount_chunks`, a +-1 float32 matrix product; these tests require
-it to give the oracle's integers exactly, across the row-chunk boundary,
-with dirty padding and with thresholds that force constant outputs.
+word and adds the popcount. Hidden and conv layers now count through the
++-1 float32 matrix product of `bitcore._fire_words`, read here as its int16
+margins at T = 0, which are the counts themselves; the output layer counts
+by XOR-popcount in `bitcore._disagreements`, read through the scores of
+`linear_forward`. These tests require both to give the oracle's integers
+exactly, across the row-chunk boundary, with dirty padding and with
+thresholds that force constant outputs.
 """
 
 import math
@@ -20,7 +23,6 @@ from bitflip_bnn.bitcore import (
     BitTensor,
     conv_forward,
     linear_forward,
-    popcount_chunks,
     tail_mask,
 )
 
@@ -55,10 +57,12 @@ def popcount_oracle(x_words: np.ndarray, w_words: np.ndarray, n_bits: int) -> np
     return counts
 
 
-def _chunked_counts(x_words, w_words, n_bits):
-    chunks = list(popcount_chunks(x_words, w_words, n_bits))
-    assert [lo for lo, _ in chunks] == list(range(0, len(x_words), bc._MATRIX_CHUNK_ROWS))
-    return np.concatenate([counts for _, counts in chunks])
+def _kernel_counts(x_words, w_words, n_bits):
+    """The float32 kernel's counts: its int16 margins at T = 0, exact for n_bits < 2^15."""
+    margins = np.empty((len(x_words), len(w_words)), dtype=np.int16)
+    operands = bc._hidden_operands(w_words, np.zeros(len(w_words), np.int32), n_bits)
+    bc._fire_words(operands, x_words, n_bits, margins)
+    return margins
 
 
 def _random_bits(rng, rows, n_bits):
@@ -95,10 +99,9 @@ def test_kernel_and_linear_forward_equal_oracle(n_bits, rows):
     thr = _thresholds(rng, n_bits)
     expected = popcount_oracle(x.words, w.words, n_bits)
 
-    for xt, wt in [(x, w), (_dirty(x), _dirty(w))]:
-        counts = _chunked_counts(xt.words, wt.words, n_bits)
-        assert counts.dtype == np.int32
-        assert np.array_equal(counts, expected)
+    # dirty padding on one side only, too: there an unmasked XOR would count it
+    for xt, wt in [(x, w), (_dirty(x), w), (x, _dirty(w)), (_dirty(x), _dirty(w))]:
+        assert np.array_equal(_kernel_counts(xt.words, wt.words, n_bits), expected)
 
         hidden = linear_forward(_layer(wt, thr, is_output=False), xt)
         assert hidden.shape == (rows, OUT_FEATURES)
