@@ -474,8 +474,6 @@ class BnnModel:
     """Ordered stack of binarized layers; the last layer emits class scores."""
 
     layers: list[Layer]
-    input_shape: tuple[int, ...] | None = None
-    class_count: int = 0
 
     def __post_init__(self):
         if not self.layers:
@@ -494,13 +492,6 @@ class BnnModel:
                         f"layer {i} emits {prev.out_features} bits but layer {i + 1} "
                         f"expects {nxt.in_features}"
                     )
-        if self.class_count == 0:
-            self.class_count = last.out_features
-        elif self.class_count != last.out_features:
-            raise ValueError("class_count disagrees with the output layer width")
-        if self.input_shape is not None:
-            self.input_shape = tuple(int(d) for d in self.input_shape)
-
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +617,6 @@ def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:
 
 def model_scores(model: BnnModel, x: BitTensor) -> np.ndarray:
     """Run the full stack and return output-layer integer scores."""
-    has_conv = any(isinstance(l, BinarizedConvLayer) for l in model.layers)
-    if model.input_shape is not None and not has_conv:
-        n_in = int(np.prod(model.input_shape, dtype=np.int64))
-        if x.shape[-1] != n_in and x.total_bits != n_in:
-            raise ValueError(
-                f"input shape {x.shape} incompatible with model input {model.input_shape}"
-            )
     act = x
     for layer in model.layers:
         if isinstance(layer, BinarizedLinearLayer):
@@ -654,11 +638,7 @@ def require_linear(model: BnnModel) -> None:
 def model_predict_batch(model: BnnModel, x: BitTensor) -> np.ndarray:
     """Predict classes for a [N, in] batch of a linear model."""
     require_linear(model)
-    scores = model_scores(model, x)
-    scores = np.asarray(scores)
-    if scores.ndim == 1:
-        scores = scores[None, :]
-    return np.argmax(scores, axis=1)
+    return np.argmax(np.atleast_2d(model_scores(model, x)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +745,8 @@ def load_model_bytes(data: bytes) -> BnnModel:
         else:
             raise FormatError(f"unknown layer kind {kind}", r.offset - 1)
     r.expect_eof()
-
-    first = layers[0]
-    input_shape = (first.in_features,) if isinstance(first, BinarizedLinearLayer) else None
     try:
-        return BnnModel(layers, input_shape)
+        return BnnModel(layers)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

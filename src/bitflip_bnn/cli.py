@@ -117,7 +117,7 @@ def _write_manifest(
     params: dict,
     outputs: list[Path],
     started: float,
-    stats: dict | None = None,
+    stats: dict,
 ) -> None:
     """Write the reproducibility record <csv_path>.manifest.
 
@@ -128,7 +128,6 @@ def _write_manifest(
     _peak_rss), and the wall time since `started`.
     """
     duration_s = time.monotonic() - started
-    stats = stats or {}
     lines = [f"command={command}"]
     lines += [f"param.{key}={_fmt(params[key])}" for key in sorted(params, key=_key_order)]
     if params.get("seed") is not None:
@@ -274,10 +273,10 @@ def cmd_train(args) -> int:
         epoch_started = now
         print(f"epoch {epoch}: train_loss={loss:.4f} test_accuracy={acc:.4f}", file=sys.stderr)
 
-    latent, history = train(
-        train_set, config, MNIST_LAYER_SIZES, test_set, log_path=log_path, progress=progress
-    )
+    latent, history = train(train_set, config, MNIST_LAYER_SIZES, test_set, progress=progress)
     save_model(export_model(latent), out)
+    rows = [f"{epoch},{loss!r},{acc!r}" for epoch, loss, acc in history]
+    _write_csv(log_path, "epoch,train_loss,test_accuracy", rows)
     params = {
         "data_dir": args.data_dir,
         "out": str(out),

@@ -152,7 +152,7 @@ def flip_bits(model: BnnModel, ber: float, seed) -> BnnModel:
         replace(layer, weights=_flip_tensor(layer.weights, ber, rng))
         for layer in model.layers
     ]
-    return BnnModel(layers, model.input_shape, model.class_count)
+    return BnnModel(layers)
 
 
 def accuracy(model: BnnModel, dataset: Dataset) -> float:
@@ -375,7 +375,7 @@ class IncrementalEvaluator:
             if changed is None:
                 self.fallback_blocks += 1
                 layers = [f.faulty_layer() for f in flips]
-                faulty = BnnModel(layers, self.model.input_shape, self.model.class_count)
+                faulty = BnnModel(layers)
                 return model_predict_batch(faulty, self.inputs)
             rows, new = changed
         return self._predict_output(flips[-1], rows, new)

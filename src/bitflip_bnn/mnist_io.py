@@ -40,7 +40,7 @@ _LOAD_BLOCK_ROWS = 512
 
 @dataclass
 class Dataset:
-    """Images, one per label 0..9, in either of two forms.
+    """Images, one per label 0..9, in one of three forms.
 
     load_dataset gives a BitTensor of shape [N, rows*cols]: bit 1 is a pixel
     byte >= 128, the +1 bit of binarize_input, and no byte per pixel is ever

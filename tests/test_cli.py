@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from bitflip_bnn.mnist_io import (
     binarize_input,
     load_dataset,
     load_idx_images,
+    load_idx_labels,
 )
 from bitflip_bnn.mtj import WITH_DEVICE_VARIATIONS, parse_device_config
 from tests.conftest import synthetic_dataset, write_idx_images, write_idx_labels
@@ -63,8 +65,8 @@ def trained(tmp_path_factory, synth_data_dir):
 
 def test_train_writes_model_log_and_manifest(trained):
     model = load_model(trained)
-    assert model.input_shape == (784,)
-    assert model.class_count == 10
+    assert model.layers[0].in_features == 784
+    assert model.layers[-1].out_features == 10
     log = trained.parent / (trained.name + ".log.csv")
     lines = log.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,test_accuracy"
@@ -117,6 +119,69 @@ def test_train_bytes_same_for_any_blas_thread_count(synth_data_dir, tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append((out.read_bytes(), (out.parent / "model.bnn.log.csv").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+ORACLE_SWEEP_BERS = [0.0, 1e-6, 1e-4, 1e-3, 1e-2, 0.2]  # both scoring paths of the sweep
+# a device unlike the built-in nominal one in every key, so none of them is ignored
+ORACLE_DEVICE = """\
+diameter_nm=40
+ra_ohm_um2=5
+tmr=1.2
+vc_mv=200
+v_over_vc=1.8
+tau0_ns=1.5
+gamma_k=12
+sigma_tmr_rel=0.04
+sigma_rp_rel=0.06
+"""
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """perfbench's output oracles, which share no code with the package."""
+    if not ORACLE.exists():
+        pytest.skip("perfbench/oracle.py is not in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _test_split(data_dir):
+    return load_idx_images(data_dir / TEST_IMAGES), load_idx_labels(data_dir / TEST_LABELS)
+
+
+def test_ber_sweep_agrees_with_the_oracle(oracle, trained, synth_data_dir, tmp_path):
+    bers = ",".join(map(repr, ORACLE_SWEEP_BERS))
+    args = [
+        "ber-sweep", "--model", str(trained), "--data-dir", str(synth_data_dir),
+        "--bers", bers, "--trials", "2", "--seed", "6", "--out", str(tmp_path / "sweep.csv"),
+    ]
+    assert main(args) == 0
+    manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+    stats = dict(line.split("=", 1) for line in manifest)
+    assert int(stats["sweep.incremental_trials"]) > 0 and int(stats["sweep.dense_trials"]) > 0
+    pixels, labels = _test_split(synth_data_dir)
+    assert oracle.check_sweep(tmp_path, trained, pixels, labels, ORACLE_SWEEP_BERS, 2, 6) == []
+
+
+def test_energy_curve_agrees_with_the_oracle(oracle, tmp_path):
+    device = tmp_path / "device.cfg"
+    device.write_text(ORACLE_DEVICE)
+    bers = [1e-1, 1e-2, 1e-3, 1e-4]
+    args = [
+        "energy-curve", "--device", str(device), "--bers", ",".join(map(repr, bers)),
+        "--samples", "20000", "--mode", "variations", "--seed", "9",
+        "--out", str(tmp_path / "energy.csv"),
+    ]
+    assert main(args) == 0
+    assert oracle.check_energy(tmp_path, ORACLE_DEVICE, bers, 20000, 9) == []
+
+
+def test_train_model_and_log_agree_with_the_oracle(oracle, trained, synth_data_dir):
+    pixels, labels = _test_split(synth_data_dir)
+    assert oracle.check_train(trained.parent, pixels, labels, (784, 1024, 1024, 10)) == []
 
 
 def test_train_missing_data_dir(tmp_path):
@@ -842,7 +907,7 @@ def test_ber_sweep_library_checks_are_usage_errors(
     assert not out.exists()
 
 
-def test_mnist_commands_pass_bool_images(trained, synth_data_dir, tmp_path, monkeypatch):
+def test_mnist_commands_pass_packed_images(trained, synth_data_dir, tmp_path, monkeypatch):
     # the pixel bits reach the library packed: a [N, 784] BitTensor, bit 1 iff byte >= 128
     from bitflip_bnn import cli
 

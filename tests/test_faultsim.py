@@ -273,7 +273,7 @@ def _random_model(seed, sizes):
         thresholds = rng.integers(-2, 3, n_out) + (0 if last else n_in // 2)
         weights = BitTensor.from_bool(rng.random((n_out, n_in)) < 0.5)
         layers.append(BinarizedLinearLayer(weights, thresholds, is_output=last))
-    return BnnModel(layers, (sizes[0],))
+    return BnnModel(layers)
 
 
 def _random_inputs(seed, rows, n_bits):

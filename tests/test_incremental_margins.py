@@ -129,7 +129,7 @@ def _saturation_model(seed=70, changed_bits=CHANGED_BITS, flip_second=True):
             is_output=True,
         ),
     ]
-    model = BnnModel(layers, (N_IN,))
+    model = BnnModel(layers)
 
     bad0 = w0.copy()
     for a in range(len(SPECIAL_ROWS)):
@@ -233,7 +233,7 @@ def _readout(model, j):
     w = np.zeros((2, WIDTH), dtype=bool)
     w[1, j] = True
     out = BinarizedLinearLayer(BitTensor.from_bool(w), np.zeros(2, dtype=np.int32), is_output=True)
-    return BnnModel(model.layers[:-1] + [out], model.input_shape)
+    return BnnModel(model.layers[:-1] + [out])
 
 
 @pytest.mark.parametrize("a", [SPECIAL_ROWS.index(r) for r in ROW_IDS.values()], ids=list(ROW_IDS))
@@ -279,8 +279,7 @@ def test_output_lead_at_the_bound_ties_to_the_lowest_class():
         [
             BinarizedLinearLayer(BitTensor.from_bool(w0), t0.astype(np.int32)),
             BinarizedLinearLayer(BitTensor.from_bool(w1), t1.astype(np.int32), is_output=True),
-        ],
-        (40,),
+        ]
     )
     faulty = copy.deepcopy(model)
     bits = w0.copy()

@@ -437,22 +437,19 @@ def test_toy_training_mostly_non_increasing_across_seeds():
     assert improved >= 9
 
 
-def test_train_deterministic_and_logs(tmp_path):
+def test_train_deterministic_and_returns_history():
     data = synthetic_dataset(300, seed=21)
     test = synthetic_dataset(100, seed=22)
     config = TrainConfig(epochs=2, batch_size=30, seed=5)
 
-    log_a = tmp_path / "a.csv"
-    model_a, hist_a = train(data, config, (784, 32, 10), test, log_path=log_a)
+    model_a, hist_a = train(data, config, (784, 32, 10), test)
     model_b, hist_b = train(data, config, (784, 32, 10), test)
     assert hist_a == hist_b
     assert dump_model(export_model(model_a)) == dump_model(export_model(model_b))
 
-    lines = log_a.read_text().splitlines()
-    assert lines[0] == "epoch,train_loss,test_accuracy"
-    assert len(lines) == 3
-    epoch, loss, acc = lines[1].split(",")
-    assert epoch == "1" and float(loss) > 0 and 0.0 <= float(acc) <= 1.0
+    assert len(hist_a) == 2
+    epoch, loss, acc = hist_a[0]
+    assert epoch == 1 and loss > 0 and 0.0 <= acc <= 1.0
 
 
 def test_train_different_seeds_differ():

@@ -380,17 +380,16 @@ def test_fold_neuron_nan_gamma_keeps_the_negated_row():
 # ---------------------------------------------------------------------------
 
 
-def _train_bytes(tmp_path, tag):
+def _train_bytes():
     data = synthetic_dataset(300, seed=31)  # 4 full batches of 64 and one of 44
     test = synthetic_dataset(100, seed=32)
-    log = tmp_path / f"{tag}.csv"
     config = TrainConfig(epochs=2, batch_size=64, seed=8)
-    latent, history = train(data, config, (784, 48, 32, 10), test, log_path=log)
-    return dump_model(export_model(latent)), history, log.read_bytes()
+    latent, history = train(data, config, (784, 48, 32, 10), test)
+    return dump_model(export_model(latent)), history
 
 
-def test_train_matches_reference_formulas(tmp_path, monkeypatch):
-    fast = _train_bytes(tmp_path, "fast")
+def test_train_matches_reference_formulas(monkeypatch):
+    fast = _train_bytes()
     monkeypatch.setattr(tr, "_sign_pm1", reference_sign_pm1)
     monkeypatch.setattr(tr, "_gate_weight_grad", reference_gate_weight_grad)
     monkeypatch.setattr(tr, "backward_ste", reference_backward_ste)
@@ -398,5 +397,5 @@ def test_train_matches_reference_formulas(tmp_path, monkeypatch):
     monkeypatch.setattr(tr, "_fold_neuron", reference_fold_neuron)
     monkeypatch.setattr(tr, "pm1", reference_pm1)
     monkeypatch.setattr(BitTensor, "unpack", reference_unpack)
-    ref = _train_bytes(tmp_path, "ref")
+    ref = _train_bytes()
     assert fast == ref
