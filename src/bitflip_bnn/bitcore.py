@@ -232,12 +232,6 @@ class BitTensor:
         """Unpack to an int8 array of +1/-1."""
         return pm1(_unpack_bits(self.words, self.n_bits), np.int8).reshape(self.shape)
 
-    def flatten(self) -> "BitTensor":
-        """Repack as a 1-D tensor (padding is re-laid-out, values preserved)."""
-        if len(self.shape) == 1:
-            return self
-        return BitTensor.from_bool(self.unpack_bool().reshape(-1))
-
     def copy(self) -> "BitTensor":
         return BitTensor(self.shape, self.words.copy(), validate=False)
 
@@ -406,7 +400,7 @@ class BinarizedLinearLayer:
 
 @dataclass
 class BinarizedConvLayer:
-    """2-D binarized convolution layer.
+    """2-D binarized convolution layer for conv_forward; a BnnModel holds none.
 
     weights: BitTensor [filters, in_channels, k_h, k_w]
     thresholds: int32 vector, length filters, as for the linear layer
@@ -441,7 +435,11 @@ class BinarizedConvLayer:
         return self.weights.shape[2], self.weights.shape[3]
 
 
-Layer = BinarizedLinearLayer | BinarizedConvLayer
+# Why a BnnModel, and so a BNN1 file, holds linear layers only.
+CONV_MODELS_REFUSED = (
+    "conv models are not supported: the BNN1 format stores no input shape, "
+    "and the MNIST input is a flat 784-bit row"
+)
 
 
 def _int32_thresholds(thresholds, count: int) -> np.ndarray:
@@ -471,27 +469,26 @@ def _check_fan_in(n: int) -> None:
 
 @dataclass
 class BnnModel:
-    """Ordered stack of binarized layers; the last layer emits class scores."""
+    """Ordered stack of binarized linear layers; the last layer emits class scores."""
 
-    layers: list[Layer]
+    layers: list[BinarizedLinearLayer]
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("model needs at least one layer")
-        last = self.layers[-1]
-        if not isinstance(last, BinarizedLinearLayer) or not last.is_output:
+        if not all(isinstance(layer, BinarizedLinearLayer) for layer in self.layers):
+            raise ValueError(CONV_MODELS_REFUSED)
+        if not self.layers[-1].is_output:
             raise ValueError("the last layer must be a linear output layer")
         for layer in self.layers[:-1]:
-            if isinstance(layer, BinarizedLinearLayer) and layer.is_output:
+            if layer.is_output:
                 raise ValueError("only the last layer may be the output layer")
         for i, (prev, nxt) in enumerate(zip(self.layers, self.layers[1:])):
-            # conv transitions depend on spatial dims, checked at forward time
-            if isinstance(prev, BinarizedLinearLayer) and isinstance(nxt, BinarizedLinearLayer):
-                if prev.out_features != nxt.in_features:
-                    raise ValueError(
-                        f"layer {i} emits {prev.out_features} bits but layer {i + 1} "
-                        f"expects {nxt.in_features}"
-                    )
+            if prev.out_features != nxt.in_features:
+                raise ValueError(
+                    f"layer {i} emits {prev.out_features} bits but layer {i + 1} "
+                    f"expects {nxt.in_features}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -502,26 +499,15 @@ class BnnModel:
 def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
     """Apply a binarized linear layer.
 
-    x may be a single sample [in] (or any shape with in_features total bits)
-    or a batch [N, in]. Hidden layers return a BitTensor of sign bits
+    x is a single sample [in] or a batch [N, in]; any other shape raises
+    ValueError. Hidden layers return a BitTensor of sign bits
     (bit j set iff popcount_j >= T_j) by the float32 kernel; the output layer
     returns integer scores 2*popcount - n - T per neuron by XOR-popcount.
     """
     n = layer.in_features
-    single = False
-    if len(x.shape) == 1:
-        if x.n_bits != n:
-            raise ValueError(f"expected {n} input bits, got {x.n_bits}")
-        single = True
-    elif len(x.shape) == 2:
-        if x.shape[1] != n:
-            raise ValueError(f"expected inputs of {n} bits, got {x.shape[1]}")
-    else:
-        if x.total_bits != n:
-            raise ValueError(f"cannot feed shape {x.shape} into {n}-input layer")
-        x = x.flatten()
-        single = True
-
+    if len(x.shape) > 2 or x.n_bits != n:
+        raise ValueError(f"expected an input of shape ({n},) or (N, {n}), got {x.shape}")
+    single = len(x.shape) == 1
     if layer.is_output:
         scores = _disagreements(x.words, layer.weights.words, n)
         scores *= -2
@@ -616,28 +602,19 @@ def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:
 
 
 def model_scores(model: BnnModel, x: BitTensor) -> np.ndarray:
-    """Run the full stack and return output-layer integer scores."""
+    """Run the full stack and return output-layer integer scores.
+
+    x is a sample [in], scored as [classes], or a batch [N, in], scored as
+    [N, classes]; linear_forward refuses any other shape with ValueError.
+    """
     act = x
     for layer in model.layers:
-        if isinstance(layer, BinarizedLinearLayer):
-            act = linear_forward(layer, act)
-        else:
-            act = conv_forward(layer, act)
+        act = linear_forward(layer, act)
     return act
 
 
-def require_linear(model: BnnModel) -> None:
-    """Refuse a model with conv layers, which a batch of flat input rows cannot feed."""
-    if any(isinstance(layer, BinarizedConvLayer) for layer in model.layers):
-        raise ValueError(
-            "conv models are not supported: the BNN1 format stores no input shape, "
-            "and the MNIST input is a flat 784-bit row"
-        )
-
-
 def model_predict_batch(model: BnnModel, x: BitTensor) -> np.ndarray:
-    """Predict classes for a [N, in] batch of a linear model."""
-    require_linear(model)
+    """Predict classes (ties to the lowest index) of a [N, in] batch or an [in] sample."""
     return np.argmax(np.atleast_2d(model_scores(model, x)), axis=1)
 
 
@@ -647,10 +624,10 @@ def model_predict_batch(model: BnnModel, x: BitTensor) -> np.ndarray:
 #
 #   magic "BNN1" | u32 layer_count
 #   per layer:
-#     u8 kind (0 linear, 1 conv)
-#     linear: u32 out, u32 in          conv: u32 filters, in_ch, k_h, k_w, stride, padding
+#     u8 kind (0 linear; 1, LAYER_KIND_CONV, is reserved and refused at load)
+#     u32 out, u32 in
 #     u8 is_output
-#     i32 thresholds [out | filters]
+#     i32 thresholds [out]
 #     u64 weight words (row-major BitTensor layout)
 
 
@@ -687,17 +664,9 @@ def dump_model(model: BnnModel) -> bytes:
     out += MODEL_MAGIC
     out += struct.pack("<I", len(model.layers))
     for layer in model.layers:
-        if isinstance(layer, BinarizedLinearLayer):
-            out += struct.pack("<B", LAYER_KIND_LINEAR)
-            out += struct.pack("<II", layer.out_features, layer.in_features)
-            out += struct.pack("<B", 1 if layer.is_output else 0)
-        else:
-            out += struct.pack("<B", LAYER_KIND_CONV)
-            kh, kw = layer.kernel_size
-            out += struct.pack(
-                "<IIIIII", layer.filters, layer.in_channels, kh, kw, layer.stride, layer.padding
-            )
-            out += struct.pack("<B", 0)
+        out += struct.pack("<B", LAYER_KIND_LINEAR)
+        out += struct.pack("<II", layer.out_features, layer.in_features)
+        out += struct.pack("<B", 1 if layer.is_output else 0)
         out += layer.thresholds.astype("<i4").tobytes()
         out += layer.weights.words.astype("<u8").tobytes()
     return bytes(out)
@@ -711,39 +680,25 @@ def load_model_bytes(data: bytes) -> BnnModel:
     (layer_count,) = r.unpack("<I", "layer count")
     if layer_count == 0:
         raise FormatError("model has zero layers", r.offset)
-    layers: list[Layer] = []
+    layers = []
     for i in range(layer_count):
         (kind,) = r.unpack("<B", f"layer {i} kind")
-        if kind == LAYER_KIND_LINEAR:
-            out_f, in_f = r.unpack("<II", f"layer {i} dims")
-            if out_f == 0 or in_f == 0:
-                raise FormatError(f"layer {i} has zero dimension", r.offset)
-            (is_output,) = r.unpack("<B", f"layer {i} is_output")
-            thr = r.array("<i4", out_f, f"layer {i} thresholds")
-            n_words = out_f * words_per_row(in_f)
-            words = r.array("<u8", n_words, f"layer {i} weights")
-            try:
-                weights = BitTensor((out_f, in_f), words)
-                layers.append(BinarizedLinearLayer(weights, thr, bool(is_output)))
-            except ValueError as exc:
-                raise FormatError(f"layer {i}: {exc}", r.offset) from exc
-        elif kind == LAYER_KIND_CONV:
-            filters, in_ch, kh, kw, stride, padding = r.unpack("<IIIIII", f"layer {i} dims")
-            if 0 in (filters, in_ch, kh, kw, stride):
-                raise FormatError(f"layer {i} has zero dimension", r.offset)
-            (is_output,) = r.unpack("<B", f"layer {i} is_output")
-            if is_output:
-                raise FormatError(f"layer {i}: conv layers cannot be the output", r.offset)
-            thr = r.array("<i4", filters, f"layer {i} thresholds")
-            n_words = filters * in_ch * kh * words_per_row(kw)
-            words = r.array("<u8", n_words, f"layer {i} weights")
-            try:
-                weights = BitTensor((filters, in_ch, kh, kw), words)
-                layers.append(BinarizedConvLayer(weights, thr, int(stride), int(padding)))
-            except ValueError as exc:
-                raise FormatError(f"layer {i}: {exc}", r.offset) from exc
-        else:
+        if kind == LAYER_KIND_CONV:
+            raise FormatError(f"layer {i}: {CONV_MODELS_REFUSED}", r.offset - 1)
+        if kind != LAYER_KIND_LINEAR:
             raise FormatError(f"unknown layer kind {kind}", r.offset - 1)
+        out_f, in_f = r.unpack("<II", f"layer {i} dims")
+        if out_f == 0 or in_f == 0:
+            raise FormatError(f"layer {i} has zero dimension", r.offset)
+        (is_output,) = r.unpack("<B", f"layer {i} is_output")
+        thr = r.array("<i4", out_f, f"layer {i} thresholds")
+        n_words = out_f * words_per_row(in_f)
+        words = r.array("<u8", n_words, f"layer {i} weights")
+        try:
+            weights = BitTensor((out_f, in_f), words)
+            layers.append(BinarizedLinearLayer(weights, thr, bool(is_output)))
+        except ValueError as exc:
+            raise FormatError(f"layer {i}: {exc}", r.offset) from exc
     r.expect_eof()
     try:
         return BnnModel(layers)
@@ -757,5 +712,10 @@ def save_model(model: BnnModel, path) -> None:
 
 
 def load_model(path) -> BnnModel:
+    """Read a BNN1 file; every FormatError names the file."""
     with open(path, "rb") as f:
-        return load_model_bytes(f.read())
+        data = f.read()
+    try:
+        return load_model_bytes(data)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

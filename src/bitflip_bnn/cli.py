@@ -27,7 +27,7 @@ except ImportError:  # not on Windows
 
 from . import __version__
 from .errors import FormatError, NumericError
-from .bitcore import BnnModel, load_model, require_linear, save_model
+from .bitcore import load_model, save_model
 from .faultsim import SweepResult, accuracy, ber_sweep
 from .mnist_io import TEST_IMAGES, TRAIN_IMAGES, Dataset, load_dataset
 from .mtj import (
@@ -212,16 +212,6 @@ def _check_out(out: Path, *siblings: Path) -> None:
             raise OSError(f"--out {out}: cannot create {path}")
 
 
-def _load_linear_model(path) -> BnnModel:
-    """Load a model for the MNIST commands, which feed it flat input rows."""
-    model = load_model(path)
-    try:
-        require_linear(model)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return model
-
-
 def _load_split(data_dir, split: str, n_in: int) -> Dataset:
     """Load a split for a model of n_in inputs, which takes one bit per pixel."""
     data = load_dataset(data_dir, split)
@@ -250,6 +240,10 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     if args.limit is not None and args.limit < 1:
         raise UsageError("--limit must be >= 1")
+    # refuses --epochs, --batch and --lr, with ValueError (exit 2), before any file is read
+    config = TrainConfig(
+        epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr, seed=args.seed
+    )
     out = Path(args.out)
     log_path = Path(str(out) + ".log.csv")
     _check_out(out, log_path, Path(str(log_path) + ".manifest"))
@@ -257,9 +251,6 @@ def cmd_train(args) -> int:
     if args.limit is not None:
         train_set = train_set.take(args.limit)
     test_set = _load_split(args.data_dir, "test", MNIST_LAYER_SIZES[0])
-    config = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr, seed=args.seed
-    )
     out.parent.mkdir(parents=True, exist_ok=True)
     # each epoch's wall time, its test pass included; the first also counts
     # train()'s set-up
@@ -292,7 +283,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_linear_model(args.model)
+    model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     acc = accuracy(model, test_set)
     print(f"accuracy={acc!r}")
@@ -316,7 +307,7 @@ def cmd_ber_sweep(args) -> int:
     out = Path(args.out)
     trials_path = _sibling(out, "_trials")
     _check_out(out, trials_path, Path(str(out) + ".manifest"))
-    model = _load_linear_model(args.model)
+    model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     bers = _parse_bers(args.bers)
     # ber_sweep refuses unsorted BERs, BERs outside [0,1] and trials < 1
@@ -371,7 +362,7 @@ def cmd_acc_energy(args) -> int:
     started = time.monotonic()
     out = Path(args.out)
     _check_out(out, Path(str(out) + ".manifest"))
-    model = _load_linear_model(args.model)
+    model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     device = _device_params(args)
     bers = _parse_bers(args.bers)

@@ -55,7 +55,6 @@ from .bitcore import (
     linear_forward,
     model_predict_batch,
     pm1,
-    require_linear,
 )
 from .mnist_io import Dataset, binarize_input
 
@@ -299,15 +298,16 @@ def _layer_flips(model: BnnModel, faulty: BnnModel) -> list[_Flips]:
 
 
 class IncrementalEvaluator:
-    """Exact predictions of faulty copies of one linear model on fixed inputs.
+    """Exact predictions of faulty copies of one model on fixed [N, in] inputs.
 
     One clean pass, through the dense kernel's own chunk loop, stores for
     every hidden layer its packed activations and its _MARGIN_DTYPE margins
     q = clip(count - T, -_SATURATED, _SATURATED) (row-major; the neuron fires
     iff q >= 0), and each row's clean prediction and lead over the runner-up
-    class, so the state scales with the input rows: a sweep builds one evaluator per block of _SWEEP_BLOCK_ROWS
-    rows. A faulty model is then scored layer by layer, each layer in one
-    update of all the rows, the hidden ones as exact changes d of the counts:
+    class, so the state scales with the input rows: a sweep builds one
+    evaluator per block of _SWEEP_BLOCK_ROWS rows. A faulty model is then
+    scored layer by layer, each layer in one update of all the rows, the
+    hidden ones as exact changes d of the counts:
 
     * a flipped weight moves its neuron's count by a delta over its flipped
       columns, computed on the clean input;
@@ -331,7 +331,6 @@ class IncrementalEvaluator:
 
     def __init__(self, model: BnnModel, inputs: BitTensor, operands=None):
         """`operands`, the model's operands(), may be given to spare recomputing them."""
-        require_linear(model)
         n_in = model.layers[0].in_features
         if len(inputs.shape) != 2 or inputs.shape[1] != n_in:
             raise ValueError(f"expected inputs of {n_in} bits, got shape {inputs.shape}")
@@ -463,7 +462,7 @@ def ber_sweep(
     trials: int,
     master_seed: int,
 ) -> SweepResult:
-    """Accuracy of a linear model under injected faults over a BER grid, `trials` times each.
+    """Accuracy of a model under injected faults over a BER grid, `trials` times each.
 
     BERs must be sorted ascending. Each (ber, trial) evaluation flips a fresh
     copy of the model with its derived seed and scores it on the dataset:
@@ -483,7 +482,6 @@ def ber_sweep(
         raise ValueError("trials must be >= 1")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    require_linear(model)
 
     # binarize once; every trial scores the same packed bits
     inputs = binarize_input(dataset.images)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -74,13 +75,6 @@ def test_bittensor_is_unhashable():
     # __eq__ compares the mutable words, so instances must not serve as dict keys
     with pytest.raises(TypeError):
         hash(BitTensor.from_bool([True, False]))
-
-
-def test_flatten_preserves_values():
-    rng = np.random.default_rng(1)
-    signs = random_signs(rng, (3, 7, 9))
-    t = BitTensor.from_signs(signs)
-    assert np.array_equal(t.flatten().unpack(), signs.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +392,16 @@ def test_predict_deterministic(synth_model, synth_test):
     assert np.array_equal(first, singles)
 
 
-def test_predict_batch_refuses_conv_models():
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_model_refuses_a_conv_layer_in_any_position(position):
     rng = np.random.default_rng(33)
-    conv = BinarizedConvLayer(BitTensor.from_signs(random_signs(rng, (2, 1, 3, 3))), [4, 5])
-    out = BinarizedLinearLayer(
-        BitTensor.from_signs(random_signs(rng, (3, 2 * 4 * 4))), np.zeros(3, np.int32), True
+    layers = _round_trip_model(rng).layers
+    layers[position] = BinarizedConvLayer(
+        BitTensor.from_signs(random_signs(rng, (2, 1, 3, 3))), [4, 5]
     )
-    model = BnnModel([conv, out])
-    x = BitTensor.from_signs(random_signs(rng, (1, 6, 6)))
-    scores = bc.model_scores(model, x)  # a single [C, H, W] sample still runs
-    assert scores.shape == (3,) and int(np.argmax(scores)) in range(3)
     # the message the CLI prints, after the file name, for a conv model
     with pytest.raises(ValueError, match="^conv models are not supported: .*stores no input shape"):
-        model_predict_batch(model, x)
-    with pytest.raises(ValueError, match="^conv models are not supported"):
-        model_predict_batch(model, BitTensor.from_signs(random_signs(rng, (5, 36))))
+        BnnModel(layers)
 
 
 # input shapes fed to a 784-input model, with the shape of the scores of the
@@ -420,7 +409,7 @@ def test_predict_batch_refuses_conv_models():
 INPUT_SHAPES = {
     (784,): (3,),
     (5, 784): (5, 3),
-    (1, 28, 28): (3,),
+    (1, 28, 28): None,
     (1, 784): (1, 3),
     (783,): None,
     (5, 783): None,
@@ -484,20 +473,27 @@ def test_model_rejects_incompatible_linear_chain():
 
 
 def _round_trip_model(rng):
-    conv = BinarizedConvLayer(
-        BitTensor.from_signs(random_signs(rng, (4, 2, 3, 3))),
-        rng.integers(0, 19, size=4),
-        stride=2,
-        padding=1,
+    """Two hidden layers and an output layer, with thresholds outside [0, fan-in]."""
+    first = BinarizedLinearLayer(
+        BitTensor.from_signs(random_signs(rng, (4, 70))), np.array([-3, 0, 70, 74])
     )
     hidden = BinarizedLinearLayer(
-        BitTensor.from_signs(random_signs(rng, (6, 4 * 3 * 3))),
-        rng.integers(-3, 40, size=6),
+        BitTensor.from_signs(random_signs(rng, (6, 4))),
+        rng.integers(-3, 8, size=6),
     )
     out = BinarizedLinearLayer(
         BitTensor.from_signs(random_signs(rng, (5, 6))), rng.integers(-6, 7, size=5), True
     )
-    return BnnModel([conv, hidden, out])
+    return BnnModel([first, hidden, out])
+
+
+def _kind_offsets(model: BnnModel) -> list[int]:
+    """Byte offset of each layer's kind byte in the model's BNN1 bytes."""
+    offsets, offset = [], 8  # magic, layer count
+    for layer in model.layers:
+        offsets.append(offset)
+        offset += 1 + 8 + 1 + layer.thresholds.nbytes + layer.weights.words.nbytes
+    return offsets
 
 
 def test_serialization_round_trip(tmp_path):
@@ -569,6 +565,19 @@ def test_load_rejects_unknown_kind():
     blob[8] = 9  # first layer kind byte
     with pytest.raises(FormatError):
         bc.load_model_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2])
+def test_load_refuses_the_conv_kind_at_its_offset(layer):
+    model = _round_trip_model(np.random.default_rng(45))
+    blob = bytearray(bc.dump_model(model))
+    offset = _kind_offsets(model)[layer]
+    assert blob[offset] == bc.LAYER_KIND_LINEAR
+    blob[offset] = bc.LAYER_KIND_CONV
+    message = f"layer {layer}: {bc.CONV_MODELS_REFUSED} (at byte offset {offset})"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as exc:
+        bc.load_model_bytes(bytes(blob))
+    assert exc.value.offset == offset
 
 
 def test_load_rejects_dirty_padding_bits():

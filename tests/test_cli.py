@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -9,17 +10,9 @@ import numpy as np
 import pytest
 
 import bitflip_bnn
-from bitflip_bnn.bitcore import (
-    BinarizedConvLayer,
-    BinarizedLinearLayer,
-    BitTensor,
-    BnnModel,
-    load_model,
-    model_predict_batch,
-    save_model,
-)
+from bitflip_bnn.bitcore import BitTensor, load_model, model_predict_batch
 from bitflip_bnn.cli import main
-from bitflip_bnn.faultsim import flip_bits, trial_seed
+from bitflip_bnn.faultsim import INCREMENTAL_MAX_BER, flip_bits, trial_seed
 from bitflip_bnn import mtj
 from bitflip_bnn.mnist_io import (
     TEST_IMAGES,
@@ -152,18 +145,52 @@ def _test_split(data_dir):
     return load_idx_images(data_dir / TEST_IMAGES), load_idx_labels(data_dir / TEST_LABELS)
 
 
-def test_ber_sweep_agrees_with_the_oracle(oracle, trained, synth_data_dir, tmp_path):
+def _sweep_agrees_with_the_oracle(oracle, model, data_dir, out_dir) -> list[list[str]]:
+    """Run ber-sweep over ORACLE_SWEEP_BERS, check it by the oracle; return the trial rows."""
     bers = ",".join(map(repr, ORACLE_SWEEP_BERS))
     args = [
-        "ber-sweep", "--model", str(trained), "--data-dir", str(synth_data_dir),
-        "--bers", bers, "--trials", "2", "--seed", "6", "--out", str(tmp_path / "sweep.csv"),
+        "ber-sweep", "--model", str(model), "--data-dir", str(data_dir),
+        "--bers", bers, "--trials", "2", "--seed", "6", "--out", str(out_dir / "sweep.csv"),
     ]
     assert main(args) == 0
-    manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+    manifest = (out_dir / "sweep.csv.manifest").read_text().splitlines()
     stats = dict(line.split("=", 1) for line in manifest)
     assert int(stats["sweep.incremental_trials"]) > 0 and int(stats["sweep.dense_trials"]) > 0
-    pixels, labels = _test_split(synth_data_dir)
-    assert oracle.check_sweep(tmp_path, trained, pixels, labels, ORACLE_SWEEP_BERS, 2, 6) == []
+    pixels, labels = _test_split(data_dir)
+    assert oracle.check_sweep(out_dir, model, pixels, labels, ORACLE_SWEEP_BERS, 2, 6) == []
+    return [line.split(",") for line in (out_dir / "sweep_trials.csv").read_text().splitlines()[1:]]
+
+
+def test_ber_sweep_agrees_with_the_oracle(oracle, trained, synth_data_dir, tmp_path):
+    _sweep_agrees_with_the_oracle(oracle, trained, synth_data_dir, tmp_path)
+
+
+@pytest.fixture(scope="module")
+def weak(tmp_path_factory, synth_data_dir):
+    """A model of one training step on 20 images, trained through the CLI.
+
+    `trained` scores every test image right at every BER up to 1e-2, so its
+    sweep can differ from the oracle's only in the dense rows. This one is
+    right on about 3 test images in 4, and weight flips at the lowest BERs
+    already move some of its predictions.
+    """
+    out = tmp_path_factory.mktemp("weak") / "model.bnn"
+    args = [
+        "train", "--data-dir", str(synth_data_dir), "--out", str(out),
+        "--epochs", "1", "--batch", "20", "--seed", "3", "--limit", "20",
+    ]
+    assert main(args) == 0
+    return out
+
+
+def test_ber_sweep_agrees_with_the_oracle_where_low_bers_move_predictions(
+    oracle, weak, synth_data_dir, tmp_path
+):
+    rows = _sweep_agrees_with_the_oracle(oracle, weak, synth_data_dir, tmp_path)
+    clean = {accuracy for ber, _, accuracy in rows if float(ber) == 0.0}
+    low = [accuracy for ber, _, accuracy in rows if 0.0 < float(ber) <= INCREMENTAL_MAX_BER]
+    # else the incremental trials could not disagree with the oracle at all
+    assert low and any(accuracy not in clean for accuracy in low)
 
 
 def test_energy_curve_agrees_with_the_oracle(oracle, tmp_path):
@@ -449,16 +476,26 @@ def test_ber_sweep_bytes_same_for_any_blas_thread_count(trained, synth_data_dir,
     assert outputs[0] == outputs[1]
 
 
+def conv_model_bytes() -> bytes:
+    """BNN1 bytes of a conv layer of kind 1, as the format once stored it, and an output layer.
+
+    The conv layer has 2 filters of 1x3x3 (stride 1, no padding) for a
+    [1, 28, 28] input, which BNN1 does not record.
+    """
+    rng = np.random.default_rng(4)
+    # kind, filters, in_ch, k_h, k_w, stride, padding, is_output
+    conv = struct.pack("<BIIIIIIB", 1, 2, 1, 3, 3, 1, 0, 0)
+    conv += struct.pack("<2i", 4, 5) + rng.integers(0, 2**3, 2 * 3, dtype="<u8").tobytes()
+    n_in = 2 * 26 * 26
+    out = struct.pack("<BIIB", 0, 10, n_in, 1) + bytes(4 * 10)
+    out += BitTensor.from_bool(rng.random((10, n_in)) < 0.5).words.astype("<u8").tobytes()
+    return b"BNN1" + struct.pack("<I", 2) + conv + out
+
+
 @pytest.fixture(scope="module")
 def conv_model(tmp_path_factory):
-    """A conv model that loads fine; BNN1 does not record its [1, 28, 28] input."""
-    rng = np.random.default_rng(4)
-    conv = BinarizedConvLayer(BitTensor.from_bool(rng.random((2, 1, 3, 3)) < 0.5), [4, 5])
-    out = BinarizedLinearLayer(
-        BitTensor.from_bool(rng.random((10, 2 * 26 * 26)) < 0.5), np.zeros(10, int), True
-    )
     path = tmp_path_factory.mktemp("conv") / "conv.bnn"
-    save_model(BnnModel([conv, out]), path)
+    path.write_bytes(conv_model_bytes())
     return path
 
 
@@ -472,6 +509,32 @@ def test_conv_model_refused_as_format_error(command, conv_model, synth_data_dir,
     assert "conv models are not supported" in err
     assert "stores no input shape" in err and "flat" in err
     assert not (tmp_path / "s.csv").exists()
+
+
+# model files that do not load, and the words of the error after the file name
+BAD_MODELS = {
+    "bad-magic": (
+        lambda: b"NOPE" + bytes(32), "bad magic b'NOPE', expected b'BNN1' (at byte offset 0)"
+    ),
+    "truncated": (
+        lambda: fan_in_bound_model_bytes(784)[:-5], "truncated model file while reading layer 0"
+    ),
+    "conv": (conv_model_bytes, "layer 0: conv models are not supported"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "ber-sweep", "acc-energy"])
+@pytest.mark.parametrize("kind", list(BAD_MODELS))
+def test_model_format_errors_name_the_file(kind, command, synth_data_dir, tmp_path, capsys):
+    make, words = BAD_MODELS[kind]
+    path = tmp_path / f"{kind}.bnn"
+    path.write_bytes(make())
+    args = [command, "--model", str(path), "--data-dir", str(synth_data_dir)]
+    if command != "eval":
+        args += ["--bers", "1e-2", "--out", str(tmp_path / "out.csv")]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: {words}")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_fan_in_at_kernel_bound_is_format_error(synth_data_dir, tmp_path, capsys):
@@ -585,6 +648,25 @@ def test_train_refuses_limit_below_one_before_reading_data(monkeypatch, capsys, 
     err = _refused_before_any_work(monkeypatch, capsys, args, code=2)
     assert "error: --limit must be >= 1" in err
     assert not (tmp_path / "m.bnn.log.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--epochs", "0", "epochs and batch_size must be >= 1"),
+        ("--batch", "0", "epochs and batch_size must be >= 1"),
+        ("--lr", "0", "learning_rate must be positive and finite, got 0.0"),
+    ],
+)
+def test_train_refuses_bad_flags_before_reading_data(
+    flag, value, message, monkeypatch, capsys, tmp_path
+):
+    # the data dir does not exist: reading it would exit 3
+    args = ["train", "--data-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "m.bnn"),
+            flag, value]
+    err = _refused_before_any_work(monkeypatch, capsys, args, code=2)
+    assert f"error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_refuses_a_directory_out_before_any_epoch(monkeypatch, capsys, tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from bitflip_bnn import bitcore as bc
 from bitflip_bnn import faultsim as fs
 from bitflip_bnn.bitcore import (
-    BinarizedConvLayer,
     BinarizedLinearLayer,
     BitTensor,
     BnnModel,
@@ -127,30 +126,6 @@ def test_sweep_refuses_out_of_range_bers_and_trials(synth_model, synth_test):
     # boundary rates allowed
     result = ber_sweep(synth_model, synth_test, [0.0, 1.0], trials=1, master_seed=0)
     assert result.accuracies.shape == (2, 1)
-
-
-def test_sweep_refuses_a_conv_model_before_drawing_flips(monkeypatch):
-    rng = np.random.default_rng(34)
-    weights = BitTensor.from_bool(rng.random((2, 1, 3, 3)) < 0.5)
-    conv = BinarizedConvLayer(weights, [4, 5])
-    out = BinarizedLinearLayer(
-        BitTensor.from_bool(rng.random((3, 2 * 26 * 26)) < 0.5), np.zeros(3, np.int32), True
-    )
-    model = BnnModel([conv, out])
-    calls = []
-
-    def counting_flip_bits(*args):
-        calls.append(args)
-        return flip_bits(*args)
-
-    monkeypatch.setattr(fs, "flip_bits", counting_flip_bits)
-    data = Dataset(rng.random((5, 28, 28)) < 0.5, rng.integers(0, 3, 5), "test")
-    # one low BER (incremental path) and one dense BER
-    with pytest.raises(ValueError, match="^conv models are not supported"):
-        ber_sweep(model, data, [1e-5, 1e-2], trials=2, master_seed=0)
-    assert calls == []
-    with pytest.raises(ValueError, match="^conv models are not supported"):
-        IncrementalEvaluator(model, binarize_input(data.images))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitflip_bnn.bitcore import (
-    BinarizedConvLayer,
     BinarizedLinearLayer,
     BitTensor,
     BnnModel,
@@ -41,17 +40,20 @@ from bitflip_bnn.mtj import _CONFIG_DEFAULTS, load_device_config, parse_device_c
 
 
 def _model_bytes() -> tuple[bytes, list[int]]:
-    """A conv, hidden and output layer model, and the offsets of its header bytes."""
+    """A hidden and output layer model, and the offsets of its header bytes.
+
+    The offsets include each layer's kind byte, so the fuzzer also writes the
+    reserved conv kind 1 there.
+    """
     rng = np.random.default_rng(0)
-    conv = BinarizedConvLayer(BitTensor.from_bool(rng.random((2, 1, 3, 3)) < 0.5), [4, 5])
     hidden = BinarizedLinearLayer(BitTensor.from_bool(rng.random((5, 70)) < 0.5), [30] * 5)
     out = BinarizedLinearLayer(BitTensor.from_bool(rng.random((3, 5)) < 0.5), [0] * 3, True)
     headers, offset = list(range(8)), 8  # magic, layer count
-    for layer in (conv, hidden, out):
-        size = 1 + (24 if layer is conv else 8) + 1  # kind, dims, is_output
+    for layer in (hidden, out):
+        size = 1 + 8 + 1  # kind, dims, is_output
         headers += range(offset, offset + size)
         offset += size + layer.thresholds.nbytes + layer.weights.words.nbytes
-    return dump_model(BnnModel([conv, hidden, out])), headers
+    return dump_model(BnnModel([hidden, out])), headers
 
 
 def _mutations(base: bytes, headers=()):

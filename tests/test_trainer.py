@@ -78,12 +78,17 @@ def _toy_model(rng, sizes=(4, 3, 2), dropout=0.0, dtype=np.float64):
 
 
 def test_preactivation_is_pm1_dot_product():
+    # in eval mode the normalized pre-activation is (x . sign(W) - running mean) / std
     rng = np.random.default_rng(1)
     model = _toy_model(rng)
     x = random_pm1(rng, (5, 4))
+    layer = model.layers[0]
+    layer.run_mean = rng.normal(size=layer.out_features)
+    layer.run_var = rng.uniform(0.5, 2.0, size=layer.out_features)
     _, cache = forward_train(model, x, training=False)
-    wb = np.where(model.layers[0].weight >= 0, 1.0, -1.0)
-    assert np.array_equal(cache["layers"][0]["s"], x @ wb.T)
+    wb = np.where(layer.weight >= 0, 1.0, -1.0)
+    istd = 1.0 / np.sqrt(layer.run_var + BN_EPS)
+    assert np.array_equal(cache["layers"][0]["s_hat"], (x @ wb.T - layer.run_mean) * istd)
 
 
 def test_single_neuron_batchnorm_hand_computed():
@@ -123,7 +128,8 @@ def test_output_logit_scale_is_inverse_sqrt_fan_in():
     model = _toy_model(rng, (4, 9, 2))
     x = random_pm1(rng, (3, 4))
     logits, cache = forward_train(model, x, training=False)
-    assert np.allclose(logits * math.sqrt(9), cache["layers"][1]["s"])
+    wb = np.where(model.layers[1].weight >= 0, 1.0, -1.0)
+    assert np.allclose(logits * math.sqrt(9), cache["layers"][1]["x"] @ wb.T)
 
 
 def test_dropout_requires_rng():
