@@ -7,6 +7,12 @@ outputs are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error or an output that
 cannot be written, 4 numeric failure.
+
+Every command works in one order. It parses and checks every flag first
+(exit 2), through argparse and the check functions the library shares
+(faultsim.check_sweep_grid, mtj.check_curve_grid); it then checks every
+path it will write (_check_out, exit 3); only then does it read the model,
+the data splits or the device file.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ except ImportError:  # not on Windows
 from . import __version__
 from .errors import FormatError, NumericError
 from .bitcore import load_model, save_model
-from .faultsim import SweepResult, accuracy, ber_sweep
+from .faultsim import SweepResult, accuracy, ber_sweep, check_sweep_grid
 from .mnist_io import TEST_IMAGES, TRAIN_IMAGES, Dataset, load_dataset
 from .mtj import (
     DIRECTIONS,
@@ -36,6 +42,7 @@ from .mtj import (
     WITH_DEVICE_VARIATIONS,
     MtjDeviceParams,
     ProgrammingPoint,
+    check_curve_grid,
     curve_workers,
     energy_ber_curve,
     load_device_config,
@@ -48,10 +55,6 @@ _MODE_FLAGS = {"intrinsic": INTRINSIC_ONLY, "variations": WITH_DEVICE_VARIATIONS
 TRADEOFF_ACC_TOLERANCE = 0.01
 
 
-class UsageError(Exception):
-    pass
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -60,17 +63,13 @@ def _fmt(value) -> str:
 
 def _parse_bers(text: str) -> list[float]:
     items = [p for p in text.split(",") if p.strip()]
-    if not items:
-        raise UsageError("--bers needs at least one value")
     try:
         bers = [float(p) for p in items]
     except ValueError as exc:
-        raise UsageError(f"--bers: not a number in {text!r}") from exc
-    seen = set()
-    for ber in bers:
-        if ber in seen:
-            raise UsageError(f"--bers lists {ber!r} more than once")
-        seen.add(ber)
+        raise ValueError(f"--bers: not a number in {text!r}") from exc
+    for i, ber in enumerate(bers):
+        if ber in bers[:i]:
+            raise ValueError(f"--bers lists {ber!r} more than once")
     return bers
 
 
@@ -225,8 +224,20 @@ def _load_split(data_dir, split: str, n_in: int) -> Dataset:
     return data
 
 
+def _flag_params(args, *omit: str) -> dict:
+    """The manifest parameters of a command: its flags, as given, but those named
+    in omit. An unset or empty --device reads as the built-in device, an unset
+    --limit as empty."""
+    unset = {"device": "<built-in nominal device>", "limit": ""}
+    return {
+        flag: unset.get(flag, value) if value in (None, "") else value
+        for flag, value in vars(args).items()
+        if flag not in ("command", "func", *omit)
+    }
+
+
 def _device_params(args) -> MtjDeviceParams:
-    if getattr(args, "device", None):
+    if args.device:
         return load_device_config(args.device)
     return MtjDeviceParams.nominal()
 
@@ -239,7 +250,7 @@ def _device_params(args) -> MtjDeviceParams:
 def cmd_train(args) -> int:
     started = time.monotonic()
     if args.limit is not None and args.limit < 1:
-        raise UsageError("--limit must be >= 1")
+        raise ValueError("--limit must be >= 1")
     # refuses --epochs, --batch and --lr, with ValueError (exit 2), before any file is read
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr, seed=args.seed
@@ -268,16 +279,8 @@ def cmd_train(args) -> int:
     save_model(export_model(latent), out)
     rows = [f"{epoch},{loss!r},{acc!r}" for epoch, loss, acc in history]
     _write_csv(log_path, "epoch,train_loss,test_accuracy", rows)
-    params = {
-        "data_dir": args.data_dir,
-        "out": str(out),
-        "epochs": args.epochs,
-        "batch": args.batch,
-        "lr": args.lr,
-        "seed": args.seed,
-        "limit": args.limit if args.limit is not None else "",
-    }
-    _write_manifest(log_path, "train", params, [out, log_path], started, stats)
+    params = {**_flag_params(args), "out": str(out)}
+    _write_manifest(log_path, args.command, params, [out, log_path], started, stats)
     print(f"model written to {out}; final test accuracy {history[-1][2]!r}")
     return 0
 
@@ -304,78 +307,57 @@ def _sweep_rows(result: SweepResult) -> tuple[list[str], list[str]]:
 
 def cmd_ber_sweep(args) -> int:
     started = time.monotonic()
+    bers = _parse_bers(args.bers)
+    check_sweep_grid(bers, args.trials)
     out = Path(args.out)
     trials_path = _sibling(out, "_trials")
     _check_out(out, trials_path, Path(str(out) + ".manifest"))
     model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
-    bers = _parse_bers(args.bers)
-    # ber_sweep refuses unsorted BERs, BERs outside [0,1] and trials < 1
     result = ber_sweep(model, test_set, bers, args.trials, args.seed)
     trial_rows, summary_rows = _sweep_rows(result)
     _write_csv(out, "ber,mean_accuracy,std_accuracy", summary_rows)
     _write_csv(trials_path, "ber,trial,accuracy", trial_rows)
-    params = {
-        "model": args.model,
-        "data_dir": args.data_dir,
-        "bers": args.bers,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    _write_manifest(
-        out, "ber-sweep", params, [out, trials_path], started, _sweep_stats(result)
-    )
+    params = _flag_params(args, "out")
+    _write_manifest(out, args.command, params, [out, trials_path], started, _sweep_stats(result))
     print(f"sweep written to {out} (per-trial rows in {trials_path})")
     return 0
 
 
 def cmd_energy_curve(args) -> int:
     started = time.monotonic()
+    bers = _parse_bers(args.bers)
+    check_curve_grid(bers, args.samples)
     out = Path(args.out)
     _check_out(out, Path(str(out) + ".manifest"))
     params = _device_params(args)
-    bers = _parse_bers(args.bers)
-    mode = _MODE_FLAGS[args.mode]
-    # energy_ber_curve refuses BERs outside (0,1) and samples < 1
-    points = energy_ber_curve(params, bers, args.samples, args.seed, mode)
+    points = energy_ber_curve(params, bers, args.samples, args.seed, _MODE_FLAGS[args.mode])
     rows = [
         f"{p.ber!r},{p.t_pulse * 1e9!r},{p.energy_mean * 1e15!r},"
         f"{p.energy_std * 1e15!r},{p.variability_mode}"
         for p in points
     ]
     _write_csv(out, "ber,t_pulse_ns,energy_mean_fj,energy_std_fj,mode", rows)
-    manifest_params = {
-        "device": args.device or "<built-in nominal device>",
-        "bers": args.bers,
-        "samples": args.samples,
-        "mode": args.mode,
-        "seed": args.seed,
-    }
-    _write_manifest(
-        out, "energy-curve", manifest_params, [out], started, _energy_stats(points, args.samples)
-    )
+    stats = _energy_stats(points, args.samples)
+    _write_manifest(out, args.command, _flag_params(args, "out"), [out], started, stats)
     print(f"energy curve written to {out}")
     return 0
 
 
 def cmd_acc_energy(args) -> int:
     started = time.monotonic()
+    bers = _parse_bers(args.bers)
+    ascending = sorted(bers)
+    check_curve_grid(bers, args.samples)
+    check_sweep_grid(ascending, args.trials)
     out = Path(args.out)
     _check_out(out, Path(str(out) + ".manifest"))
     model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     device = _device_params(args)
-    bers = _parse_bers(args.bers)
-    for ber in bers:
-        if not 0.0 < ber < 1.0:
-            raise UsageError(f"target BER {ber} outside (0,1): the energy model needs (0,1)")
-    if args.trials < 1 or args.samples < 1:
-        raise UsageError("--trials and --samples must be >= 1")
-    mode = _MODE_FLAGS[args.mode]
 
-    ascending = sorted(bers)
     sweep = ber_sweep(model, test_set, ascending, args.trials, args.seed)
-    curve = energy_ber_curve(device, bers, args.samples, args.seed, mode)
+    curve = energy_ber_curve(device, bers, args.samples, args.seed, _MODE_FLAGS[args.mode])
     acc_by_ber = {
         ber: (float(sweep.mean_accuracy[i]), float(sweep.std_accuracy[i]))
         for i, ber in enumerate(ascending)
@@ -387,18 +369,8 @@ def cmd_acc_energy(args) -> int:
         "ber,energy_mean_fj,mean_accuracy,std_accuracy",
         [",".join(map(repr, row)) for row in rows],
     )
-    params = {
-        "model": args.model,
-        "data_dir": args.data_dir,
-        "device": args.device or "<built-in nominal device>",
-        "bers": args.bers,
-        "trials": args.trials,
-        "samples": args.samples,
-        "mode": args.mode,
-        "seed": args.seed,
-    }
     stats = {**_sweep_stats(sweep), **_energy_stats(curve, args.samples), **_tradeoff_stats(rows)}
-    _write_manifest(out, "acc-energy", params, [out], started, stats)
+    _write_manifest(out, args.command, _flag_params(args, "out"), [out], started, stats)
     print(f"accuracy-energy curve written to {out}")
     return 0
 
@@ -406,6 +378,27 @@ def cmd_acc_energy(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+class _NonNegative(argparse.Action):
+    """Store an int flag, refused (exit 2, naming the flag) if it is negative."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be >= 0, got {value}")
+        setattr(namespace, self.dest, value)
+
+
+# the flags that several subcommands take, each with one meaning
+_SHARED_FLAGS = {
+    "--model": dict(required=True, help="model file (BNN1 format)"),
+    "--data-dir": dict(required=True, help="directory with the four MNIST IDX files"),
+    "--device": dict(default=None, help="device config file (key=value)"),
+    "--trials": dict(type=int, default=5, help="fault-injection trials per BER"),
+    "--samples": dict(type=int, default=100000, help="Monte Carlo samples per BER and direction"),
+    "--mode": dict(choices=sorted(_MODE_FLAGS), default="intrinsic", help="variability to sample"),
+    "--seed": dict(type=int, default=0, action=_NonNegative, help="master seed, >= 0"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,50 +409,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train the MNIST binarized network")
-    p.add_argument("--data-dir", required=True, help="directory with the four MNIST IDX files")
+    def add(name, func, summary, *shared):
+        """Subcommand `name`, run by func, with the shared flags named, through a parent parser."""
+        parent = argparse.ArgumentParser(add_help=False)
+        for flag in shared:
+            parent.add_argument(flag, **_SHARED_FLAGS[flag])
+        p = sub.add_parser(name, parents=[parent], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("train", cmd_train, "train the MNIST binarized network", "--data-dir", "--seed")
     p.add_argument("--out", required=True, help="output model file (BNN1 format)")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch", type=int, default=100)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=None, help="cap the training set size")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="clean accuracy of a model on the test split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data-dir", required=True)
-    p.set_defaults(func=cmd_eval)
+    add("eval", cmd_eval, "clean accuracy of a model on the test split", "--model", "--data-dir")
 
-    p = sub.add_parser("ber-sweep", help="accuracy vs weight bit error rate")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data-dir", required=True)
+    p = add("ber-sweep", cmd_ber_sweep, "accuracy vs weight bit error rate",
+            "--model", "--data-dir", "--trials", "--seed")
     p.add_argument("--bers", required=True, help="comma-separated BERs, ascending")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="summary CSV path")
-    p.set_defaults(func=cmd_ber_sweep)
 
-    p = sub.add_parser("energy-curve", help="programming energy per bit vs BER")
-    p.add_argument("--device", default=None, help="device config file (key=value)")
+    p = add("energy-curve", cmd_energy_curve, "programming energy per bit vs BER",
+            "--device", "--samples", "--mode", "--seed")
     p.add_argument("--bers", required=True, help="comma-separated target BERs in (0,1)")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--mode", choices=sorted(_MODE_FLAGS), default="intrinsic")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_energy_curve)
 
-    p = sub.add_parser("acc-energy", help="join accuracy sweep with energy curve")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--device", default=None)
+    p = add("acc-energy", cmd_acc_energy, "join accuracy sweep with energy curve",
+            "--model", "--data-dir", "--device", "--trials", "--samples", "--mode", "--seed")
     p.add_argument("--bers", required=True)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--mode", choices=sorted(_MODE_FLAGS), default="intrinsic")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_acc_energy)
 
     return parser
 
@@ -468,13 +449,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:  # before ValueError, which FormatError is
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -134,6 +134,11 @@ def _flip_tensor(tensor: BitTensor, ber: float, rng: np.random.Generator) -> Bit
     return BitTensor(tensor.shape, words, validate=False)
 
 
+def _check_ber(ber: float) -> None:
+    if not 0.0 <= ber <= 1.0:
+        raise ValueError(f"ber must lie in [0,1], got {ber}")
+
+
 def flip_bits(model: BnnModel, ber: float, seed) -> BnnModel:
     """Copy the model with each weight bit flipped independently at rate ber.
 
@@ -142,8 +147,7 @@ def flip_bits(model: BnnModel, ber: float, seed) -> BnnModel:
     Generator; layers consume one stream in order, so identical
     (model, ber, seed) always yields an identical faulty model.
     """
-    if not 0.0 <= ber <= 1.0:
-        raise ValueError(f"ber must lie in [0,1], got {ber}")
+    _check_ber(ber)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
         np.random.PCG64(seed)
     )
@@ -455,6 +459,18 @@ class IncrementalEvaluator:
         return predictions
 
 
+def check_sweep_grid(bers: list[float], trials: int) -> None:
+    """Refuse, with ValueError, a BER grid or a trial count that ber_sweep cannot run."""
+    if not bers:
+        raise ValueError("need at least one BER")
+    if sorted(bers) != list(bers):
+        raise ValueError("BERs must be sorted ascending")
+    for ber in bers:
+        _check_ber(ber)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def ber_sweep(
     model: BnnModel,
     dataset: Dataset,
@@ -469,17 +485,11 @@ def ber_sweep(
     incrementally, block by block, at or below INCREMENTAL_MAX_BER
     (_score_low_bers), with a dense forward above it. The low-BER trials run
     first, and their state is freed before the dense trials start. The
-    outcome does not depend on the path that scored a trial.
+    outcome does not depend on the path that scored a trial. The grid and
+    the trial count are checked by check_sweep_grid, which the CLI runs
+    before it reads the model or the data.
     """
-    if not bers:
-        raise ValueError("need at least one BER")
-    if sorted(bers) != list(bers):
-        raise ValueError("BERs must be sorted ascending")
-    for ber in bers:
-        if not 0.0 <= ber <= 1.0:
-            raise ValueError(f"ber must lie in [0,1], got {ber}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_sweep_grid(bers, trials)
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
 

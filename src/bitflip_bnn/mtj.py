@@ -46,6 +46,7 @@ _MC_CHUNK = 1 << 20  # samples per vectorized chunk; fixed so results do not
 # depend on how a caller splits the total sample count
 _BLOCK = 1 << 15  # switching times drawn per pass of the in-place energy step;
 # its 256 KiB of draws stay in cache while each chunk array streams through once
+PULSE_REL_TOL = 1e-9  # relative bracket width at which pulse_for_ber's bisection stops
 
 
 @dataclass
@@ -205,9 +206,7 @@ def ber_at_pulse(params: MtjDeviceParams, t_pulse: float) -> float:
     return gamma_upper_q(params.k, t_pulse / _gamma_theta(params))
 
 
-def pulse_for_ber(
-    params: MtjDeviceParams, target_ber: float, rel_tol: float = 1e-9
-) -> float:
+def pulse_for_ber(params: MtjDeviceParams, target_ber: float) -> float:
     """Pulse width achieving a target BER, by bisection on the exact tail.
 
     Q(k, t/theta) is strictly decreasing in t, so the solution is unique.
@@ -218,7 +217,6 @@ def pulse_for_ber(
     if target_ber == 1.0:
         return 0.0
     k = params.k
-    _integer_shape(k)  # fail early with the domain message
     theta = _gamma_theta(params)
 
     lo, hi = 0.0, float(k)
@@ -234,10 +232,10 @@ def pulse_for_ber(
             lo = mid
         else:
             hi = mid
-        if lo > 0.0 and (hi - lo) <= rel_tol * lo:
+        if lo > 0.0 and (hi - lo) <= PULSE_REL_TOL * lo:
             return 0.5 * (lo + hi) * theta
     raise NumericError(
-        f"bisection for BER={target_ber} did not reach rel tol {rel_tol} in 200 iterations"
+        f"bisection for BER={target_ber} did not reach rel tol {PULSE_REL_TOL} in 200 iterations"
     )
 
 
@@ -284,8 +282,7 @@ def write_energy_mc(
     Raises NumericError when device variations sample an R_P or R_AP <= 0,
     before any switching time is drawn.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples)
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if variability_mode not in VARIABILITY_MODES:
@@ -355,6 +352,21 @@ def write_energy_mc(
     return EnergyStats(mean, std, unswitched / samples)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
+def check_curve_grid(bers: list[float], samples: int) -> None:
+    """Refuse, with ValueError, target BERs or a sample count that energy_ber_curve cannot run."""
+    if not bers:
+        raise ValueError("need at least one target BER")
+    for b in bers:
+        if not 0.0 < b < 1.0:
+            raise ValueError(f"target BERs must lie in (0, 1), got {b}")
+    _check_samples(samples)
+
+
 def energy_ber_curve(
     params: MtjDeviceParams,
     bers: list[float],
@@ -370,17 +382,13 @@ def energy_ber_curve(
     (point, direction) pair owns a derived RNG stream, so the curve is
     reproducible and the pairs are evaluated in parallel, on
     curve_workers(len(bers)) threads, with the same result for any count.
+    The targets and the sample count are checked by check_curve_grid, which
+    the CLI runs before it reads a device file.
     """
     # imported here because at module level it costs every command ~5 ms and 0.3 MiB
     from concurrent.futures import ThreadPoolExecutor
 
-    if not bers:
-        raise ValueError("need at least one target BER")
-    for b in bers:
-        if not 0.0 < b < 1.0:
-            raise ValueError(f"target BERs must lie in (0, 1), got {b}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_curve_grid(bers, samples)
     ordered = sorted(bers, reverse=True)
     pulses = [pulse_for_ber(params, ber) for ber in ordered]
 

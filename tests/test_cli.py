@@ -625,7 +625,8 @@ def test_energy_curve_device_file_and_mode(tmp_path):
 def _refused_before_any_work(monkeypatch, capsys, args, code=3):
     """Run the command with its data loaders and compute stubbed out; return stderr.
 
-    The command must exit with `code` (3 unless given) without calling any of them.
+    The command must exit with `code` (3 unless given) without calling any of
+    them: returned by main, or raised as SystemExit where argparse refuses a flag.
     """
     from bitflip_bnn import cli
 
@@ -635,7 +636,11 @@ def _refused_before_any_work(monkeypatch, capsys, args, code=3):
         "energy_ber_curve",
     ):
         monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: ran.append(_name))
-    assert main(args) == code
+    try:
+        exit_code = main(args)
+    except SystemExit as exc:
+        exit_code = exc.code
+    assert exit_code == code
     assert ran == []
     return capsys.readouterr().err
 
@@ -666,6 +671,57 @@ def test_train_refuses_bad_flags_before_reading_data(
             flag, value]
     err = _refused_before_any_work(monkeypatch, capsys, args, code=2)
     assert f"error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _missing_inputs(command: str, tmp_path: Path) -> list[str]:
+    """The command's input flags, naming a model, a data dir and a device file
+    that do not exist: reading any of them would exit 3."""
+    flags = {
+        "train": ["--data-dir"],
+        "ber-sweep": ["--model", "--data-dir"],
+        "energy-curve": ["--device"],
+        "acc-energy": ["--model", "--data-dir", "--device"],
+    }[command]
+    missing = {"--model": "m.bnn", "--data-dir": "data", "--device": "dev.cfg"}
+    return [item for flag in flags for item in (flag, str(tmp_path / missing[flag]))]
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("ber-sweep", ["--bers", "1e-2,1e-3"], "BERs must be sorted ascending"),
+        ("ber-sweep", ["--bers", "1e-3,1.5"], "ber must lie in [0,1], got 1.5"),
+        ("ber-sweep", ["--bers=-0.1,1e-3"], "ber must lie in [0,1], got -0.1"),
+        ("ber-sweep", ["--bers", "1e-3,0.001"], "--bers lists 0.001 more than once"),
+        ("ber-sweep", ["--bers", ","], "need at least one BER"),
+        ("ber-sweep", ["--bers", "1e-3", "--trials", "0"], "trials must be >= 1"),
+        ("energy-curve", ["--bers", "0"], "target BERs must lie in (0, 1), got 0.0"),
+        ("energy-curve", ["--bers", "1e-3,1e-3"], "--bers lists 0.001 more than once"),
+        ("energy-curve", ["--bers", "1e-3", "--samples", "0"], "samples must be >= 1"),
+        ("acc-energy", ["--bers", "0"], "target BERs must lie in (0, 1), got 0.0"),
+        ("acc-energy", ["--bers", "0", "--trials", "0"], "target BERs must lie in (0, 1), got 0.0"),
+        ("acc-energy", ["--bers", "1e-3", "--trials", "0"], "trials must be >= 1"),
+        ("acc-energy", ["--bers", "1e-3", "--samples", "0"], "samples must be >= 1"),
+    ],
+)
+def test_bad_flags_are_refused_before_any_file_is_read(
+    command, flags, message, monkeypatch, capsys, tmp_path
+):
+    args = [command, *_missing_inputs(command, tmp_path), *flags, "--out", str(tmp_path / "x.csv")]
+    err = _refused_before_any_work(monkeypatch, capsys, args, code=2)
+    assert f"error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "ber-sweep", "energy-curve", "acc-energy"])
+def test_negative_seed_is_refused_before_any_file_is_read(command, monkeypatch, capsys, tmp_path):
+    args = [command, *_missing_inputs(command, tmp_path), "--seed", "-1",
+            "--out", str(tmp_path / "x.out")]
+    if command != "train":
+        args += ["--bers", "1e-3"]
+    err = _refused_before_any_work(monkeypatch, capsys, args, code=2)
+    assert "argument --seed: must be >= 0, got -1" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -942,6 +998,72 @@ def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["ber-sweep"])  # missing required flags
     assert exc.value.code == 2
+
+
+# Every option of every subcommand, by its flags: (dest, default, required,
+# type, choices). A refactor of the parser must keep this table.
+MODES = ["intrinsic", "variations"]
+CLI_SURFACE = {
+    "train": {
+        ("--data-dir",): ("data_dir", None, True, None, None),
+        ("--out",): ("out", None, True, None, None),
+        ("--epochs",): ("epochs", 100, False, int, None),
+        ("--batch",): ("batch", 100, False, int, None),
+        ("--lr",): ("lr", 1e-3, False, float, None),
+        ("--seed",): ("seed", 0, False, int, None),
+        ("--limit",): ("limit", None, False, int, None),
+    },
+    "eval": {
+        ("--model",): ("model", None, True, None, None),
+        ("--data-dir",): ("data_dir", None, True, None, None),
+    },
+    "ber-sweep": {
+        ("--model",): ("model", None, True, None, None),
+        ("--data-dir",): ("data_dir", None, True, None, None),
+        ("--bers",): ("bers", None, True, None, None),
+        ("--trials",): ("trials", 5, False, int, None),
+        ("--seed",): ("seed", 0, False, int, None),
+        ("--out",): ("out", None, True, None, None),
+    },
+    "energy-curve": {
+        ("--device",): ("device", None, False, None, None),
+        ("--bers",): ("bers", None, True, None, None),
+        ("--samples",): ("samples", 100000, False, int, None),
+        ("--mode",): ("mode", "intrinsic", False, None, MODES),
+        ("--seed",): ("seed", 0, False, int, None),
+        ("--out",): ("out", None, True, None, None),
+    },
+    "acc-energy": {
+        ("--model",): ("model", None, True, None, None),
+        ("--data-dir",): ("data_dir", None, True, None, None),
+        ("--device",): ("device", None, False, None, None),
+        ("--bers",): ("bers", None, True, None, None),
+        ("--trials",): ("trials", 5, False, int, None),
+        ("--samples",): ("samples", 100000, False, int, None),
+        ("--mode",): ("mode", "intrinsic", False, None, MODES),
+        ("--seed",): ("seed", 0, False, int, None),
+        ("--out",): ("out", None, True, None, None),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    import argparse
+
+    from bitflip_bnn.cli import build_parser
+
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: {
+            tuple(a.option_strings): (a.dest, a.default, a.required, a.type, a.choices)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 def test_version_flag(capsys):

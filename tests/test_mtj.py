@@ -512,13 +512,14 @@ def test_config_bad_line():
         parse_device_config("tmr: 1.5")
 
 
-def test_bisection_budget_is_sufficient(params):
+def test_bisection_budget_is_sufficient(params, monkeypatch):
     # extreme but representable targets still converge within the 200-iteration cap
     for target in (1 - 1e-9, 1e-300):
         t = pulse_for_ber(params, target)
         assert t >= 0
+    monkeypatch.setattr(mtj, "PULSE_REL_TOL", 0.0)  # unreachable tolerance
     with pytest.raises(NumericError):
-        pulse_for_ber(params, 1e-3, rel_tol=0.0)  # unreachable tolerance
+        pulse_for_ber(params, 1e-3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
