@@ -21,7 +21,6 @@ from .mtj import (
     EnergyStats,
     MtjDeviceParams,
     ProgrammingPoint,
-    ber_at_pulse,
     conduction_energy,
     energy_ber_curve,
     load_device_config,
@@ -50,7 +49,6 @@ __all__ = [
     "SweepResult",
     "TrainConfig",
     "accuracy",
-    "ber_at_pulse",
     "ber_sweep",
     "binarize_input",
     "conduction_energy",

@@ -184,8 +184,6 @@ class BitTensor:
     def from_signs(cls, values: np.ndarray) -> "BitTensor":
         """Pack an array of +1/-1 values (bit i set iff value i is +1)."""
         arr = np.asarray(values)
-        if arr.ndim == 0:
-            raise ValueError("cannot pack a scalar")
         if not np.all(np.abs(arr) == 1):
             raise ValueError("sign values must be +1 or -1")
         return cls.from_bool(arr > 0)
@@ -215,14 +213,6 @@ class BitTensor:
     def words_per_row(self) -> int:
         return self.words.shape[1]
 
-    @property
-    def total_bits(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
-
-    @property
-    def tail_mask(self) -> np.uint64:
-        return tail_mask(self.shape[-1])
-
     # -- conversions -------------------------------------------------------
 
     def unpack_bool(self) -> np.ndarray:
@@ -231,20 +221,6 @@ class BitTensor:
     def unpack(self) -> np.ndarray:
         """Unpack to an int8 array of +1/-1."""
         return pm1(_unpack_bits(self.words, self.n_bits), np.int8).reshape(self.shape)
-
-    def copy(self) -> "BitTensor":
-        return BitTensor(self.shape, self.words.copy(), validate=False)
-
-    def mask_padding(self) -> "BitTensor":
-        """Return a copy with padding bits forced back to zero."""
-        words = self.words.copy()
-        words[:, -1] &= self.tail_mask
-        return BitTensor(self.shape, words, validate=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitTensor):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.words, other.words))
 
     def __repr__(self) -> str:
         return f"BitTensor(shape={self.shape})"
@@ -497,25 +473,23 @@ class BnnModel:
 
 
 def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
-    """Apply a binarized linear layer.
+    """Apply a binarized linear layer to a batch x of shape [N, in].
 
-    x is a single sample [in] or a batch [N, in]; any other shape raises
-    ValueError. Hidden layers return a BitTensor of sign bits
+    Any other shape, a single [in] sample among them, raises ValueError.
+    Hidden layers return an [N, out] BitTensor of sign bits
     (bit j set iff popcount_j >= T_j) by the float32 kernel; the output layer
-    returns integer scores 2*popcount - n - T per neuron by XOR-popcount.
+    returns [N, out] integer scores 2*popcount - n - T by XOR-popcount.
     """
     n = layer.in_features
-    if len(x.shape) > 2 or x.n_bits != n:
-        raise ValueError(f"expected an input of shape ({n},) or (N, {n}), got {x.shape}")
-    single = len(x.shape) == 1
+    if len(x.shape) != 2 or x.n_bits != n:
+        raise ValueError(f"expected an input of shape (N, {n}), got {x.shape}")
     if layer.is_output:
         scores = _disagreements(x.words, layer.weights.words, n)
         scores *= -2
         scores += n - layer.thresholds.astype(np.int64)
-        return scores[0] if single else scores
+        return scores
     out = _hidden_words(layer.weights.words, layer.thresholds, x.words, n)
-    shape = (layer.out_features,) if single else (x.n_rows, layer.out_features)
-    return BitTensor(shape, out, validate=False)
+    return BitTensor((x.n_rows, layer.out_features), out, validate=False)
 
 
 def _hidden_words(w_words, thresholds, x_words, n_bits: int) -> np.ndarray:
@@ -602,10 +576,9 @@ def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:
 
 
 def model_scores(model: BnnModel, x: BitTensor) -> np.ndarray:
-    """Run the full stack and return output-layer integer scores.
+    """Run the full stack on a batch [N, in] and return its [N, classes] integer scores.
 
-    x is a sample [in], scored as [classes], or a batch [N, in], scored as
-    [N, classes]; linear_forward refuses any other shape with ValueError.
+    linear_forward refuses any other shape with ValueError.
     """
     act = x
     for layer in model.layers:
@@ -614,8 +587,8 @@ def model_scores(model: BnnModel, x: BitTensor) -> np.ndarray:
 
 
 def model_predict_batch(model: BnnModel, x: BitTensor) -> np.ndarray:
-    """Predict classes (ties to the lowest index) of a [N, in] batch or an [in] sample."""
-    return np.argmax(np.atleast_2d(model_scores(model, x)), axis=1)
+    """Predict the classes (ties to the lowest index) of a batch [N, in]."""
+    return np.argmax(model_scores(model, x), axis=1)
 
 
 # ---------------------------------------------------------------------------

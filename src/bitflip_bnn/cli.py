@@ -11,8 +11,8 @@ cannot be written, 4 numeric failure.
 Every command works in one order. It parses and checks every flag first
 (exit 2), through argparse and the check functions the library shares
 (faultsim.check_sweep_grid, mtj.check_curve_grid); it then checks every
-path it will write (_check_out, exit 3); only then does it read the model,
-the data splits or the device file.
+path it will write, none of them an input (_check_out, exit 3); only then
+does it read the model, the data splits or the device file.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import __version__
 from .errors import FormatError, NumericError
 from .bitcore import load_model, save_model
 from .faultsim import SweepResult, accuracy, ber_sweep, check_sweep_grid
-from .mnist_io import TEST_IMAGES, TRAIN_IMAGES, Dataset, load_dataset
+from .mnist_io import Dataset, load_dataset, split_files
 from .mtj import (
     DIRECTIONS,
     INTRINSIC_ONLY,
@@ -190,14 +190,20 @@ def _sibling(path: Path, tag: str) -> Path:
     return path.with_name(path.name + tag)
 
 
-def _check_out(out: Path, *siblings: Path) -> None:
+def _check_out(out: Path, *siblings: Path, inputs=()) -> None:
     """Refuse, before any data is read, an --out that could not be written.
 
-    Every path the command writes must not be a directory, and its nearest
-    existing ancestor must be a writable directory (missing ones are made at
-    write time). Raises OSError, which exits 3, naming the flag and the path.
+    Every path the command writes must not be a directory, nor the same file
+    as one of `inputs`, the files the command reads, however it is named:
+    ./m.bnn, a symlink or a hard link to m.bnn (an unset input, None or "",
+    is skipped). Its nearest existing ancestor must be a writable directory
+    (missing ones are made at write time). Raises OSError, which exits 3,
+    naming the flag and the path.
     """
     for path in (out, *siblings):
+        same = path.exists() and [i for i in inputs if i and os.path.exists(i) and path.samefile(i)]
+        if same:
+            raise OSError(f"--out {out}: {path} would replace the input {same[0]}")
         if path.is_dir():
             raise OSError(f"--out {out}: {path} is a directory")
         if path.exists():
@@ -216,9 +222,8 @@ def _load_split(data_dir, split: str, n_in: int) -> Dataset:
     data = load_dataset(data_dir, split)
     width = data.images.shape[-1]
     if width != n_in:
-        name = TRAIN_IMAGES if split == "train" else TEST_IMAGES
         raise FormatError(
-            f"{Path(data_dir) / name}: images of {width} pixels, "
+            f"{split_files(data_dir, split)[0]}: images of {width} pixels, "
             f"but the model takes {n_in} inputs"
         )
     return data
@@ -257,7 +262,8 @@ def cmd_train(args) -> int:
     )
     out = Path(args.out)
     log_path = Path(str(out) + ".log.csv")
-    _check_out(out, log_path, Path(str(log_path) + ".manifest"))
+    splits = [*split_files(args.data_dir, "train"), *split_files(args.data_dir, "test")]
+    _check_out(out, log_path, Path(str(log_path) + ".manifest"), inputs=splits)
     train_set = _load_split(args.data_dir, "train", MNIST_LAYER_SIZES[0])
     if args.limit is not None:
         train_set = train_set.take(args.limit)
@@ -311,7 +317,8 @@ def cmd_ber_sweep(args) -> int:
     check_sweep_grid(bers, args.trials)
     out = Path(args.out)
     trials_path = _sibling(out, "_trials")
-    _check_out(out, trials_path, Path(str(out) + ".manifest"))
+    inputs = [args.model, *split_files(args.data_dir, "test")]
+    _check_out(out, trials_path, Path(str(out) + ".manifest"), inputs=inputs)
     model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     result = ber_sweep(model, test_set, bers, args.trials, args.seed)
@@ -329,7 +336,7 @@ def cmd_energy_curve(args) -> int:
     bers = _parse_bers(args.bers)
     check_curve_grid(bers, args.samples)
     out = Path(args.out)
-    _check_out(out, Path(str(out) + ".manifest"))
+    _check_out(out, Path(str(out) + ".manifest"), inputs=[args.device])
     params = _device_params(args)
     points = energy_ber_curve(params, bers, args.samples, args.seed, _MODE_FLAGS[args.mode])
     rows = [
@@ -351,7 +358,8 @@ def cmd_acc_energy(args) -> int:
     check_curve_grid(bers, args.samples)
     check_sweep_grid(ascending, args.trials)
     out = Path(args.out)
-    _check_out(out, Path(str(out) + ".manifest"))
+    inputs = [args.model, args.device, *split_files(args.data_dir, "test")]
+    _check_out(out, Path(str(out) + ".manifest"), inputs=inputs)
     model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     device = _device_params(args)

@@ -143,14 +143,12 @@ def flip_bits(model: BnnModel, ber: float, seed) -> BnnModel:
     """Copy the model with each weight bit flipped independently at rate ber.
 
     Thresholds, layer structure and padding bits are untouched; the input
-    model is never modified. `seed` may be an int, a SeedSequence or a
-    Generator; layers consume one stream in order, so identical
+    model is never modified. `seed` is an int or a SeedSequence, as
+    trial_seed gives; layers consume one stream in order, so identical
     (model, ber, seed) always yields an identical faulty model.
     """
     _check_ber(ber)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
-        np.random.PCG64(seed)
-    )
+    rng = np.random.Generator(np.random.PCG64(seed))
     layers = [
         replace(layer, weights=_flip_tensor(layer.weights, ber, rng))
         for layer in model.layers
@@ -333,13 +331,11 @@ class IncrementalEvaluator:
     model_predict_batch(faulty, inputs), ties included (lowest class index).
     """
 
-    def __init__(self, model: BnnModel, inputs: BitTensor, operands=None):
-        """`operands`, the model's operands(), may be given to spare recomputing them."""
+    def __init__(self, model: BnnModel, inputs: BitTensor, operands: list):
+        """`operands` are the model's operands(), computed once for every block of a sweep."""
         n_in = model.layers[0].in_features
         if len(inputs.shape) != 2 or inputs.shape[1] != n_in:
             raise ValueError(f"expected inputs of {n_in} bits, got shape {inputs.shape}")
-        if operands is None:
-            operands = self.operands(model)
         self.model, self.inputs = model, inputs
         self.acts = [inputs.words]  # acts[l]: clean packed input of layer l
         self.margins = []  # margins[l]: the clipped margins q of hidden layer l

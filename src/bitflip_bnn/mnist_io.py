@@ -1,10 +1,11 @@
 """IDX-format MNIST ingestion and input binarization.
 
 load_dataset reads a split's pixels a block of images at a time and keeps
-them packed, 1 bit per pixel (byte >= 128), from the file on; the public
-load_idx_images still returns the raw uint8 pixels. Both share one statement
-of the checks: magics, declared dimensions and payload lengths must match
-the file exactly (no trailing bytes), and failures report the byte offset.
+them packed, 1 bit per pixel (byte >= 128), from the file on; its reference,
+load_idx_images, returns the raw uint8 pixels. Both share one statement of
+the checks: magics, declared dimensions and payload lengths must match the
+file exactly (no trailing bytes), and failures report the byte offset.
+binarize_input packs a batch of images, [N, rows, cols], into the same bits.
 Files are never fetched from the network; the caller supplies the canonical
 MNIST files:
 
@@ -40,7 +41,7 @@ _LOAD_BLOCK_ROWS = 512
 
 @dataclass
 class Dataset:
-    """Images, one per label 0..9, in one of three forms.
+    """A batch of images and one label 0..9 per image; the images come in one of three forms.
 
     load_dataset gives a BitTensor of shape [N, rows*cols]: bit 1 is a pixel
     byte >= 128, the +1 bit of binarize_input, and no byte per pixel is ever
@@ -51,7 +52,6 @@ class Dataset:
 
     images: np.ndarray | BitTensor
     labels: np.ndarray
-    split: str = ""
 
     def __post_init__(self):
         if isinstance(self.images, BitTensor):
@@ -80,7 +80,7 @@ class Dataset:
             images = BitTensor((len(words), self.images.n_bits), words, validate=False)
         else:
             images = self.images[:n]
-        return Dataset(images, self.labels[:n], self.split)
+        return Dataset(images, self.labels[:n])
 
 
 def _image_header(f) -> tuple[int, int, int]:
@@ -171,12 +171,8 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
-def load_dataset(data_dir, split: str) -> Dataset:
-    """Load the train or test split from a directory of canonical IDX files.
-
-    Images come back packed, a BitTensor of shape [N, rows*cols] whose bit 1
-    is a pixel byte >= 128: the split costs 1 bit per pixel from the file on.
-    """
+def split_files(data_dir, split: str) -> tuple[Path, Path]:
+    """The (images, labels) IDX files of the train or test split under data_dir."""
     names = {
         "train": (TRAIN_IMAGES, TRAIN_LABELS),
         "test": (TEST_IMAGES, TEST_LABELS),
@@ -184,28 +180,36 @@ def load_dataset(data_dir, split: str) -> Dataset:
     if split not in names:
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     img_name, lbl_name = names[split]
-    data_dir = Path(data_dir)
-    images = _load_packed_images(data_dir / img_name)
-    labels = load_idx_labels(data_dir / lbl_name)
+    return Path(data_dir) / img_name, Path(data_dir) / lbl_name
+
+
+def load_dataset(data_dir, split: str) -> Dataset:
+    """Load the train or test split from a directory of canonical IDX files.
+
+    Images come back packed, a BitTensor of shape [N, rows*cols] whose bit 1
+    is a pixel byte >= 128: the split costs 1 bit per pixel from the file on.
+    """
+    img_path, lbl_path = split_files(data_dir, split)
+    images = _load_packed_images(img_path)
+    labels = load_idx_labels(lbl_path)
     if images.n_rows != len(labels):
         raise FormatError(f"{images.n_rows} images but {len(labels)} labels in {split} split")
-    return Dataset(images, labels.astype(np.int64), split)
+    return Dataset(images, labels.astype(np.int64))
 
 
 def binarize_input(images) -> BitTensor:
-    """Threshold [0,1] intensities into packed sign bits, one row per image.
+    """Threshold a batch of [0,1] intensities, [N, rows, cols], into packed sign bits.
 
     A pixel maps to +1 (bit 1) iff its intensity is >= 0.5; bool images are
     already those bits and are packed as they are, and a BitTensor, the form
     load_dataset gives, is returned unchanged. Spatial dimensions are
-    flattened, giving [N, rows*cols] (or a single flat row for one unbatched
-    image).
+    flattened, giving [N, rows*cols]. Any other shape, a single unbatched
+    [rows, cols] image among them, raises ValueError.
     """
     if isinstance(images, BitTensor):
         return images
     arr = np.asarray(images)
-    if arr.ndim not in (2, 3):
-        raise ValueError("expected [rows, cols] or [N, rows, cols] intensities")
+    if arr.ndim != 3:
+        raise ValueError("expected [N, rows, cols] intensities")
     bits = arr if arr.dtype == bool else arr >= BINARIZE_THRESHOLD
-    rows = bits.reshape(-1) if arr.ndim == 2 else bits.reshape(len(arr), -1)
-    return BitTensor.from_bool(rows)
+    return BitTensor.from_bool(bits.reshape(len(arr), -1))

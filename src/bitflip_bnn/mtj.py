@@ -131,8 +131,6 @@ def resistances(params: MtjDeviceParams) -> tuple[float, float]:
 
 def mean_switching_time(params: MtjDeviceParams) -> float:
     """Sun-model mean switching time tau0 * Vc / (V - Vc), in seconds."""
-    if params.v_write <= params.v_c:
-        raise ValueError("write voltage must exceed the critical voltage")
     return params.tau_0 * params.v_c / (params.v_write - params.v_c)
 
 
@@ -197,13 +195,6 @@ def gamma_upper_q(k: float, x: float) -> float:
         for i in range(ik):
             total += math.exp(-x + i * lx - math.lgamma(i + 1))
     return min(total, 1.0)
-
-
-def ber_at_pulse(params: MtjDeviceParams, t_pulse: float) -> float:
-    """Probability that a cell is left unswitched by a pulse of this width."""
-    if not t_pulse >= 0:
-        raise ValueError("pulse width must be non-negative")
-    return gamma_upper_q(params.k, t_pulse / _gamma_theta(params))
 
 
 def pulse_for_ber(params: MtjDeviceParams, target_ber: float) -> float:

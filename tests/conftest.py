@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bitflip_bnn import mnist_io
+from bitflip_bnn.bitcore import BitTensor
 from bitflip_bnn.mnist_io import IMAGE_MAGIC, LABEL_MAGIC, Dataset
 from bitflip_bnn.trainer import TrainConfig, export_model, train
 
@@ -45,23 +46,28 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
-def synthetic_dataset(n: int, seed: int, split: str = "synthetic") -> Dataset:
+def synthetic_dataset(n: int, seed: int) -> Dataset:
     """Noisy copies of 10 fixed random 28x28 prototypes, labeled by prototype."""
     protos = _prototypes()
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, n)
     images = np.logical_xor(protos[labels], rng.random((n, 28, 28)) < _NOISE)
-    return Dataset(images.astype(np.float32), labels.astype(np.int64), split)
+    return Dataset(images.astype(np.float32), labels.astype(np.int64))
+
+
+def same_bits(a: BitTensor, b: BitTensor) -> bool:
+    """Whether two packed tensors hold the same shape and the same words."""
+    return a.shape == b.shape and np.array_equal(a.words, b.words)
 
 
 @pytest.fixture(scope="session")
 def synth_train() -> Dataset:
-    return synthetic_dataset(2000, seed=1, split="train")
+    return synthetic_dataset(2000, seed=1)
 
 
 @pytest.fixture(scope="session")
 def synth_test() -> Dataset:
-    return synthetic_dataset(500, seed=2, split="test")
+    return synthetic_dataset(500, seed=2)
 
 
 @pytest.fixture(scope="session")
@@ -83,11 +89,8 @@ def synth_model(synth_latent):
 def synth_data_dir(tmp_path_factory) -> Path:
     """Synthetic train/test splits written as canonical IDX files."""
     root = tmp_path_factory.mktemp("idxdata")
-    for split, prefix, n, seed in (
-        ("train", "train", 1500, 11),
-        ("test", "t10k", 400, 12),
-    ):
-        ds = synthetic_dataset(n, seed=seed, split=split)
+    for prefix, n, seed in (("train", 1500, 11), ("t10k", 400, 12)):
+        ds = synthetic_dataset(n, seed=seed)
         write_idx_images(
             root / f"{prefix}-images-idx3-ubyte", (ds.images * 255).astype(np.uint8)
         )

@@ -19,6 +19,7 @@ from bitflip_bnn.bitcore import (
     xnor_popcount_row,
 )
 from bitflip_bnn.errors import FormatError
+from tests.conftest import same_bits
 
 
 def random_signs(rng, shape):
@@ -57,7 +58,7 @@ def test_pack_matrix_padding_zero():
     rng = np.random.default_rng(0)
     t = BitTensor.from_signs(random_signs(rng, (5, 70)))
     assert t.words.shape == (5, 2)
-    assert np.all(t.words[:, 1] & ~t.tail_mask == 0)
+    assert np.all(t.words[:, 1] & ~bc.tail_mask(70) == 0)
 
 
 def test_bittensor_word_count_invariant():
@@ -71,26 +72,21 @@ def test_bittensor_rejects_dirty_padding():
         BitTensor((3,), words)
 
 
-def test_bittensor_is_unhashable():
-    # __eq__ compares the mutable words, so instances must not serve as dict keys
-    with pytest.raises(TypeError):
-        hash(BitTensor.from_bool([True, False]))
-
-
 # ---------------------------------------------------------------------------
 # xnor popcount
 # ---------------------------------------------------------------------------
 
 
+def _dirty(t: BitTensor) -> BitTensor:
+    """A copy of t with every padding bit set in storage."""
+    words = t.words.copy()
+    words[:, -1] |= ~bc.tail_mask(t.n_bits)
+    return BitTensor(t.shape, words, validate=False)
+
+
 def _padded_pairs(w: BitTensor, x: BitTensor):
     """(w, x) as given, then with every padding bit set in storage in w, in x and in both."""
-
-    def dirty(t: BitTensor) -> BitTensor:
-        words = t.words.copy()
-        words[:, -1] |= ~t.tail_mask
-        return BitTensor(t.shape, words, validate=False)
-
-    return [(w, x), (dirty(w), x), (w, dirty(x)), (dirty(w), dirty(x))]
+    return [(w, x), (_dirty(w), x), (w, _dirty(x)), (_dirty(w), _dirty(x))]
 
 
 def test_popcount_identity_row():
@@ -134,19 +130,14 @@ def test_padding_bits_never_affect_popcount():
     rng = np.random.default_rng(3)
     signs = random_signs(rng, (4, 70))
     layer = BinarizedLinearLayer(BitTensor.from_signs(signs), np.full(4, 35, dtype=np.int32))
-    x = BitTensor.from_signs(random_signs(rng, 70))
+    x = BitTensor.from_signs(random_signs(rng, (1, 70)))
     clean = linear_forward(layer, x)
 
-    dirty = layer.weights.copy()
-    dirty.words[:, -1] |= ~dirty.tail_mask  # corrupt padding in storage
     dirty_layer = BinarizedLinearLayer.__new__(BinarizedLinearLayer)
-    dirty_layer.weights = dirty
+    dirty_layer.weights = _dirty(layer.weights)  # corrupt padding in storage
     dirty_layer.thresholds = layer.thresholds
     dirty_layer.is_output = False
-    assert linear_forward(dirty_layer, x) == clean
-
-    remasked = dirty.mask_padding()
-    assert remasked == layer.weights
+    assert same_bits(linear_forward(dirty_layer, x), clean)
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +149,23 @@ def test_linear_perfect_match_boundary():
     rng = np.random.default_rng(11)
     row = random_signs(rng, 8)
     layer = BinarizedLinearLayer(BitTensor.from_signs(row[None, :]), np.array([8]))
-    out = linear_forward(layer, pack(row))
-    assert out.unpack().tolist() == [1]
+    out = linear_forward(layer, pack(row[None, :]))
+    assert out.unpack().tolist() == [[1]]
 
 
 def test_linear_complement_never_fires():
     rng = np.random.default_rng(12)
     row = random_signs(rng, 8)
     layer = BinarizedLinearLayer(BitTensor.from_signs(row[None, :]), np.array([1]))
-    out = linear_forward(layer, pack(-row))
-    assert out.unpack().tolist() == [-1]
+    out = linear_forward(layer, pack(-row[None, :]))
+    assert out.unpack().tolist() == [[-1]]
 
 
 def test_linear_three_input_threshold():
     # popcount 1 < T=2 -> -1, agreeing with sign(popcount - T)
     layer = BinarizedLinearLayer(pack(np.array([[1, -1, 1]])), np.array([2]))
-    out = linear_forward(layer, pack([1, 1, -1]))
-    assert out.unpack().tolist() == [-1]
+    out = linear_forward(layer, pack([[1, 1, -1]]))
+    assert out.unpack().tolist() == [[-1]]
 
 
 @pytest.mark.parametrize("bad", [2**31, -(2**31) - 1, np.uint64(2**63)])
@@ -192,9 +183,9 @@ def test_thresholds_at_the_int32_limits_keep_their_meaning():
     limits = np.array([2**31 - 1, -(2**31 - 1)])
     never = BinarizedLinearLayer(pack(row), limits[:1])
     always = BinarizedLinearLayer(pack(row), limits[1:])
-    for x in ([1, -1, 1], [-1, 1, -1]):  # all agree, all disagree
-        assert linear_forward(never, pack(x)).unpack().tolist() == [-1]
-        assert linear_forward(always, pack(x)).unpack().tolist() == [1]
+    for x in ([[1, -1, 1]], [[-1, 1, -1]]):  # all agree, all disagree
+        assert linear_forward(never, pack(x)).unpack().tolist() == [[-1]]
+        assert linear_forward(always, pack(x)).unpack().tolist() == [[1]]
     assert never.thresholds.dtype == np.int32 and never.thresholds[0] == 2**31 - 1
 
     conv = BinarizedConvLayer(BitTensor.from_signs(np.ones((2, 1, 2, 2))), limits)
@@ -241,7 +232,7 @@ def test_output_scores_match_dense_reference():
 def test_linear_shape_mismatch():
     layer = BinarizedLinearLayer(pack(np.array([[1, -1, 1]])), np.array([1]))
     with pytest.raises(ValueError):
-        linear_forward(layer, pack([1, 1]))
+        linear_forward(layer, pack([[1, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +349,24 @@ def test_conv_channel_mismatch():
 
 
 def _score_model(scores):
-    """One output layer rigged to emit the given scores for the all-ones input."""
+    """One output layer rigged to emit the given scores for a batch of one all-ones row."""
     scores = np.asarray(scores, dtype=np.int64)
     n = 4
     weights = np.ones((len(scores), n), dtype=np.int8)
     thresholds = (n - scores).astype(np.int32)  # all-ones input gives s = n
     layer = BinarizedLinearLayer(BitTensor.from_signs(weights), thresholds, is_output=True)
-    return BnnModel([layer]), pack([1] * n)
+    return BnnModel([layer]), pack([[1] * n])
 
 
 def test_predict_argmax():
     model, x = _score_model([0, 5, -3])
-    assert np.array_equal(bc.model_scores(model, x), [0, 5, -3])
-    assert int(np.argmax(bc.model_scores(model, x))) == 1
+    assert np.array_equal(bc.model_scores(model, x), [[0, 5, -3]])
+    assert model_predict_batch(model, x).tolist() == [1]
 
 
 def test_predict_tie_lowest_index():
     model, x = _score_model([2, 2])
-    assert int(np.argmax(bc.model_scores(model, x))) == 0
+    assert model_predict_batch(model, x).tolist() == [0]
 
 
 def test_predict_deterministic(synth_model, synth_test):
@@ -386,7 +377,7 @@ def test_predict_deterministic(synth_model, synth_test):
     for _ in range(3):
         assert np.array_equal(model_predict_batch(synth_model, x), first)
     singles = [
-        np.argmax(bc.model_scores(synth_model, binarize_input(img)))
+        model_predict_batch(synth_model, binarize_input(img[None]))[0]
         for img in synth_test.images[:32]
     ]
     assert np.array_equal(first, singles)
@@ -405,9 +396,10 @@ def test_model_refuses_a_conv_layer_in_any_position(position):
 
 
 # input shapes fed to a 784-input model, with the shape of the scores of the
-# accepted ones; the first layer's linear_forward refuses the others
+# accepted ones, the [N, 784] batches; the first layer's linear_forward refuses
+# the others, a single (784,) sample among them
 INPUT_SHAPES = {
-    (784,): (3,),
+    (784,): None,
     (5, 784): (5, 3),
     (1, 28, 28): None,
     (1, 784): (1, 3),
@@ -440,7 +432,7 @@ def test_model_accepts_and_refuses_input_shapes(shape):
     scores = bc.model_scores(model, x)
     assert scores.shape == expected
     predictions = model_predict_batch(model, x)
-    assert np.array_equal(predictions, np.argmax(np.atleast_2d(scores), axis=1))
+    assert np.array_equal(predictions, np.argmax(scores, axis=1))
 
 
 def test_model_requires_output_last():
@@ -506,7 +498,7 @@ def test_serialization_round_trip(tmp_path):
     loaded = bc.load_model(path)
     assert bc.dump_model(loaded) == blob
     for a, b in zip(model.layers, loaded.layers):
-        assert a.weights == b.weights
+        assert same_bits(a.weights, b.weights)
         assert np.array_equal(a.thresholds, b.thresholds)
 
 

@@ -23,7 +23,7 @@ from bitflip_bnn.mnist_io import (
     load_idx_labels,
 )
 from bitflip_bnn.mtj import WITH_DEVICE_VARIATIONS, parse_device_config
-from tests.conftest import synthetic_dataset, write_idx_images, write_idx_labels
+from tests.conftest import same_bits, synthetic_dataset, write_idx_images, write_idx_labels
 from tests.test_bitcore import fan_in_bound_model_bytes
 from tests.test_mtj_reference import reference_energy_ber_curve
 
@@ -764,6 +764,71 @@ def test_acc_energy_refuses_an_out_it_cannot_create(monkeypatch, capsys, tmp_pat
     assert f"--out {out}: cannot create {out}" in err
 
 
+# every file each command reads, named as in its working directory, and the
+# flags that make it read them there
+READ_FILES = {
+    "train": ["train-images-idx3-ubyte", "train-labels-idx1-ubyte", TEST_IMAGES, TEST_LABELS],
+    "ber-sweep": ["m.bnn", TEST_IMAGES, TEST_LABELS],
+    "energy-curve": ["dev.cfg"],
+    "acc-energy": ["m.bnn", "dev.cfg", TEST_IMAGES, TEST_LABELS],
+}
+INPUT_FLAGS = {
+    "train": ["--data-dir", "."],
+    "ber-sweep": ["--model", "m.bnn", "--data-dir", ".", "--bers", "1e-3"],
+    "energy-curve": ["--device", "dev.cfg", "--bers", "1e-3"],
+    "acc-energy": ["--model", "m.bnn", "--data-dir", ".", "--device", "dev.cfg", "--bers", "1e-3"],
+}
+
+
+def _input_bytes(root: Path) -> dict[str, bytes]:
+    """Write every file of READ_FILES under root, each with its own bytes; return them."""
+    written = {name: f"input {name}".encode() for names in READ_FILES.values() for name in names}
+    for name, data in written.items():
+        (root / name).write_bytes(data)
+    return written
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "symlink", "hardlink"])
+@pytest.mark.parametrize(
+    "command,name", [(command, name) for command, names in READ_FILES.items() for name in names]
+)
+def test_an_out_that_names_an_input_is_refused_before_any_read(
+    monkeypatch, capsys, tmp_path, command, name, spelling
+):
+    monkeypatch.chdir(tmp_path)
+    written = _input_bytes(tmp_path)
+    out = {"same": name, "dot-slash": f"./{name}"}.get(spelling, "link.csv")
+    if spelling == "symlink":
+        Path(out).symlink_to(tmp_path / name)
+    elif spelling == "hardlink":
+        os.link(name, out)
+    args = [command, *INPUT_FLAGS[command], "--out", out]
+    err = _refused_before_any_work(monkeypatch, capsys, args)
+    assert f"error: --out {Path(out)}: {Path(out)} would replace the input " in err
+    assert {n: (tmp_path / n).read_bytes() for n in written} == written
+
+
+@pytest.mark.parametrize(
+    "command,flags,out,sibling",
+    [
+        ("ber-sweep", ["--model", "s_trials.csv", "--data-dir", ".", "--bers", "1e-3"],
+         "s.csv", "s_trials.csv"),
+        ("energy-curve", ["--device", "e.csv.manifest", "--bers", "1e-3"],
+         "e.csv", "e.csv.manifest"),
+    ],
+    ids=["trials", "manifest"],
+)
+def test_an_output_sibling_that_names_an_input_is_refused(
+    monkeypatch, capsys, tmp_path, command, flags, out, sibling
+):
+    monkeypatch.chdir(tmp_path)
+    _input_bytes(tmp_path)
+    Path(sibling).write_bytes(b"input")
+    err = _refused_before_any_work(monkeypatch, capsys, [command, *flags, "--out", out])
+    assert f"error: --out {out}: {sibling} would replace the input {sibling}" in err
+    assert Path(sibling).read_bytes() == b"input" and not Path(out).exists()
+
+
 def test_energy_curve_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "dev.cfg"
     cfg.write_text("resistance=5\n")
@@ -1144,7 +1209,7 @@ def test_mnist_commands_pass_packed_images(trained, synth_data_dir, tmp_path, mo
     # the sweep's test split, train's first 100 training images and its test split
     expected = [bits(TEST_IMAGES), bits("train-images-idx3-ubyte", 100), bits(TEST_IMAGES)]
     assert all(isinstance(images, BitTensor) for images in seen)
-    assert seen == expected
+    assert len(seen) == len(expected) and all(map(same_bits, seen, expected))
 
 
 @pytest.fixture(scope="module")

@@ -37,6 +37,7 @@ from bitflip_bnn.mnist_io import (
     load_idx_labels,
 )
 from bitflip_bnn.mtj import _CONFIG_DEFAULTS, load_device_config, parse_device_config
+from tests.conftest import same_bits
 
 
 def _model_bytes() -> tuple[bytes, list[int]]:
@@ -139,7 +140,7 @@ def test_load_dataset_parses_images_as_load_idx_images_does(tmp_path_factory, da
     except FormatError as exc:
         assert len(pixels) != 2 and "images but 2 labels" in str(exc)
         return
-    assert dataset.images == binarize_input(pixels >= 128)
+    assert same_bits(dataset.images, binarize_input(pixels >= 128))
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,8 +25,7 @@ import pytest
 from bitflip_bnn import bitcore as bc
 from bitflip_bnn import faultsim
 from bitflip_bnn.bitcore import BinarizedLinearLayer, BitTensor, BnnModel, model_predict_batch
-from bitflip_bnn.faultsim import IncrementalEvaluator
-from tests.test_faultsim import incremental_predict
+from tests.test_faultsim import evaluator_of, incremental_predict
 
 _C = bc._MATRIX_CHUNK_ROWS
 _B = faultsim._SWEEP_BLOCK_ROWS
@@ -178,7 +177,7 @@ def decided():
 
 def test_the_model_reaches_the_int8_bounds(saturated):
     model, inputs, faulty = saturated
-    evaluator = IncrementalEvaluator(model, inputs)
+    evaluator = evaluator_of(model, inputs)
     q = evaluator.margins[1]
     for a, row in enumerate(SPECIAL_ROWS):
         for t in TARGETS:
@@ -193,7 +192,7 @@ def test_the_model_reaches_the_int8_bounds(saturated):
 
 def test_hidden_words_equal_the_dense_kernel_at_the_int8_bounds(decided):
     model, inputs, faulty = decided
-    evaluator = IncrementalEvaluator(model, inputs)
+    evaluator = evaluator_of(model, inputs)
     dense = _dense_hidden_words(faulty, inputs)
     changed = np.bitwise_count(dense[0] ^ evaluator.acts[1]).sum(axis=1)
     assert changed[SPECIAL_ROWS].tolist() == DECIDED_BITS
@@ -219,7 +218,7 @@ def test_saturated_blocks_fall_back_to_the_dense_kernel(saturated):
     probes = [_probe(2, -128, +1), _probe(3, 127, -1)]  # rows of 127 and 128 changes
     pairs = [(model, faulty)] + [(_readout(model, j), _readout(faulty, j)) for j in probes]
     for clean, bad in pairs:
-        evaluator = IncrementalEvaluator(clean, inputs)
+        evaluator = evaluator_of(clean, inputs)
         assert np.array_equal(incremental_predict(evaluator, bad), model_predict_batch(bad, inputs))
         assert evaluator.fallback_blocks == 1
 
@@ -242,7 +241,7 @@ def test_predictions_read_saturated_neurons_exactly(saturated, a, t, s):
     model, inputs, faulty = saturated
     j = _probe(a, t, s)
     read, read_faulty = _readout(model, j), _readout(faulty, j)
-    predictions = incremental_predict(IncrementalEvaluator(read, inputs), read_faulty)
+    predictions = incremental_predict(evaluator_of(read, inputs), read_faulty)
     expected = model_predict_batch(read_faulty, inputs)
     assert np.array_equal(predictions, expected)
     # the prediction is the neuron's bit, so the check reaches it
@@ -252,7 +251,7 @@ def test_predictions_read_saturated_neurons_exactly(saturated, a, t, s):
 
 def test_predictions_equal_dense_with_many_flips_and_only_output_flips(saturated):
     model, inputs, faulty = saturated
-    evaluator = IncrementalEvaluator(model, inputs)
+    evaluator = evaluator_of(model, inputs)
     output_only = copy.deepcopy(model)
     bits = output_only.layers[2].weights.unpack_bool()
     bits[[0, 0, 7], [0, 5, N_PROBES]] ^= True
@@ -289,7 +288,7 @@ def test_output_lead_at_the_bound_ties_to_the_lowest_class():
     inputs = BitTensor.from_bool(x)
     assert model_predict_batch(model, inputs)[2] == 1
     assert model_predict_batch(faulty, inputs)[2] == 0
-    evaluator = IncrementalEvaluator(model, inputs)
+    evaluator = evaluator_of(model, inputs)
     assert evaluator.lead[2] == 4
     predictions = incremental_predict(evaluator, faulty)
     assert np.array_equal(predictions, model_predict_batch(faulty, inputs))

@@ -8,7 +8,7 @@ import pytest
 from bitflip_bnn import mnist_io as mio
 from bitflip_bnn.bitcore import BitTensor
 from bitflip_bnn.errors import FormatError
-from tests.conftest import write_idx_images, write_idx_labels
+from tests.conftest import same_bits, write_idx_images, write_idx_labels
 
 
 def _image_file(tmp_path, payload: bytes, n=1, rows=2, cols=2, magic=mio.IMAGE_MAGIC):
@@ -104,7 +104,6 @@ def test_load_dataset_normalizes(tmp_path):
     write_idx_images(tmp_path / mio.TEST_IMAGES, images)
     write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([9], dtype=np.uint8))
     ds = mio.load_dataset(tmp_path, "test")
-    assert ds.split == "test"
     assert isinstance(ds.images, BitTensor) and ds.images.shape == (1, 256)
     assert ds.images.unpack_bool().reshape(-1).tolist() == [v >= 128 for v in range(256)]
     intensities = images.astype(np.float32) / 255.0
@@ -127,9 +126,16 @@ def test_binarize_all_one():
 
 def test_binarize_checkerboard():
     img = np.indices((4, 4)).sum(axis=0) % 2  # 0/1 checkerboard
-    bits = mio.binarize_input(img.astype(np.float32))
-    expected = np.where(img.reshape(-1) == 1, 1, -1)
+    bits = mio.binarize_input(img[None].astype(np.float32))
+    expected = np.where(img.reshape(1, -1) == 1, 1, -1)
     assert np.array_equal(bits.unpack(), expected)
+
+
+@pytest.mark.parametrize("shape", [(16,), (4, 4), (1, 1, 4, 4)], ids=str)
+def test_binarize_refuses_all_but_a_batch_of_images(shape):
+    # one [rows, cols] image is refused like any other shape; a batch of one is [1, rows, cols]
+    with pytest.raises(ValueError, match=r"expected \[N, rows, cols\] intensities"):
+        mio.binarize_input(np.zeros(shape, dtype=np.float32))
 
 
 def test_binarize_threshold_is_half():
@@ -138,16 +144,16 @@ def test_binarize_threshold_is_half():
     assert mio.binarize_input(img[None, :, :]).unpack().tolist() == [[-1, 1, 1]]
 
 
-@pytest.mark.parametrize("shape", [(7, 9), (5, 7, 9)])
+@pytest.mark.parametrize("shape", [(1, 7, 9), (5, 7, 9)])
 def test_binarize_bool_images_match_float_intensities(shape):
     pixels = np.random.default_rng(8).integers(0, 256, shape, dtype=np.uint8)
     intensities = pixels.astype(np.float32) / 255.0
-    # BitTensor equality compares shape and packed words: bit for bit
-    assert mio.binarize_input(pixels >= 128) == mio.binarize_input(intensities)
+    # shape and packed words: bit for bit
+    assert same_bits(mio.binarize_input(pixels >= 128), mio.binarize_input(intensities))
 
 
 def test_dataset_take_is_prefix():
-    ds = mio.Dataset(np.zeros((5, 2, 2), dtype=np.float32), np.arange(5) % 10, "x")
+    ds = mio.Dataset(np.zeros((5, 2, 2), dtype=np.float32), np.arange(5) % 10)
     sub = ds.take(3)
     assert len(sub) == 3 and sub.labels.tolist() == [0, 1, 2]
 
@@ -159,7 +165,7 @@ def test_binarized_agrees_with_binarize_input_on_every_pixel_value(tmp_path):
     write_idx_labels(tmp_path / mio.TEST_LABELS, np.zeros(1, dtype=np.uint8))
     ds = mio.load_dataset(tmp_path, "test")
     assert mio.binarize_input(ds.images) is ds.images  # already packed: 1 bit per pixel
-    assert ds.images == mio.binarize_input(pixels.astype(np.float32) / 255.0)
+    assert same_bits(ds.images, mio.binarize_input(pixels.astype(np.float32) / 255.0))
 
 
 def test_binarized_dataset_loads_from_idx(tmp_path):
@@ -167,9 +173,9 @@ def test_binarized_dataset_loads_from_idx(tmp_path):
     write_idx_images(tmp_path / mio.TEST_IMAGES, pixels)
     write_idx_labels(tmp_path / mio.TEST_LABELS, np.array([3, 7]))
     ds = mio.load_dataset(tmp_path, "test")
-    assert ds.images == mio.binarize_input(pixels >= 128)
+    assert same_bits(ds.images, mio.binarize_input(pixels >= 128))
     first = ds.take(1).images
-    assert first == mio.binarize_input(pixels[:1] >= 128)
+    assert same_bits(first, mio.binarize_input(pixels[:1] >= 128))
     assert not np.shares_memory(first.words, ds.images.words)  # a copy, not a view
 
 
@@ -188,8 +194,9 @@ def test_packed_load_equals_binarize_input_around_the_block(tmp_path, rows, cols
     _split_files(tmp_path, pixels)
     ds = mio.load_dataset(tmp_path, "test")
     assert ds.images.shape == (n, rows * cols)
-    assert ds.images == mio.binarize_input(pixels >= 128)
-    assert ds.images == mio.binarize_input(mio.load_idx_images(tmp_path / mio.TEST_IMAGES) >= 128)
+    assert same_bits(ds.images, mio.binarize_input(pixels >= 128))
+    raw = mio.load_idx_images(tmp_path / mio.TEST_IMAGES)
+    assert same_bits(ds.images, mio.binarize_input(raw >= 128))
 
 
 def test_packed_load_builds_no_byte_per_pixel_array(tmp_path):
@@ -238,7 +245,7 @@ def test_dataset_refuses_intensities_outside_the_unit_interval(bad):
 
 def test_packed_dataset_take_and_checks():
     images = mio.binarize_input(np.random.default_rng(45).random((6, 4, 4)) < 0.5)
-    ds = mio.Dataset(images, np.arange(6), "x")
+    ds = mio.Dataset(images, np.arange(6))
     assert len(ds) == 6 and len(ds.take(4)) == 4 and len(ds.take(10)) == 6
     with pytest.raises(ValueError, match="one per image"):
         mio.Dataset(images, np.arange(5))

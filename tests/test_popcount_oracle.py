@@ -72,15 +72,8 @@ def _random_bits(rng, rows, n_bits):
 def _dirty(tensor: BitTensor) -> BitTensor:
     """The same values with every padding bit set in storage."""
     words = tensor.words.copy()
-    words[:, -1] |= ~tensor.tail_mask
+    words[:, -1] |= ~tail_mask(tensor.n_bits)
     return BitTensor(tensor.shape, words, validate=False)
-
-
-def _layer(weights: BitTensor, thresholds, is_output: bool) -> BinarizedLinearLayer:
-    """A layer over `weights` as given, dirty padding included."""
-    layer = BinarizedLinearLayer(weights.mask_padding(), thresholds, is_output)
-    layer.weights = weights
-    return layer
 
 
 def _thresholds(rng, n_bits):
@@ -103,11 +96,11 @@ def test_kernel_and_linear_forward_equal_oracle(n_bits, rows):
     for xt, wt in [(x, w), (_dirty(x), w), (x, _dirty(w)), (_dirty(x), _dirty(w))]:
         assert np.array_equal(_kernel_counts(xt.words, wt.words, n_bits), expected)
 
-        hidden = linear_forward(_layer(wt, thr, is_output=False), xt)
+        hidden = linear_forward(BinarizedLinearLayer(wt, thr, is_output=False), xt)
         assert hidden.shape == (rows, OUT_FEATURES)
         assert np.array_equal(hidden.unpack_bool(), expected >= thr)
 
-        scores = linear_forward(_layer(wt, thr, is_output=True), xt)
+        scores = linear_forward(BinarizedLinearLayer(wt, thr, is_output=True), xt)
         assert np.array_equal(scores, 2 * expected.astype(np.int64) - n_bits - thr)
 
 
@@ -116,7 +109,8 @@ def test_thresholds_outside_range_force_constant_outputs():
     n_bits = 70
     x = _random_bits(rng, 300, n_bits)
     w = _random_bits(rng, 4, n_bits)
-    out = linear_forward(_layer(w, [-1, 0, n_bits + 1, n_bits], is_output=False), x)
+    layer = BinarizedLinearLayer(w, [-1, 0, n_bits + 1, n_bits], is_output=False)
+    out = linear_forward(layer, x)
     bits = out.unpack_bool()
     assert bits[:, 0].all() and bits[:, 1].all() and not bits[:, 2].any()
     expected = popcount_oracle(x.words, w.words, n_bits)[:, 3] == n_bits
@@ -172,10 +166,11 @@ def test_int32_extreme_thresholds_are_constant_and_scores_exact():
     w = _random_bits(rng, 4, n_bits)
     i32 = np.iinfo(np.int32)
     thr = np.array([i32.min, i32.max, -n_bits - 1, n_bits + 2])
-    bits = linear_forward(_layer(_dirty(w), thr, is_output=False), _dirty(x)).unpack_bool()
+    hidden = BinarizedLinearLayer(_dirty(w), thr, is_output=False)
+    bits = linear_forward(hidden, _dirty(x)).unpack_bool()
     assert bits[:, 0].all() and not bits[:, 1].any()
     assert bits[:, 2].all() and not bits[:, 3].any()
-    scores = linear_forward(_layer(_dirty(w), thr, is_output=True), _dirty(x))
+    scores = linear_forward(BinarizedLinearLayer(_dirty(w), thr, is_output=True), _dirty(x))
     expected = popcount_oracle(x.words, w.words, n_bits).astype(np.int64)
     assert np.array_equal(scores, 2 * expected - n_bits - thr)
 

@@ -1,35 +1,73 @@
-"""Every name a package module imports is used, and every private top-level name is referenced.
+"""Every name a package module imports is used, and every name it defines is read.
 
 Read from the source with `ast` alone, for each module of the package but
 `__init__.py`, whose imports are the public names it re-exports:
 - an imported name that no expression of its module reads is dead weight;
 - a private (one leading underscore) module-level function, class or
   constant that no module of the package refers to is dead code, which the
-  tests alone keep alive.
+  tests alone keep alive;
+- a public module-level name, or a public method, property or field of a
+  public class, must be read somewhere in the package outside its own
+  definition, or by the acceptance tests (tests/test_acceptance.py), or by
+  the benchmark (perfbench/), or be listed in KEPT_PUBLIC with its reason.
+  The re-exports of `__init__.py` do not count as reads. A benchmark string
+  that parses as Python counts as code: the names its tracer patches by
+  string and the set-up snippets it runs.
+
+Reads are matched by name alone, not by what they resolve to. A member whose
+name is also that of a numpy, str, struct or module attribute, such as
+`copy`, `split`, `tail_mask` or `unpack`, is read wherever that one is, so
+it passes this check unchecked.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bitflip_bnn"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bitflip_bnn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+PERFBENCH = ROOT / "perfbench"
+
+# Public names that nothing but the tests reads, kept on purpose; "module.name": reason.
+KEPT_PUBLIC = {
+    "mnist_io.load_idx_images": (
+        "the byte-per-pixel reference that tests/test_format_properties.py holds the packed "
+        "loader to, error text included; both read the header through _image_header"
+    ),
+}
 
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _read_names(tree: ast.AST) -> set[str]:
-    """Names an expression reads, bare (`x`) or as an attribute (`m.x`); assignments read none."""
-    names = set()
+def _read_counts(tree: ast.AST) -> Counter:
+    """How often an expression reads each name, bare (`x`) or as an attribute (`m.x`).
+
+    Assignments read none.
+    """
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            names[node.attr] += 1
     return names
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    return set(_read_counts(tree))
+
+
+def _from_imports(tree: ast.AST) -> set[str]:
+    """The names that `from m import ...` statements take, anywhere in the module."""
+    return {
+        a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names
+    }
 
 
 def _imported_names(tree: ast.Module) -> list[str]:
@@ -43,17 +81,53 @@ def _imported_names(tree: ast.Module) -> list[str]:
     return bound
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a statement of a module or class body defines: a def, a class or an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _private_definitions(tree: ast.Module) -> list[str]:
     """Module-level functions, classes and constants named with one leading underscore."""
-    names = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.append(node.target.id)
+    names = [name for node in tree.body for name in _bound_names(node)]
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, defining statement) of each public module-level name and of each
+    public method, property and field of a public class, named `Class.member`."""
+    found = []
+    for node in tree.body:
+        found += [(name, node) for name in _bound_names(node) if not name.startswith("_")]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [
+                (f"{node.name}.{name}", member)
+                for member in node.body
+                for name in _bound_names(member)
+                if not name.startswith("_")
+            ]
+    return found
+
+
+def _outside_reads() -> set[str]:
+    """Names the acceptance tests import or read, and names the benchmark reads."""
+    names = set()
+    for path in [ACCEPTANCE, *sorted(PERFBENCH.glob("*.py"))]:
+        tree = _tree(path)
+        names |= _read_names(tree) | _from_imports(tree)
+        if path.parent == PERFBENCH:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    try:
+                        names |= _read_names(ast.parse(node.value))
+                    except SyntaxError:  # prose, not code
+                        pass
+    return names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -71,9 +145,24 @@ def test_every_private_top_level_name_is_referenced(path):
         referenced |= _read_names(tree)
         # `from .m import _name` in another module refers to _name too
         if module != path:
-            referenced |= {
-                a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                for a in node.names
-            }
+            referenced |= _from_imports(tree)
     dead = sorted(set(_private_definitions(_tree(path))) - referenced)
     assert not dead, f"{path.name} defines private names the package never uses: {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_is_used(path):
+    if not PERFBENCH.is_dir():
+        pytest.skip("perfbench/ is not in this checkout")
+    package_reads = sum((_read_counts(_tree(module)) for module in MODULES), Counter())
+    outside = _outside_reads()
+    unused = set()
+    for qualified, node in _public_definitions(_tree(path)):
+        name = qualified.rsplit(".", 1)[-1]
+        # reads within the definition itself, a recursive call say, do not count
+        if package_reads[name] > _read_counts(node)[name] or name in outside:
+            continue
+        unused.add(f"{path.stem}.{qualified}")
+    kept = {key for key in KEPT_PUBLIC if key.split(".")[0] == path.stem}
+    assert unused <= kept, f"public names that only the tests use: {sorted(unused - kept)}"
+    assert kept <= unused, f"KEPT_PUBLIC lists names now read, or gone: {sorted(kept - unused)}"

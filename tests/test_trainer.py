@@ -475,7 +475,7 @@ def test_train_validates_feature_count():
     images = np.zeros((10, 5, 5), dtype=np.float32)
     labels = np.zeros(10, dtype=np.int64)
     with pytest.raises(ValueError, match="features"):
-        train(Dataset(images, labels, "x"), TrainConfig(epochs=1, batch_size=5), (784, 8, 10))
+        train(Dataset(images, labels), TrainConfig(epochs=1, batch_size=5), (784, 8, 10))
 
 
 def test_train_config_validation():
@@ -502,7 +502,7 @@ def test_mnist_one_epoch_smoke(mnist_dir):
 
 def test_train_holds_no_float_copy_of_the_split():
     rng = np.random.default_rng(41)
-    data = Dataset(rng.random((4000, 28, 28)) < 0.5, rng.integers(0, 10, 4000), "train")
+    data = Dataset(rng.random((4000, 28, 28)) < 0.5, rng.integers(0, 10, 4000))
     float32_split = data.images.size * 4
     tracemalloc.start()
     try:
@@ -542,13 +542,13 @@ def test_train_on_binarized_dataset_gives_identical_model_and_history():
     rng = np.random.default_rng(31)
     pixels = rng.integers(0, 256, (240, 28, 28), dtype=np.uint8)
     images = pixels.astype(np.float32) / 255.0
-    data = Dataset(images[:180], rng.integers(0, 10, 180), "train")
-    test = Dataset(images[180:], rng.integers(0, 10, 60), "test")
+    data = Dataset(images[:180], rng.integers(0, 10, 180))
+    test = Dataset(images[180:], rng.integers(0, 10, 60))
     config = TrainConfig(epochs=2, batch_size=30, seed=9)
 
     model_f, hist_f = train(data, config, (784, 16, 10), test)
-    bits = Dataset(pixels[:180] >= 128, data.labels, "train")
-    test_bits = Dataset(pixels[180:] >= 128, test.labels, "test")
+    bits = Dataset(pixels[:180] >= 128, data.labels)
+    test_bits = Dataset(pixels[180:] >= 128, test.labels)
     model_b, hist_b = train(bits, config, (784, 16, 10), test_bits)
     assert hist_f == hist_b
     assert dump_model(export_model(model_f)) == dump_model(export_model(model_b))
