@@ -622,7 +622,7 @@ class _Reader:
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
         raw = self.take(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        return np.frombuffer(raw, dtype).copy()
 
     def expect_eof(self):
         if self.offset != len(self.data):

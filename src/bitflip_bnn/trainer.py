@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitcore import BinarizedLinearLayer, BitTensor, BnnModel, _unpack_bits, pm1
+from .errors import NumericError
 from .faultsim import accuracy
 from .mnist_io import Dataset, binarize_input
 
@@ -101,19 +102,16 @@ class LatentModel:
 
 
 def init_latent_model(
-    layer_sizes: tuple[int, ...],
-    dropout: float,
-    rng: np.random.Generator,
-    dtype=np.float32,
+    layer_sizes: tuple[int, ...], dropout: float, rng: np.random.Generator
 ) -> LatentModel:
-    """Glorot-uniform latent weights; batchnorm starts at identity."""
+    """Glorot-uniform float32 latent weights; batchnorm starts at identity."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
     layers = []
     for i in range(len(layer_sizes) - 1):
         n_in, n_out = layer_sizes[i], layer_sizes[i + 1]
         limit = math.sqrt(6.0 / (n_in + n_out))
-        weight = rng.uniform(-limit, limit, size=(n_out, n_in)).astype(dtype)
+        weight = rng.uniform(-limit, limit, size=(n_out, n_in)).astype(np.float32)
         is_output = i == len(layer_sizes) - 2
         if is_output:
             layers.append(LatentDenseLayer(weight, None, None, None, None, True))
@@ -121,10 +119,10 @@ def init_latent_model(
             layers.append(
                 LatentDenseLayer(
                     weight,
-                    np.ones(n_out, dtype=dtype),
-                    np.zeros(n_out, dtype=dtype),
-                    np.zeros(n_out, dtype=dtype),
-                    np.ones(n_out, dtype=dtype),
+                    np.ones(n_out, dtype=np.float32),
+                    np.zeros(n_out, dtype=np.float32),
+                    np.zeros(n_out, dtype=np.float32),
+                    np.ones(n_out, dtype=np.float32),
                     False,
                 )
             )
@@ -136,32 +134,25 @@ def _sign_pm1(arr: np.ndarray) -> np.ndarray:
     return pm1(arr >= 0, arr.dtype)
 
 
-def forward_train(
-    model: LatentModel,
-    batch: np.ndarray,
-    rng: np.random.Generator | None = None,
-    training: bool = True,
-    binarize: bool = True,
-):
-    """Forward pass over a (B, in) batch of +-1 inputs.
+def forward_train(model: LatentModel, batch: np.ndarray, rng: np.random.Generator):
+    """Training forward pass over a (B, in) batch of +-1 inputs.
 
-    Returns (logits, cache). With training=True, hidden layers normalize by
-    batch statistics (updating the running estimates) and dropout masks are
-    drawn from `rng`; otherwise running statistics are used and dropout is a
-    no-op. binarize=False switches weight and activation binarization to the
-    identity (full-precision mode, used by gradient checks). The cache holds
-    what backward_ste reads, which it consumes.
+    Returns (logits, cache). Weights and hidden activations are binarized,
+    hidden layers normalize by the batch statistics (updating the running
+    estimates), and dropout masks are drawn from `rng`. This is the one mode:
+    the latent model has no inference pass of its own, because its inference
+    form is the exported BNN1 model (export_model), which folds the running
+    statistics into popcount thresholds. The cache is the list of per-layer
+    entries that backward_ste reads, which it consumes.
     """
     x = np.asarray(batch)
     if x.ndim != 2:
         raise ValueError("batch must be 2-D (samples, features)")
-    if training and model.dropout > 0 and rng is None:
-        raise ValueError("training with dropout needs an RNG")
 
-    cache = {"layers": [], "training": training, "binarize": binarize}
+    cache = []
     act = x
     for i, layer in enumerate(model.layers):
-        wb = _sign_pm1(layer.weight) if binarize else layer.weight
+        wb = _sign_pm1(layer.weight)
         s = act @ wb.T
         entry = {"x": act}
         if i > 0:  # backward_ste reads the signs of every layer but the first
@@ -171,21 +162,17 @@ def forward_train(
             scale = 1.0 / math.sqrt(layer.in_features)
             logits = s * scale
             entry["scale"] = scale
-            cache["layers"].append(entry)
+            cache.append(entry)
             return logits, cache
 
-        if training:
-            mu = s.mean(axis=0)
-            var = s.var(axis=0)
-            layer.run_mean = (
-                (1.0 - BN_MOMENTUM) * layer.run_mean + BN_MOMENTUM * mu
-            ).astype(layer.run_mean.dtype)
-            layer.run_var = (
-                (1.0 - BN_MOMENTUM) * layer.run_var + BN_MOMENTUM * var
-            ).astype(layer.run_var.dtype)
-        else:
-            mu = layer.run_mean
-            var = layer.run_var
+        mu = s.mean(axis=0)
+        var = s.var(axis=0)
+        layer.run_mean = (
+            (1.0 - BN_MOMENTUM) * layer.run_mean + BN_MOMENTUM * mu
+        ).astype(layer.run_mean.dtype)
+        layer.run_var = (
+            (1.0 - BN_MOMENTUM) * layer.run_var + BN_MOMENTUM * var
+        ).astype(layer.run_var.dtype)
         istd = 1.0 / np.sqrt(var + BN_EPS)
         s_hat = (s - mu) * istd
         # freed before z and a are allocated: kept until the next layer's
@@ -194,16 +181,16 @@ def forward_train(
         # to 74.5 MiB
         del s
         z = layer.gamma * s_hat + layer.beta
-        a = _sign_pm1(z) if binarize else z
+        a = _sign_pm1(z)
         entry.update({"s_hat": s_hat, "z": z, "istd": istd})
 
-        if training and model.dropout > 0:
+        if model.dropout > 0:
             keep = 1.0 - model.dropout
             mask = rng.random(a.shape) < keep
             a = a * mask / keep
             entry["mask"] = mask
             entry["keep"] = keep
-        cache["layers"].append(entry)
+        cache.append(entry)
         act = a
     raise AssertionError("model has no output layer")
 
@@ -235,54 +222,51 @@ def _gate_weight_grad(dwb: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return dwb
 
 
-def backward_ste(model: LatentModel, cache: dict, grad_logits: np.ndarray) -> list[dict]:
-    """Backprop with straight-through sign gradients; returns per-layer grads.
+def backward_ste(model: LatentModel, cache: list[dict], grad_logits: np.ndarray) -> list[dict]:
+    """Backprop of forward_train's one mode; returns per-layer grads.
 
-    Consumes the cache: each layer's entry is popped when its layer is
+    Sign gradients are straight-through: the activation gradient passes where
+    the pre-sign value lies in [-1, 1] and the weight gradient where the
+    latent weight does. The hidden layers' batch statistics take part in the
+    graph. Consumes the cache: each layer's entry is popped when its layer is
     reached, and a layer's signs are dropped as soon as the activation
     gradient below it is computed, before the weight gradient is allocated.
-    `cache["layers"]` is empty afterwards.
+    `cache` is empty afterwards.
     """
-    binarize = cache["binarize"]
     grads: list[dict] = [None] * len(model.layers)
 
-    entry = cache["layers"].pop()
+    entry = cache.pop()
     layer = model.layers[-1]
     ds = grad_logits * entry["scale"]
     if len(model.layers) > 1:
         da = ds @ entry.pop("wb")
     dwb = ds.T @ entry["x"]
-    dw = _gate_weight_grad(dwb, layer.weight) if binarize else dwb
-    grads[-1] = {"weight": dw}
+    grads[-1] = {"weight": _gate_weight_grad(dwb, layer.weight)}
 
     for i in range(len(model.layers) - 2, -1, -1):
         layer = model.layers[i]
-        entry = cache["layers"].pop()
+        entry = cache.pop()
         if "mask" in entry:
             da = da * entry["mask"] / entry["keep"]
-        dz = da * (np.abs(entry["z"]) <= 1.0) if binarize else da
+        dz = da * (np.abs(entry["z"]) <= 1.0)
 
         dgamma = (dz * entry["s_hat"]).sum(axis=0)
         dbeta = dz.sum(axis=0)
         ds_hat = dz * layer.gamma
-        if cache["training"]:
-            # batch statistics participate in the graph
-            b = ds_hat.shape[0]
-            ds = (
-                entry["istd"]
-                / b
-                * (
-                    b * ds_hat
-                    - ds_hat.sum(axis=0)
-                    - entry["s_hat"] * (ds_hat * entry["s_hat"]).sum(axis=0)
-                )
+        b = ds_hat.shape[0]
+        ds = (
+            entry["istd"]
+            / b
+            * (
+                b * ds_hat
+                - ds_hat.sum(axis=0)
+                - entry["s_hat"] * (ds_hat * entry["s_hat"]).sum(axis=0)
             )
-        else:
-            ds = ds_hat * entry["istd"]
+        )
         if i > 0:
             da = ds @ entry.pop("wb")
         dwb = ds.T @ entry["x"]
-        dw = _gate_weight_grad(dwb, layer.weight) if binarize else dwb
+        dw = _gate_weight_grad(dwb, layer.weight)
         grads[i] = {"weight": dw, "gamma": dgamma, "beta": dbeta}
     return grads
 
@@ -307,7 +291,7 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
     t: int,
-) -> LatentModel:
+) -> None:
     """One bias-corrected Adam update; latent weights re-clipped to [-1, 1].
 
     Each gradient must have its parameter's shape. Per element the update is
@@ -333,7 +317,6 @@ def adam_step(
                 raise ValueError(f"layer {i} {name}: parameter must be C-contiguous")
             m, v = state.slot((i, name), param)  # zeros_like: param's dtype and layout
             _adam_update(param, grad, m, v, config, t, clip=name == "weight")
-    return model
 
 
 def _adam_update(param, grad, m, v, config: TrainConfig, t: int, clip: bool) -> None:
@@ -411,9 +394,18 @@ def _fold_neuron(gamma: float, beta: float, mu: float, var: float, n: int):
 
 
 def export_model(model: LatentModel) -> BnnModel:
-    """Compile the latent model into the packed integer-threshold form."""
+    """Compile the latent model into the packed integer-threshold form.
+
+    Raises NumericError, naming the layer and the parameter, if any latent
+    parameter is NaN or infinite (training diverged): such a neuron has no
+    popcount threshold that means what it computed.
+    """
     layers = []
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers):
+        for name in ("weight", "gamma", "beta", "run_mean", "run_var"):
+            value = getattr(layer, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise NumericError(f"layer {i} {name} is not finite: training diverged")
         signs = pm1(layer.weight >= 0, np.int8)
         n = layer.in_features
         thresholds = np.zeros(layer.out_features, dtype=np.int32)  # the output layer's
@@ -458,7 +450,7 @@ def _train_step(
     locals, so none of them outlives the step.
     """
     batch = pm1(_unpack_bits(inputs.words[idx], inputs.n_bits), np.float32)
-    logits, cache = forward_train(model, batch, rng, training=True)
+    logits, cache = forward_train(model, batch, rng)
     loss, grad = softmax_cross_entropy(logits, labels[idx])
     grads = backward_ste(model, cache, grad)
     adam_step(model, grads, state, config, t)

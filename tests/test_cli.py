@@ -1145,6 +1145,20 @@ def test_train_refuses_nan_learning_rate(synth_data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_that_diverges_exits_4_and_writes_nothing(synth_data_dir, tmp_path, capsys):
+    # lr passes TrainConfig's check, but Adam's lr * m_hat overflows float32
+    # and the latent parameters turn NaN; nothing is exported from them
+    out = tmp_path / "m.bnn"
+    args = [
+        "train", "--data-dir", str(synth_data_dir), "--out", str(out),
+        "--lr", "1e300", "--limit", "100", "--batch", "100", "--epochs", "1",
+    ]
+    with pytest.warns(RuntimeWarning):
+        assert main(args) == 4
+    assert "is not finite: training diverged" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_energy_curve_non_integer_gamma_k_is_format_error(tmp_path, capsys):
     cfg = tmp_path / "dev.cfg"
     cfg.write_text("gamma_k=16.5\n")

@@ -14,10 +14,17 @@ Read from the source with `ast` alone, for each module of the package but
   that parses as Python counts as code: the names its tracer patches by
   string and the set-up snippets it runs.
 
+- a defaulted parameter of a `def` anywhere in the package must be set by
+  some call in the package, the acceptance tests or the benchmark, by
+  position or by keyword, to anything but a literal equal to its default,
+  or be listed in KEPT_DEFAULTS with its reason: a mode that only the tests
+  select is a second code path that the program never runs.
+
 Reads are matched by name alone, not by what they resolve to. A member whose
 name is also that of a numpy, str, struct or module attribute, such as
 `copy`, `split`, `tail_mask` or `unpack`, is read wherever that one is, so
-it passes this check unchecked.
+it passes this check unchecked. Calls are matched the same way: by the name
+called (a class's name for its `__init__`), not by what it resolves to.
 """
 
 import ast
@@ -38,6 +45,15 @@ KEPT_PUBLIC = {
         "the byte-per-pixel reference that tests/test_format_properties.py holds the packed "
         "loader to, error text included; both read the header through _image_header"
     ),
+}
+
+# Defaulted parameters that no call sets, kept on purpose; "module.def.parameter": reason.
+KEPT_DEFAULTS = {
+    "cli.main.argv": (
+        "None reads sys.argv, as the console script runs it; perfbench passes argv through "
+        "tracer.call(spans.ROOT, cli.main, argv), which is no call by name"
+    ),
+    "cli._NonNegative.__call__.option_string": "argparse.Action.__call__'s signature",
 }
 
 
@@ -114,19 +130,27 @@ def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
     return found
 
 
-def _outside_reads() -> set[str]:
-    """Names the acceptance tests import or read, and names the benchmark reads."""
-    names = set()
+def _outside_trees() -> list[ast.Module]:
+    """The acceptance tests, the benchmark, and each benchmark string that parses as Python."""
+    trees = []
     for path in [ACCEPTANCE, *sorted(PERFBENCH.glob("*.py"))]:
         tree = _tree(path)
-        names |= _read_names(tree) | _from_imports(tree)
+        trees.append(tree)
         if path.parent == PERFBENCH:
             for node in ast.walk(tree):
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     try:
-                        names |= _read_names(ast.parse(node.value))
+                        trees.append(ast.parse(node.value))
                     except SyntaxError:  # prose, not code
                         pass
+    return trees
+
+
+def _outside_reads() -> set[str]:
+    """Names the acceptance tests import or read, and names the benchmark reads."""
+    names = set()
+    for tree in _outside_trees():
+        names |= _read_names(tree) | _from_imports(tree)
     return names
 
 
@@ -166,3 +190,95 @@ def test_every_public_name_is_used(path):
     kept = {key for key in KEPT_PUBLIC if key.split(".")[0] == path.stem}
     assert unused <= kept, f"public names that only the tests use: {sorted(unused - kept)}"
     assert kept <= unused, f"KEPT_PUBLIC lists names now read, or gone: {sorted(kept - unused)}"
+
+
+def _defaulted_parameters(path: Path):
+    """(qualified name, called name, positional offset, {parameter: (index, default)})
+    of each def of a module that has defaulted parameters.
+
+    A method's first parameter is bound, so its call's positional arguments
+    start at offset 1; `__init__` is called by its class's name.
+    """
+    tree = _tree(path)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaults = {
+            a.arg: (first + k, d) for k, (a, d) in enumerate(zip(positional[first:], args.defaults))
+        }
+        defaults |= {
+            a.arg: (None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        }
+        if not defaults:
+            continue
+        scope, owner = [node.name], parents[node]
+        while not isinstance(owner, ast.Module):
+            if isinstance(owner, (ast.ClassDef, ast.FunctionDef)):
+                scope.insert(0, owner.name)
+            owner = parents[owner]
+        enclosing = parents[node]
+        method = isinstance(enclosing, ast.ClassDef) and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        )
+        called = enclosing.name if method and node.name == "__init__" else node.name
+        found.append((f"{path.stem}.{'.'.join(scope)}", called, int(method), defaults))
+    return found
+
+
+def _sets(value: ast.expr, default: ast.expr) -> bool:
+    """Whether passing `value` may set a parameter whose default is `default`:
+    anything but a literal equal to a literal default does."""
+    try:
+        given, fallback = ast.literal_eval(value), ast.literal_eval(default)
+    except ValueError:
+        return True
+    return type(given) is not type(fallback) or given != fallback
+
+
+def _set_parameters(call: ast.Call, offset: int, defaults: dict) -> set[str]:
+    """The defaulted parameters a call may set, by position or by keyword.
+
+    A `*args` or `**kwargs` argument may set every parameter it can reach."""
+    reached = set()
+    for name, (index, default) in defaults.items():
+        if index is not None:
+            for k, arg in enumerate(call.args[: index - offset + 1]):
+                if isinstance(arg, ast.Starred) or (k == index - offset and _sets(arg, default)):
+                    reached.add(name)
+        for kw in call.keywords:
+            if kw.arg is None or (kw.arg == name and _sets(kw.value, default)):
+                reached.add(name)
+    return reached
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call is made by: `f` for `f(...)` and for `m.f(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_defaulted_parameter_is_set():
+    if not PERFBENCH.is_dir():
+        pytest.skip("perfbench/ is not in this checkout")
+    calls = [
+        node
+        for tree in [*(_tree(p) for p in PACKAGE.glob("*.py")), *_outside_trees()]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    unset = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, called, offset, defaults in _defaulted_parameters(path):
+            reached = set()
+            for call in calls:
+                if _called_name(call) == called:
+                    reached |= _set_parameters(call, offset, defaults)
+            unset |= {f"{qualified}.{name}" for name in defaults.keys() - reached}
+    kept = set(KEPT_DEFAULTS)
+    assert unset <= kept, f"defaulted parameters that no call sets: {sorted(unset - kept)}"
+    assert kept <= unset, f"KEPT_DEFAULTS lists parameters now set, or gone: {sorted(kept - unset)}"

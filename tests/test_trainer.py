@@ -6,6 +6,7 @@ import pytest
 
 from bitflip_bnn import trainer as tr
 from bitflip_bnn.bitcore import BitTensor, dump_model, model_predict_batch
+from bitflip_bnn.errors import NumericError
 from bitflip_bnn.mnist_io import Dataset
 from bitflip_bnn.trainer import (
     ADAM_EPS,
@@ -35,9 +36,21 @@ def binarize_weights(latent: np.ndarray) -> BitTensor:
 
 
 def latent_predict(model: LatentModel, inputs: np.ndarray) -> np.ndarray:
-    """Inference-mode predictions of the latent model (binarized forward)."""
-    logits, _ = forward_train(model, inputs, training=False, binarize=True)
-    return np.argmax(logits, axis=1)
+    """Inference-mode classes of the latent model, in float64.
+
+    A hidden layer fires iff gamma*(s-mu)/sqrt(var+BN_EPS)+beta >= 0 on its
+    running statistics, s being the +-1 dot product with the weight signs;
+    the class is the argmax of the output layer's dot products a @ sign(W).T.
+    """
+    a = np.asarray(inputs, dtype=np.float64)
+    for layer in model.layers:
+        s = a @ np.where(layer.weight >= 0, 1.0, -1.0).T
+        if layer.is_output:
+            return np.argmax(s, axis=1)
+        mu, var = layer.run_mean.astype(np.float64), layer.run_var.astype(np.float64)
+        gamma, beta = layer.gamma.astype(np.float64), layer.beta.astype(np.float64)
+        a = np.where(gamma * (s - mu) / np.sqrt(var + BN_EPS) + beta >= 0.0, 1.0, -1.0)
+    raise AssertionError("model has no output layer")
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +91,21 @@ def _toy_model(rng, sizes=(4, 3, 2), dropout=0.0, dtype=np.float64):
 
 
 def test_preactivation_is_pm1_dot_product():
-    # in eval mode the normalized pre-activation is (x . sign(W) - running mean) / std
+    # the normalized pre-activation is (x . sign(W) - batch mean) / batch std,
+    # and the running estimates move a tenth of the way to the batch's
     rng = np.random.default_rng(1)
     model = _toy_model(rng)
     x = random_pm1(rng, (5, 4))
     layer = model.layers[0]
     layer.run_mean = rng.normal(size=layer.out_features)
     layer.run_var = rng.uniform(0.5, 2.0, size=layer.out_features)
-    _, cache = forward_train(model, x, training=False)
-    wb = np.where(layer.weight >= 0, 1.0, -1.0)
-    istd = 1.0 / np.sqrt(layer.run_var + BN_EPS)
-    assert np.array_equal(cache["layers"][0]["s_hat"], (x @ wb.T - layer.run_mean) * istd)
+    run_mean, run_var = layer.run_mean.copy(), layer.run_var.copy()
+    _, cache = forward_train(model, x, rng)
+    s = x @ np.where(layer.weight >= 0, 1.0, -1.0).T
+    istd = 1.0 / np.sqrt(s.var(axis=0) + BN_EPS)
+    assert np.array_equal(cache[0]["s_hat"], (s - s.mean(axis=0)) * istd)
+    assert np.allclose(layer.run_mean, 0.9 * run_mean + 0.1 * s.mean(axis=0))
+    assert np.allclose(layer.run_var, 0.9 * run_var + 0.1 * s.var(axis=0))
 
 
 def test_single_neuron_batchnorm_hand_computed():
@@ -107,11 +124,11 @@ def test_single_neuron_batchnorm_hand_computed():
         dropout=0.0,
     )
     x = np.array([[1.0, 1.0], [1.0, -1.0]])  # s = [2, 0]
-    _, cache = forward_train(model, x, training=True)
+    _, cache = forward_train(model, x, np.random.default_rng(0))
     mu, var = 1.0, 1.0  # mean of [2,0], biased variance
     z0 = 2.0 * (2.0 - mu) / math.sqrt(var + BN_EPS) + 0.5
     z1 = 2.0 * (0.0 - mu) / math.sqrt(var + BN_EPS) + 0.5
-    assert cache["layers"][0]["z"][:, 0] == pytest.approx([z0, z1])
+    assert cache[0]["z"][:, 0] == pytest.approx([z0, z1])
 
 
 def test_identical_samples_produce_identical_rows():
@@ -119,7 +136,7 @@ def test_identical_samples_produce_identical_rows():
     model = _toy_model(rng, (6, 4, 3))
     row = random_pm1(rng, (1, 6))
     batch = np.repeat(row, 2, axis=0)
-    logits, _ = forward_train(model, batch, training=True)
+    logits, _ = forward_train(model, batch, rng)
     assert np.array_equal(logits[0], logits[1])
 
 
@@ -127,27 +144,9 @@ def test_output_logit_scale_is_inverse_sqrt_fan_in():
     rng = np.random.default_rng(3)
     model = _toy_model(rng, (4, 9, 2))
     x = random_pm1(rng, (3, 4))
-    logits, cache = forward_train(model, x, training=False)
+    logits, cache = forward_train(model, x, rng)
     wb = np.where(model.layers[1].weight >= 0, 1.0, -1.0)
-    assert np.allclose(logits * math.sqrt(9), cache["layers"][1]["x"] @ wb.T)
-
-
-def test_dropout_requires_rng():
-    rng = np.random.default_rng(4)
-    model = _toy_model(rng, dropout=0.5)
-    with pytest.raises(ValueError, match="RNG"):
-        forward_train(model, random_pm1(rng, (2, 4)), training=True)
-
-
-def test_eval_mode_uses_running_stats():
-    rng = np.random.default_rng(5)
-    model = _toy_model(rng)
-    layer = model.layers[0]
-    layer.run_mean = np.array([10.0, 10.0, 10.0])  # far off: all z negative
-    layer.run_var = np.array([1.0, 1.0, 1.0])
-    x = random_pm1(rng, (4, 4))
-    _, cache = forward_train(model, x, training=False)
-    assert np.all(cache["layers"][0]["z"] < 0)
+    assert np.allclose(logits * math.sqrt(9), cache[1]["x"] @ wb.T)
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +155,26 @@ def test_eval_mode_uses_running_stats():
 
 
 def _gate_probe(z_target: float):
-    """1-1-1 net rigged so the hidden pre-sign value equals z_target."""
+    """1-1-1 net rigged so the hidden pre-sign value equals z_target; returns
+    the gradient that reaches beta, which is the gated activation gradient."""
     model = LatentModel(
         [
             LatentDenseLayer(
                 weight=np.array([[0.5]]),  # binarizes to +1
                 gamma=np.array([1.0]),
-                beta=np.array([z_target - 1.0]),  # z = (s-0)/1 + beta = 1 + beta
+                beta=np.array([z_target]),  # one row is its batch's mean: s_hat = 0, z = beta
                 run_mean=np.array([0.0]),
-                run_var=np.array([1.0 - BN_EPS]),
+                run_var=np.array([1.0]),
             ),
             LatentDenseLayer(np.array([[0.5]]), None, None, None, None, True),
         ],
         dropout=0.0,
     )
     x = np.array([[1.0]])
-    logits, cache = forward_train(model, x, training=False)
-    assert cache["layers"][0]["z"][0, 0] == pytest.approx(z_target)
+    logits, cache = forward_train(model, x, np.random.default_rng(0))
+    assert cache[0]["z"][0, 0] == z_target
     grads = backward_ste(model, cache, np.ones_like(logits))
-    return grads[0]["weight"][0, 0]
+    return grads[0]["beta"][0]
 
 
 def test_ste_gate_open_inside_window():
@@ -194,7 +194,7 @@ def test_weight_gate_zeroes_saturated_latents():
     model = _toy_model(rng, (3, 2, 2))
     model.layers[-1].weight = np.array([[1.5, 0.5], [0.5, -2.0]])  # out-of-range latents
     x = random_pm1(rng, (4, 3))
-    logits, cache = forward_train(model, x, training=False)
+    logits, cache = forward_train(model, x, rng)
     grads = backward_ste(model, cache, np.ones_like(logits))
     gate = np.abs(model.layers[-1].weight) <= 1.0
     assert np.all(grads[-1]["weight"][~gate] == 0.0)
@@ -255,22 +255,56 @@ def test_adam_rejects_step_zero():
 
 
 # ---------------------------------------------------------------------------
-# gradient check (full-precision mode)
+# gradient check (full precision)
 # ---------------------------------------------------------------------------
 
 
+def full_precision_forward(model: LatentModel, x: np.ndarray):
+    """forward_train with binarization as the identity (wb = W, a = z) and no
+    dropout; returns the logits and the cache backward_ste reads."""
+    cache = []
+    act = x
+    for i, layer in enumerate(model.layers):
+        s = act @ layer.weight.T
+        entry = {"x": act}
+        if i > 0:
+            entry["wb"] = layer.weight
+        if layer.is_output:
+            entry["scale"] = 1.0 / math.sqrt(layer.in_features)
+            cache.append(entry)
+            return s * entry["scale"], cache
+        istd = 1.0 / np.sqrt(s.var(axis=0) + BN_EPS)
+        s_hat = (s - s.mean(axis=0)) * istd
+        z = layer.gamma * s_hat + layer.beta
+        entry.update({"s_hat": s_hat, "z": z, "istd": istd})
+        cache.append(entry)
+        act = z
+    raise AssertionError("model has no output layer")
+
+
 def test_gradients_match_finite_differences():
+    # with every straight-through gate open, backward_ste is the exact
+    # gradient of the full-precision network
     rng = np.random.default_rng(8)
     model = _toy_model(rng, (2, 2, 2), dtype=np.float64)
-    x = random_pm1(rng, (4, 2))
-    labels = np.array([0, 1, 1, 0])
+    for layer in model.layers:
+        layer.weight[...] = rng.uniform(-0.9, 0.9, layer.weight.shape)
+    model.layers[0].gamma[...] = [0.3, -0.3]
+    model.layers[0].beta[...] = [0.1, -0.2]
+    # an odd batch: the batch-mean term of the BN backward reaches the weight
+    # gradient through the column sums of x, which a +-1 column of even
+    # length can zero
+    x = random_pm1(rng, (5, 2))
+    labels = np.array([0, 1, 1, 0, 1])
 
     def loss_fn():
-        logits, cache = forward_train(model, x, training=True, binarize=False)
+        logits, cache = full_precision_forward(model, x)
         loss, grad = softmax_cross_entropy(logits, labels)
         return loss, cache, grad
 
     loss, cache, grad = loss_fn()
+    assert np.all(np.abs(cache[0]["z"]) <= 1.0)  # the activation gate is open
+    assert all(np.all(np.abs(layer.weight) <= 1.0) for layer in model.layers)
     grads = backward_ste(model, cache, grad)
 
     h = 1e-6
@@ -387,6 +421,23 @@ def test_export_rejects_nonpositive_variance():
         export_model(model)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["weight", "gamma", "beta", "run_mean", "run_var"])
+def test_export_refuses_non_finite_parameters(name, value):
+    rng = np.random.default_rng(12)
+    model = LatentModel(
+        [
+            _random_hidden_layer(rng, 4, 8),
+            _random_hidden_layer(rng, 3, 4),
+            LatentDenseLayer(rng.uniform(-1, 1, (2, 3)), None, None, None, None, True),
+        ],
+        dropout=0.0,
+    )
+    getattr(model.layers[1], name)[-1] = value
+    with pytest.raises(NumericError, match=f"layer 1 {name} is not finite"):
+        export_model(model)
+
+
 def test_exported_model_agrees_with_latent_forward(synth_latent, synth_model):
     rng = np.random.default_rng(11)
     x = random_pm1(rng, (1000, 784), dtype=np.float32)
@@ -420,7 +471,7 @@ def _toy_training_run(seed, steps=50):
     state = AdamState()
     losses = []
     for t in range(1, steps + 1):
-        logits, cache = forward_train(model, x, rng, training=True)
+        logits, cache = forward_train(model, x, rng)
         loss, grad = softmax_cross_entropy(logits, labels)
         backward = backward_ste(model, cache, grad)
         adam_step(model, backward, state, config, t)
