@@ -3,7 +3,9 @@
 The reference functions below are the trainer's earlier whole-array
 expressions: signs through `np.where`, the Adam update with a fresh temporary
 per operation, the straight-through weight mask as a new product, the
-backward pass that reads the forward cache without consuming it, and the
+forward pass with batch moments as sums over the count (its running
+estimates and dropout draws included), the backward pass that reads the
+forward cache without consuming it, and the
 batch-norm fold with its own search for gamma < 0. The current code must give
 the same floats (and fold thresholds) bit for bit, so arrays are compared as
 unsigned integers of the same width (which tells -0.0 from 0.0 and compares
@@ -92,6 +94,43 @@ def reference_backward_ste(model, cache, grad_logits):
         if i > 0:
             da = ds @ entry["wb"]
     return grads
+
+
+def reference_forward_train(model, x, rng):
+    """The training forward pass with `np.where` signs and sum-over-count moments."""
+    cache = []
+    act = x
+    for i, layer in enumerate(model.layers):
+        wb = reference_sign_pm1(layer.weight)
+        s = act @ wb.T
+        entry = {"x": act}
+        if i > 0:
+            entry["wb"] = wb
+        if layer.is_output:
+            entry["scale"] = 1.0 / math.sqrt(layer.in_features)
+            cache.append(entry)
+            return s * entry["scale"], cache
+
+        b = s.shape[0]
+        mu = s.sum(axis=0) / b
+        dev = s - mu
+        var = (dev * dev).sum(axis=0) / b
+        m = tr.BN_MOMENTUM
+        layer.run_mean = ((1.0 - m) * layer.run_mean + m * mu).astype(layer.run_mean.dtype)
+        layer.run_var = ((1.0 - m) * layer.run_var + m * var).astype(layer.run_var.dtype)
+        istd = 1.0 / np.sqrt(var + tr.BN_EPS)
+        s_hat = dev * istd
+        z = layer.gamma * s_hat + layer.beta
+        a = reference_sign_pm1(z)
+        entry.update({"s_hat": s_hat, "z": z, "istd": istd})
+        if model.dropout > 0:
+            keep = 1.0 - model.dropout
+            mask = rng.random(a.shape) < keep
+            a = a * mask / keep
+            entry.update({"mask": mask, "keep": keep})
+        cache.append(entry)
+        act = a
+    raise AssertionError("model has no output layer")
 
 
 def reference_adam_step(model, grads, state, config, t):
@@ -219,10 +258,12 @@ def test_gate_weight_grad_matches_reference(shape, dtype):
 NETS = [((784, 1024, 1024, 10), 100), ((9, 7, 5, 3), 6), ((6, 3), 4)]  # (sizes, batch)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
-@pytest.mark.parametrize("sizes,batch", NETS)
-def test_backward_ste_matches_reference(sizes, batch, dropout, dtype):
+def _ste_case(sizes, batch, odd, dropout, dtype):
+    """A model of `dtype` with latents on both sides of [-1, 1], and a +-1 batch.
+
+    `odd` adds a row: the even batches of NETS can give +-1 columns that sum
+    to 0, which hides the batch-mean terms of the batch-norm backward.
+    """
     rng = np.random.default_rng(5)
     model = init_latent_model(sizes, dropout, rng)
     for layer in model.layers:
@@ -231,9 +272,45 @@ def test_backward_ste_matches_reference(sizes, batch, dropout, dtype):
         if not layer.is_output:
             for name in ("gamma", "beta", "run_mean", "run_var"):
                 setattr(layer, name, getattr(layer, name).astype(dtype))
-    x = pm1(rng.random((batch, sizes[0])) < 0.5, dtype)
+    x = pm1(rng.random((batch + odd, sizes[0])) < 0.5, dtype)
+    return model, x, rng
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("odd", [0, 1])
+@pytest.mark.parametrize("sizes,batch", NETS)
+def test_forward_train_matches_reference(sizes, batch, odd, dropout, dtype):
+    model, x, rng = _ste_case(sizes, batch, odd, dropout, dtype)
+    ref_model, ref_rng = copy.deepcopy(model), copy.deepcopy(rng)
     logits, cache = forward_train(model, x, rng)
-    _, grad = softmax_cross_entropy(logits, rng.integers(0, sizes[-1], batch))
+    want_logits, want_cache = reference_forward_train(ref_model, x, ref_rng)
+
+    assert_bits_equal(logits, want_logits)
+    assert [e.keys() for e in cache] == [e.keys() for e in want_cache]
+    for entry, want_entry in zip(cache, want_cache):
+        for name, value in entry.items():
+            if isinstance(value, np.ndarray):
+                assert_bits_equal(value, want_entry[name])
+            else:
+                assert value == want_entry[name]
+    for layer, ref_layer in zip(model.layers, ref_model.layers):
+        if not layer.is_output:  # the running estimates moved the same way
+            assert_bits_equal(layer.run_mean, ref_layer.run_mean)
+            assert_bits_equal(layer.run_var, ref_layer.run_var)
+    # the dropout masks took the same draws from the generator, in the same order
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert ("mask" in cache[0]) == (dropout > 0 and len(sizes) > 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("odd", [0, 1])
+@pytest.mark.parametrize("sizes,batch", NETS)
+def test_backward_ste_matches_reference(sizes, batch, odd, dropout, dtype):
+    model, x, rng = _ste_case(sizes, batch, odd, dropout, dtype)
+    logits, cache = forward_train(model, x, rng)
+    _, grad = softmax_cross_entropy(logits, rng.integers(0, sizes[-1], len(x)))
 
     ref_cache = copy.deepcopy(cache)
     if len(sizes) == 2:
