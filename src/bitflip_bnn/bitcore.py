@@ -7,9 +7,10 @@ XNOR + popcount reduction: for rows w and x of length n,
     popcount(XNOR(w, x)) == number of matching positions
     2 * popcount - n     == sum_i w_i * x_i   (the +-1 dot product)
 
-Hidden and conv layers compute the same counts as a float32 matrix product
-of the inputs unpacked as 0/1 (bit set <-> +1) and the weights unpacked as
-+-1: x01 . w + m, where m counts the -1 weights of the row. It is exact while
+One kernel computes these counts for every layer, hidden, conv and output,
+and for xnor_popcount_row: a float32 matrix product of the inputs unpacked as
+0/1 (bit set <-> +1) and the weights unpacked as +-1, x01 . w + m, where m
+counts the -1 weights of the row (_fire_words). It is exact while
 n < 2^24 (MAX_FAN_IN): every partial sum is then an integer float32 holds
 exactly, in any order.
 
@@ -26,9 +27,9 @@ of larger fan-in, or of one neuron, runs unpaired through the same loop.
 A hidden neuron fires (+1) iff popcount >= T, an integer threshold learned
 during training. The output layer emits the integer score
 2 * popcount - n - T so that an argmax (hardmax) over classes is well
-defined without any floating point. It is counted on the packed words, as
-n - T - 2 * popcount(x ^ w) with the last word's padding masked off
-(_disagreements), for every caller of linear_forward.
+defined without any floating point. Its popcounts are the kernel's int64
+margins at T = 0, which are the counts themselves (_counts), for every
+caller of linear_forward.
 
 Encoding conventions (fixed, they define the serialization format):
   * bit 1 <-> +1, bit 0 <-> -1; sign ties map to +1
@@ -95,13 +96,6 @@ _ROUNDER = np.float32(3 * 2**22 * _PAIR_SHIFT)
 # 256 x 512. The kernel's chunk-boundary tests name their row counts relative
 # to this value, so changing it renames none of them.
 _MATRIX_CHUNK_ROWS = 256
-
-# Bytes of the XOR buffer of _disagreements: a block takes as many x rows as
-# fit in it against all the w rows, at least one. 512 KiB ran as fast as any
-# budget from 128 KiB to 2 MiB on 10 neurons of 1024 bits over 1024 and 10k
-# rows and on 1025 of 2049 bits over 1025 rows (2-vCPU Xeon, numpy 2.4, three
-# rounds); 128 KiB was 15% slower on 1024 rows, 1 MiB peaked 0.5 MiB higher.
-_XOR_BLOCK_BYTES = 1 << 19
 
 
 def words_per_row(n_bits: int) -> int:
@@ -308,26 +302,6 @@ def _fire_levels(thresholds: np.ndarray, m: np.ndarray, n_bits: int) -> np.ndarr
     return levels.astype(np.float32)
 
 
-def _disagreements(x_words: np.ndarray, w_words: np.ndarray, n_bits: int) -> np.ndarray:
-    """(N, M) int64 positions among the first n_bits where each x row and each w row differ.
-
-    Counted by popcount of x ^ w with the last word's padding masked off, so
-    stray padding bits never count, a block of x rows at a time through one
-    (rows, M, words) XOR buffer of about _XOR_BLOCK_BYTES.
-    """
-    counts = np.empty((len(x_words), len(w_words)), dtype=np.int64)
-    mask = tail_mask(n_bits)
-    step = max(1, _XOR_BLOCK_BYTES // w_words.nbytes)
-    buf = np.empty((min(len(x_words), step), *w_words.shape), dtype=np.uint64)
-    for lo in range(0, len(x_words), step):
-        x = x_words[lo : lo + step, None, :]
-        differ = np.bitwise_xor(x, w_words[None], out=buf[: len(x)])
-        differ[:, :, -1] &= mask
-        np.bitwise_count(differ, out=differ)
-        differ.sum(axis=2, dtype=np.int64, out=counts[lo : lo + len(x)])
-    return counts
-
-
 def xnor_popcount_row(w: BitTensor, x: BitTensor) -> int:
     """Count positions where two packed sign rows agree.
 
@@ -337,7 +311,7 @@ def xnor_popcount_row(w: BitTensor, x: BitTensor) -> int:
         raise ValueError("xnor_popcount_row expects 1-D packed rows")
     if w.n_bits != x.n_bits:
         raise ValueError(f"bit length mismatch: {w.n_bits} vs {x.n_bits}")
-    return w.n_bits - int(_disagreements(x.words, w.words, w.n_bits)[0, 0])
+    return int(_counts(w.words, x.words, w.n_bits)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +451,17 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
 
     Any other shape, a single [in] sample among them, raises ValueError.
     Hidden layers return an [N, out] BitTensor of sign bits
-    (bit j set iff popcount_j >= T_j) by the float32 kernel; the output layer
-    returns [N, out] integer scores 2*popcount - n - T by XOR-popcount.
+    (bit j set iff popcount_j >= T_j); the output layer returns [N, out]
+    int64 scores 2*popcount - n - T, from the popcounts of _counts. Both
+    count through the one float32 kernel, _fire_words.
     """
     n = layer.in_features
     if len(x.shape) != 2 or x.n_bits != n:
         raise ValueError(f"expected an input of shape (N, {n}), got {x.shape}")
     if layer.is_output:
-        scores = _disagreements(x.words, layer.weights.words, n)
-        scores *= -2
-        scores += n - layer.thresholds.astype(np.int64)
+        scores = _counts(layer.weights.words, x.words, n)
+        scores *= 2
+        scores -= n + layer.thresholds.astype(np.int64)
         return scores
     out = _hidden_words(layer.weights.words, layer.thresholds, x.words, n)
     return BitTensor((x.n_rows, layer.out_features), out, validate=False)
@@ -537,6 +512,18 @@ def _fire_words(operands, x_words, n_bits: int, margins=None) -> np.ndarray:
             np.greater_equal(margins[rows], 0, out=bits)
         out[rows] = _pack_bool_rows(bits)
     return out
+
+
+def _counts(w_words, x_words, n_bits: int) -> np.ndarray:
+    """(N, M) int64 positions among the first n_bits where each x row and each w row agree.
+
+    These are _fire_words' int64 margins at T = 0: clipped to [-1, n+1], a
+    zero threshold stays 0, and no count comes near the int64 bound.
+    """
+    counts = np.empty((len(x_words), len(w_words)), dtype=np.int64)
+    zero = np.zeros(len(w_words), dtype=np.int32)
+    _fire_words(_hidden_operands(w_words, zero, n_bits), x_words, n_bits, counts)
+    return counts
 
 
 def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:

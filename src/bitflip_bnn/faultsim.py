@@ -23,15 +23,16 @@ two paths, chosen by BER alone:
   margin and its change alone. Where a change could carry a saturated
   margin across 0, the margins cannot decide, and the trial runs the dense
   forward on that block instead. In the output layer it rescores by
-  linear_forward (XOR-popcount) of the faulty layer the rows whose
-  prediction the change could move, on their faulty inputs. A trial's
-  accuracy is its correct predictions summed over the blocks;
+  linear_forward of the faulty layer the rows whose prediction the change
+  could move, on their faulty inputs. A trial's accuracy is its correct
+  predictions summed over the blocks;
 * above it, each trial in turn flips a copy and runs the full dense forward
   (_run_trial).
 
-Both paths take their flips from flip_bits and compute the same integers,
-so the accuracies, and every CSV built from them, are byte-identical
-whichever path scored a trial. The cores share the work inside BLAS, whose
+Both paths take their flips from flip_bits and count every layer, the
+output layer too, through bitcore's one float32 kernel or by exact changes
+to its counts. So they compute the same integers, and the accuracies and
+every CSV built from them are byte-identical whichever path scored a trial. The cores share the work inside BLAS, whose
 float32 sums are exact small integers, so the bytes do not depend on its
 thread count either.
 """
@@ -322,9 +323,9 @@ class IncrementalEvaluator:
       the layer, and the faulty copy runs the dense forward on the block
       instead (counted in fallback_blocks);
     * the output layer rescores the rows whose lead over the runner-up class
-      the change could overcome, by linear_forward (XOR-popcount) of the
-      faulty layer on their faulty inputs; every other row keeps its clean
-      prediction.
+      the change could overcome, by linear_forward of the faulty layer on
+      their faulty inputs, which counts through the same float32 kernel as
+      every other layer; every other row keeps its clean prediction.
 
     Only rows whose outputs really changed are carried to the next layer.
     The integers are the dense path's, so predictions equal

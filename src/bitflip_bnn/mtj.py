@@ -81,6 +81,19 @@ class MtjDeviceParams:
                 f"v_write={self.v_write} V must exceed v_c={self.v_c} V "
                 "(mean switching time diverges at the critical voltage)"
             )
+        # finite values can still under- or overflow: the junction area to 0 or
+        # past the float range (which raises), a resistance or V^2 to 0 or inf
+        try:
+            r_p, r_ap = resistances(self)
+            power = self.v_write * self.v_write / r_ap
+        except ArithmeticError:
+            r_p = r_ap = power = math.nan
+        if not all(0 < value < math.inf for value in (r_p, r_ap, power)):
+            raise ValueError(
+                f"diameter_nm, ra_ohm_um2, tmr and v_write give R_P={r_p!r} ohm, "
+                f"R_AP={r_ap!r} ohm and a write power V^2/R_AP={power!r} W; "
+                "each must be finite and positive"
+            )
         if self.v_write < 1.5 * self.v_c:
             warnings.warn(
                 f"v_write={self.v_write} V is below 1.5*v_c; the mean "

@@ -366,15 +366,15 @@ def _fold_neuron(gamma: float, beta: float, mu: float, var: float, n: int):
     integers, so the integer decision agrees with the real-valued sign at
     every representable s, not just up to rounding of the crossing.
 
-    A gamma < 0 (or NaN) neuron is the gamma > 0 case of the negated row,
-    whose dot product is -s: negating gamma and mu gives gamma*(s-mu) the same
-    value at -s (IEEE negation is exact, (-a)*(-b) == a*b, and >= 0 ignores
-    the sign of a zero), so one search serves both.
+    A gamma < 0 neuron is the gamma > 0 case of the negated row, whose dot
+    product is -s: negating gamma and mu gives gamma*(s-mu) the same value at
+    -s (IEEE negation is exact, (-a)*(-b) == a*b, and >= 0 ignores the sign of
+    a zero), so one search serves both.
     """
     d = math.sqrt(var + BN_EPS)
     if gamma == 0.0:
         return False, 0 if beta >= 0.0 else n + 1
-    negate = not gamma > 0
+    negate = gamma < 0
     if negate:
         gamma, mu = -gamma, -mu
 
@@ -382,8 +382,6 @@ def _fold_neuron(gamma: float, beta: float, mu: float, var: float, n: int):
         return gamma * (s - mu) / d + beta >= 0.0
 
     s_star = mu - beta * d / gamma
-    if math.isnan(s_star):
-        s_star = 0.0
     s_star = min(max(s_star, -(n + 1)), n + 1)
     s0 = math.ceil(s_star)
     while s0 > -(n + 1) and fires(s0 - 1):

@@ -929,6 +929,30 @@ def test_energy_curve_non_finite_device_value_is_format_error(key, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        # the junction area underflows to 0
+        ("diameter_nm=1e-200\n", "R_P=nan ohm, R_AP=nan ohm"),
+        # V^2 underflows to 0
+        ("vc_mv=1e-300\n", "write power V^2/R_AP=0.0 W"),
+        # RA over the area overflows
+        ("ra_ohm_um2=1e308\ndiameter_nm=1e-150\n", "R_P=inf ohm, R_AP=inf ohm"),
+    ],
+    ids=["area-underflow", "power-underflow", "resistance-overflow"],
+)
+def test_device_the_model_cannot_describe_is_format_error(config, message, tmp_path, capsys):
+    # every value is finite, but the resistances or the write power it gives are not
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text(config)
+    args = ["energy-curve", "--device", str(cfg), "--bers", "1e-3", "--samples", "1000",
+            "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: device config: ") and message in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_energy_curve_nonpositive_resistance_is_numeric_error(tmp_path, capsys, monkeypatch):
     # the error is raised inside a pool thread and must reach main intact
     threads = []

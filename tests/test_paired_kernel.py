@@ -7,8 +7,9 @@ dot products of the unpacked rows (a float64 matrix product, exact for these
 integers) as int64 and derives counts, sign bits and scores from them in
 int64. Inputs include rows that agree with, or oppose, both neurons of a pair
 in every position, so that each split sees |p_j| = n. The output layer's
-scores, which bitcore counts by XOR-popcount instead, are checked against
-the same dot products, and so is the memory one of its forwards holds.
+scores, which the same kernel counts as its int64 margins at T = 0, are
+checked against the same dot products, and so is the memory one of its
+forwards holds.
 """
 
 import math
@@ -137,17 +138,19 @@ def test_margins_clip_to_the_range_of_their_dtype(dtype):
         assert (largest == 127) if dtype == np.int8 else (largest > 127)
 
 
-def test_output_forward_holds_its_scores_and_one_xor_block():
-    # the widest case above: 1025 neurons of 2049 bits over 1025 rows
+def test_output_forward_holds_its_scores_and_the_kernel_buffers():
+    # the widest case above: 1025 neurons of 2049 bits, unpaired, over 1025 rows
     rng = np.random.default_rng(31)
     n, k, rows = 2049, 1025, 1025
     w_bool, x_bool = _weights_and_inputs(rng, n, k, rows)
     weights, x = BitTensor.from_bool(w_bool), BitTensor.from_bool(x_bool)
     output = BinarizedLinearLayer(weights, rng.integers(0, n, k), is_output=True)
-    # the int64 scores, one XOR block (at least one row against every
-    # neuron), and 64 KiB for the small temporaries: the n - T vector and
-    # the reduction's buffers
-    bound = rows * k * 8 + max(bc._XOR_BLOCK_BYTES, weights.words.nbytes) + 64 * 1024
+    # the int64 scores; the operands, k x n float32 beside the k x n unpacked
+    # bytes they are built from; one chunk of C rows, its n float32 inputs
+    # and their unpacked bytes, its k float32 products and fire bits; and
+    # 64 KiB for the small temporaries
+    chunk = min(rows, _C)
+    bound = rows * k * 8 + k * n * (4 + 1) + chunk * n * (4 + 1) + chunk * k * (4 + 1) + 64 * 1024
     tracemalloc.start()
     try:
         scores = linear_forward(output, x)

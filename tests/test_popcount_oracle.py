@@ -1,14 +1,13 @@
-"""Differential tests of the package's two counts against the uint64 XNOR loop.
+"""Differential tests of the package's one count against the uint64 XNOR loop.
 
 `popcount_oracle` is the package's former production kernel: for each 64-bit
 word it XNORs every x row with every w row, masks the padding of the last
-word and adds the popcount. Hidden and conv layers now count through the
-+-1 float32 matrix product of `bitcore._fire_words`, read here as its int16
-margins at T = 0, which are the counts themselves; the output layer counts
-by XOR-popcount in `bitcore._disagreements`, read through the scores of
-`linear_forward`. These tests require both to give the oracle's integers
-exactly, across the row-chunk boundary, with dirty padding and with
-thresholds that force constant outputs.
+word and adds the popcount. Every layer, hidden, conv and output, now counts
+through the +-1 float32 matrix product of `bitcore._fire_words`, read here
+directly as its int16 margins at T = 0, which are the counts themselves, and
+through `linear_forward`'s sign bits and scores. These tests require all of
+them to give the oracle's integers exactly, across the row-chunk boundary,
+with dirty padding and with thresholds that force constant outputs.
 """
 
 import math
