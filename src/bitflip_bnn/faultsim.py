@@ -31,10 +31,10 @@ two paths, chosen by BER alone:
 
 Both paths take their flips from flip_bits and count every layer, the
 output layer too, through bitcore's one float32 kernel or by exact changes
-to its counts. So they compute the same integers, and the accuracies and
-every CSV built from them are byte-identical whichever path scored a trial. The cores share the work inside BLAS, whose
-float32 sums are exact small integers, so the bytes do not depend on its
-thread count either.
+to its counts. So they compute the same integers, and every CSV built from
+their accuracies is byte-identical whichever path scored a trial. The
+cores share the work inside BLAS, whose float32 sums are exact small
+integers, so the bytes do not depend on its thread count either.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ class MtjDeviceParams:
         try:
             r_p, r_ap = resistances(self)
             power = self.v_write * self.v_write / r_ap
-        except ArithmeticError:
+        except (ZeroDivisionError, OverflowError):
             r_p = r_ap = power = math.nan
         if not all(0 < value < math.inf for value in (r_p, r_ap, power)):
             raise ValueError(

@@ -667,13 +667,13 @@ def test_incremental_update_holds_no_wide_count_per_row_and_neuron():
     words = bc.words_per_row(width)
     # the changed rows' int8 changes, their int8 clean margins and the bool
     # comparison of the two; the hit neurons' int32 margins, their int8
-    # source and two bool masks; four copies of the packed activations; the
-    # output layer's near rows XORed with every class's weights
+    # source and two bool masks; four copies of the packed activations; one
+    # gemm chunk of the output layer's near rows, unpacked to bytes and float32
     bound = (
         3 * rows * width
         + (4 + 1 + 2) * rows * hit
         + 4 * rows * words * 8
-        + rows * classes * words * 8
+        + min(rows, bc._MATRIX_CHUNK_ROWS) * width * (1 + 4)
     )
     assert peak < bound
 

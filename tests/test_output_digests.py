@@ -57,8 +57,10 @@ def _commands(data_dir, out) -> list[list[str]]:
          "--trials", "2", "--seed", "6", "--out", str(out / "sweep.csv")],
         ["acc-energy", "--model", model, "--data-dir", data, *energy, "--trials", "2",
          "--mode", "variations", "--out", str(out / "acc.csv")],
-        ["energy-curve", *energy, "--mode", "intrinsic", "--out", str(out / "energy_intrinsic.csv")],
-        ["energy-curve", *energy, "--mode", "variations", "--out", str(out / "energy_variations.csv")],
+        ["energy-curve", *energy, "--mode", "intrinsic",
+         "--out", str(out / "energy_intrinsic.csv")],
+        ["energy-curve", *energy, "--mode", "variations",
+         "--out", str(out / "energy_variations.csv")],
     ]
 
 
