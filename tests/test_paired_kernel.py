@@ -150,7 +150,13 @@ def test_output_forward_holds_its_scores_and_the_kernel_buffers():
     # and their unpacked bytes, its k float32 products and fire bits; and
     # 64 KiB for the small temporaries
     chunk = min(rows, _C)
-    bound = rows * k * 8 + k * n * (4 + 1) + chunk * n * (4 + 1) + chunk * k * (4 + 1) + 64 * 1024
+    bound = (
+        rows * k * 8
+        + k * n * (4 + 1)
+        + chunk * n * (4 + 1)
+        + chunk * k * (4 + 1)
+        + 64 * 1024
+    )
     tracemalloc.start()
     try:
         scores = linear_forward(output, x)
