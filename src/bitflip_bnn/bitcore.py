@@ -10,9 +10,9 @@ XNOR + popcount reduction: for rows w and x of length n,
 One kernel computes these counts for every layer, hidden, conv and output,
 and for xnor_popcount_row: a float32 matrix product of the inputs unpacked as
 0/1 (bit set <-> +1) and the weights unpacked as +-1, x01 . w + m, where m
-counts the -1 weights of the row (_fire_words). It is exact while
-n < 2^24 (MAX_FAN_IN): every partial sum is then an integer float32 holds
-exactly, in any order.
+counts the -1 weights of the row (_weight_operands, _products). It is exact
+while n < 2^24 (MAX_FAN_IN): every partial sum is then an integer float32
+holds exactly, in any order.
 
 For fan-in n <= 2047 (_MAX_PAIRED_FAN_IN) the kernel pairs neurons: of k
 neurons, neuron j and neuron j + h, h = ceil(k/2), share the matrix column
@@ -25,11 +25,11 @@ multiple of 4096 gives 4096 p_{j+h} exactly, and what is left is p_j. A layer
 of larger fan-in, or of one neuron, runs unpaired through the same loop.
 
 A hidden neuron fires (+1) iff popcount >= T, an integer threshold learned
-during training. The output layer emits the integer score
+during training (_fire_words). The output layer emits the integer score
 2 * popcount - n - T so that an argmax (hardmax) over classes is well
-defined without any floating point. Its popcounts are the kernel's int64
-margins at T = 0, which are the counts themselves (_counts), for every
-caller of linear_forward.
+defined without any floating point. Its popcounts are the kernel's products
+plus m, written into an int64 array (_counts), for every caller of
+linear_forward.
 
 Encoding conventions (fixed, they define the serialization format):
   * bit 1 <-> +1, bit 0 <-> -1; sign ties map to +1
@@ -451,9 +451,9 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
 
     Any other shape, a single [in] sample among them, raises ValueError.
     Hidden layers return an [N, out] BitTensor of sign bits
-    (bit j set iff popcount_j >= T_j); the output layer returns [N, out]
-    int64 scores 2*popcount - n - T, from the popcounts of _counts. Both
-    count through the one float32 kernel, _fire_words.
+    (bit j set iff popcount_j >= T_j, _fire_words); the output layer returns
+    [N, out] int64 scores 2*popcount - n - T, from _counts: the kernel's
+    products plus m. Both count through the one float32 kernel, _products.
     """
     n = layer.in_features
     if len(x.shape) != 2 or x.n_bits != n:
@@ -463,17 +463,8 @@ def linear_forward(layer: BinarizedLinearLayer, x: BitTensor):
         scores *= 2
         scores -= n + layer.thresholds.astype(np.int64)
         return scores
-    out = _hidden_words(layer.weights.words, layer.thresholds, x.words, n)
+    out = _fire_words(_hidden_operands(layer.weights.words, layer.thresholds, n), x.words, n)
     return BitTensor((x.n_rows, layer.out_features), out, validate=False)
-
-
-def _hidden_words(w_words, thresholds, x_words, n_bits: int) -> np.ndarray:
-    """Packed hidden-layer outputs of the x rows: bit j set iff row j of w agrees in >= T_j bits.
-
-    Thresholded and packed chunk by chunk, so no (N, neurons) product array
-    exists.
-    """
-    return _fire_words(_hidden_operands(w_words, thresholds, n_bits), x_words, n_bits)
 
 
 def _hidden_operands(w_words, thresholds, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -487,12 +478,14 @@ def _hidden_operands(w_words, thresholds, n_bits: int) -> tuple[np.ndarray, np.n
 
 
 def _fire_words(operands, x_words, n_bits: int, margins=None) -> np.ndarray:
-    """The chunk loop of _hidden_words, on operands from _hidden_operands.
+    """Packed hidden-layer outputs of the x rows: bit j set iff row j of w agrees in >= T_j bits.
 
-    A given `margins`, a (N, neurons) signed integer array, also receives
-    each neuron's margin clip(count - T, -B, B), where B is the largest value
-    of the array's dtype and T is clipped as in _fire_levels, written by the
-    same chunk loop; the neuron fires iff its margin is >= 0.
+    Thresholded and packed chunk by chunk, on operands from _hidden_operands,
+    so no (N, neurons) product array exists. A given `margins`, a (N, neurons)
+    signed integer array, also receives each neuron's margin
+    clip(count - T, -B, B), where B is the largest value of the array's dtype
+    and T is clipped as in _fire_levels, written by the same chunk loop; the
+    neuron fires iff its margin is >= 0.
     """
     w, levels = operands
     bound = None if margins is None else np.iinfo(margins.dtype).max
@@ -517,12 +510,15 @@ def _fire_words(operands, x_words, n_bits: int, margins=None) -> np.ndarray:
 def _counts(w_words, x_words, n_bits: int) -> np.ndarray:
     """(N, M) int64 positions among the first n_bits where each x row and each w row agree.
 
-    These are _fire_words' int64 margins at T = 0: clipped to [-1, n+1], a
-    zero threshold stays 0, and no count comes near the int64 bound.
+    Each chunk's float32 products x01 . w_j, integers, are written into the
+    int64 result as they come, and m_j is added once at the end.
     """
-    counts = np.empty((len(x_words), len(w_words)), dtype=np.int64)
-    zero = np.zeros(len(w_words), dtype=np.int32)
-    _fire_words(_hidden_operands(w_words, zero, n_bits), x_words, n_bits, counts)
+    w, m = _paired_operands(w_words, n_bits)
+    counts = np.empty((len(x_words), len(m)), dtype=np.int64)
+    for rows, parts in _products(x_words, w, len(m), n_bits):
+        for neurons, p in parts:
+            counts[rows, neurons] = p
+    counts += m
     return counts
 
 
@@ -557,7 +553,8 @@ def conv_forward(layer: BinarizedConvLayer, x: BitTensor) -> BitTensor:
 
     n = c * kh * kw
     filters = _pack_bool_rows(_unpack_bits(layer.weights.words, kw).reshape(layer.filters, n))
-    words = _hidden_words(filters, layer.thresholds, _pack_bool_rows(patches), n)
+    operands = _hidden_operands(filters, layer.thresholds, n)
+    words = _fire_words(operands, _pack_bool_rows(patches), n)
     bits = _unpack_bits(words, layer.filters)  # (positions, filters)
     return BitTensor.from_bool(bits.T.reshape(layer.filters, h_out, w_out))
 

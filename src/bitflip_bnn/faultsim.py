@@ -100,13 +100,6 @@ class SweepResult:
     std_accuracy: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
-        if self.accuracies.shape != (len(self.bers), self.trials):
-            raise ValueError("accuracy matrix shape mismatch")
-        if self.accuracies.size and (
-            self.accuracies.min() < 0.0 or self.accuracies.max() > 1.0
-        ):
-            raise ValueError("accuracies must lie in [0,1]")
         self.mean_accuracy = self.accuracies.mean(axis=1)
         if self.trials > 1:
             self.std_accuracy = self.accuracies.std(axis=1, ddof=1)

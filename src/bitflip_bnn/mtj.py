@@ -125,14 +125,6 @@ class ProgrammingPoint:
     # observed unswitched fraction per direction, in DIRECTIONS order
     ber_observed: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.ber <= 1.0:
-            raise ValueError("ber must lie in (0, 1]")
-        if self.t_pulse > 0 and self.energy_mean <= 0:
-            raise ValueError("positive pulse must dissipate positive energy")
-        if self.variability_mode not in VARIABILITY_MODES:
-            raise ValueError(f"unknown variability mode {self.variability_mode!r}")
-
 
 def resistances(params: MtjDeviceParams) -> tuple[float, float]:
     """(R_P, R_AP) in ohms from the RA product, diameter and TMR."""
@@ -284,7 +276,8 @@ def write_energy_mc(
     block has just read: a call holds two float64 arrays of min(samples,
     _MC_CHUNK) with device variations and one without, plus one block.
     Raises NumericError when device variations sample an R_P or R_AP <= 0,
-    before any switching time is drawn.
+    before any switching time is drawn, and when float64 cannot hold the
+    moments of a chunk's energies, before they are formed.
     """
     _check_samples(samples)
     if direction not in DIRECTIONS:
@@ -340,6 +333,18 @@ def write_energy_mc(
                 t_sw, t_pulse, r_init[piece], r_final[piece], params.v_write, out=t_sw
             )
             energy[piece] = t_sw
+        # The moments' sums, squares and products, here and in the curve, are
+        # at most top = high * samples or top^2, so top^2 must be finite.
+        # Underflow has lost the spread when its square, and so every squared
+        # deviation, is below the smallest normal, or a pulse's energies all 0.
+        low, high = float(energy.min()), float(energy.max())
+        spread, top = high - low, high * samples
+        lost = spread * spread < np.finfo(float).tiny if spread else high == 0 < t_pulse
+        if lost or not math.isfinite(top * top):
+            raise NumericError(
+                f"write energies of {low!r} to {high!r} J at a {t_pulse!r} s pulse, over "
+                f"{samples} samples, leave the float64 range of their mean and std: {params}"
+            )
 
         # Chan et al. parallel mean/M2 combination
         c_mean = float(energy.mean())
@@ -387,7 +392,8 @@ def energy_ber_curve(
     reproducible and the pairs are evaluated in parallel, on
     curve_workers(len(bers)) threads, with the same result for any count.
     The targets and the sample count are checked by check_curve_grid, which
-    the CLI runs before it reads a device file.
+    the CLI runs before it reads a device file. A NumericError of
+    write_energy_mc is raised again with the BER it was simulating.
     """
     # imported here because at module level it costs every command ~5 ms and 0.3 MiB
     from concurrent.futures import ThreadPoolExecutor
@@ -401,9 +407,12 @@ def energy_ber_curve(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((seed, idx, d_idx)))
         )
-        return write_energy_mc(
-            params, pulses[idx], DIRECTIONS[d_idx], samples, rng, variability_mode
-        )
+        try:
+            return write_energy_mc(
+                params, pulses[idx], DIRECTIONS[d_idx], samples, rng, variability_mode
+            )
+        except NumericError as exc:
+            raise NumericError(f"BER={ordered[idx]!r}: {exc}") from exc
 
     jobs = [(idx, d_idx) for idx in range(len(ordered)) for d_idx in range(len(DIRECTIONS))]
     with ThreadPoolExecutor(curve_workers(len(ordered))) as pool:

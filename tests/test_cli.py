@@ -25,6 +25,7 @@ from bitflip_bnn.mnist_io import (
 from bitflip_bnn.mtj import WITH_DEVICE_VARIATIONS, parse_device_config
 from tests.conftest import same_bits, synthetic_dataset, write_idx_images, write_idx_labels
 from tests.test_bitcore import fan_in_bound_model_bytes
+from tests.test_mtj import OUT_OF_RANGE_DEVICES
 from tests.test_mtj_reference import reference_energy_ber_curve
 
 
@@ -950,6 +951,21 @@ def test_device_the_model_cannot_describe_is_format_error(config, message, tmp_p
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: device config: ") and message in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("mode", ["intrinsic", "variations"])
+@pytest.mark.parametrize("config", OUT_OF_RANGE_DEVICES.values(), ids=OUT_OF_RANGE_DEVICES)
+def test_device_whose_energies_leave_the_float_range_exits_4(config, mode, tmp_path, capsys):
+    # the device check passes, but the write energies' moments over- or underflow
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text(config)
+    args = ["energy-curve", "--device", str(cfg), "--bers", "1e-1,1e-3,1e-8", "--samples", "200",
+            "--mode", mode, "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: BER=0.1: ") and err.count("\n") == 1
+    assert str(parse_device_config(config)) in err
     assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -16,7 +16,6 @@ from bitflip_bnn.bitcore import (
 )
 from bitflip_bnn.faultsim import (
     IncrementalEvaluator,
-    SweepResult,
     accuracy,
     ber_sweep,
     flip_bits,
@@ -216,13 +215,6 @@ def test_trial_seed_scheme_is_stable():
     # sweeps are reproducible across versions
     rng = np.random.Generator(np.random.PCG64(trial_seed(99, 1, 2)))
     assert rng.integers(0, 2**32) == 941588370
-
-
-def test_sweep_result_validation():
-    with pytest.raises(ValueError):
-        SweepResult([0.1], 2, np.array([[0.5, 1.5]]))
-    with pytest.raises(ValueError):
-        SweepResult([0.1], 2, np.array([[0.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from bitflip_bnn.mtj import (
     P_TO_AP,
     WITH_DEVICE_VARIATIONS,
     MtjDeviceParams,
-    ProgrammingPoint,
     conduction_energy,
     energy_ber_curve,
     gamma_upper_q,
@@ -456,13 +455,26 @@ def test_energies_in_femtojoule_decade(params):
         assert 10e-15 < p.energy_mean < 1000e-15
 
 
-def test_programming_point_invariants():
-    with pytest.raises(ValueError):
-        ProgrammingPoint(1e-9, 0.0, 1e-15, 0.0, INTRINSIC_ONLY)
-    with pytest.raises(ValueError):
-        ProgrammingPoint(1e-9, 0.5, -1e-15, 0.0, INTRINSIC_ONLY)
-    with pytest.raises(ValueError):
-        ProgrammingPoint(1e-9, 0.5, 1e-15, 0.0, "sometimes")
+# Devices the model describes (finite, positive resistances and write power)
+# whose write energies float64 holds, but not their moments: the squares
+# overflow, the squared deviations underflow to 0, or every energy does.
+OUT_OF_RANGE_DEVICES = {
+    "tau0-1e300": "tau0_ns=1e300\n",
+    "tau0-1.29e191": "tau0_ns=1.29e191\n",
+    "vc-2.43e89": "vc_mv=2.43e89\n",
+    "diameter-1e-140": "diameter_nm=1e-140\n",
+    "all-energies-zero": "tau0_ns=1e-291\nra_ohm_um2=1e300\n",
+}
+
+
+@pytest.mark.parametrize("mode", [INTRINSIC_ONLY, WITH_DEVICE_VARIATIONS])
+@pytest.mark.parametrize("config", OUT_OF_RANGE_DEVICES.values(), ids=OUT_OF_RANGE_DEVICES)
+def test_curve_refuses_energies_whose_moments_leave_the_float_range(config, mode):
+    params = parse_device_config(config)
+    with pytest.raises(NumericError) as raised:
+        energy_ber_curve(params, [1e-1, 1e-3, 1e-8], 200, 0, mode)
+    message = str(raised.value)
+    assert message.startswith("BER=0.1: write energies of ") and str(params) in message
 
 
 # ---------------------------------------------------------------------------

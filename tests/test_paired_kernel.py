@@ -7,7 +7,7 @@ dot products of the unpacked rows (a float64 matrix product, exact for these
 integers) as int64 and derives counts, sign bits and scores from them in
 int64. Inputs include rows that agree with, or oppose, both neurons of a pair
 in every position, so that each split sees |p_j| = n. The output layer's
-scores, which the same kernel counts as its int64 margins at T = 0, are
+scores, which _counts takes from the same kernel's products plus m, are
 checked against the same dot products, and so is the memory one of its
 forwards holds.
 """
@@ -94,14 +94,12 @@ def test_paired_kernel_matches_int64_dot_products(n, k, rows):
     dots = _dot_pm1(x_bool, w_bool)
     agree = (dots + n) // 2
 
-    # the kernel's int16 margins at T = 0 are its counts, since n < 2^15
-    counts = np.empty((rows, k), dtype=np.int16)
-    zero = np.zeros(k, dtype=np.int32)
-    bc._fire_words(bc._hidden_operands(weights.words, zero, n), x.words, n, counts)
+    counts = bc._counts(weights.words, x.words, n)
+    assert counts.dtype == np.int64
     assert np.array_equal(counts, agree)
 
     for thresholds in _threshold_sets(rng, n, k):
-        words = bc._hidden_words(weights.words, thresholds, x.words, n)
+        words = bc._fire_words(bc._hidden_operands(weights.words, thresholds, n), x.words, n)
         bits = BitTensor((rows, k), words).unpack_bool()
         assert np.array_equal(bits, agree >= thresholds)
         # what the clean pass of IncrementalEvaluator stores, thresholds
@@ -147,14 +145,14 @@ def test_output_forward_holds_its_scores_and_the_kernel_buffers():
     output = BinarizedLinearLayer(weights, rng.integers(0, n, k), is_output=True)
     # the int64 scores; the operands, k x n float32 beside the k x n unpacked
     # bytes they are built from; one chunk of C rows, its n float32 inputs
-    # and their unpacked bytes, its k float32 products and fire bits; and
-    # 64 KiB for the small temporaries
+    # and their unpacked bytes, and its k float32 products; and 64 KiB for
+    # the small temporaries
     chunk = min(rows, _C)
     bound = (
         rows * k * 8
         + k * n * (4 + 1)
         + chunk * n * (4 + 1)
-        + chunk * k * (4 + 1)
+        + chunk * k * 4
         + 64 * 1024
     )
     tracemalloc.start()

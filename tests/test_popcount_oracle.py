@@ -3,11 +3,11 @@
 `popcount_oracle` is the package's former production kernel: for each 64-bit
 word it XNORs every x row with every w row, masks the padding of the last
 word and adds the popcount. Every layer, hidden, conv and output, now counts
-through the +-1 float32 matrix product of `bitcore._fire_words`, read here
-directly as its int16 margins at T = 0, which are the counts themselves, and
-through `linear_forward`'s sign bits and scores. These tests require all of
-them to give the oracle's integers exactly, across the row-chunk boundary,
-with dirty padding and with thresholds that force constant outputs.
+through the +-1 float32 matrix product of `bitcore._products`, read here
+directly as the counts of `bitcore._counts`, its products plus m, and through
+`linear_forward`'s sign bits and scores. These tests require all of them to
+give the oracle's integers exactly, across the row-chunk boundary, with dirty
+padding and with thresholds that force constant outputs.
 """
 
 import math
@@ -56,14 +56,6 @@ def popcount_oracle(x_words: np.ndarray, w_words: np.ndarray, n_bits: int) -> np
     return counts
 
 
-def _kernel_counts(x_words, w_words, n_bits):
-    """The float32 kernel's counts: its int16 margins at T = 0, exact for n_bits < 2^15."""
-    margins = np.empty((len(x_words), len(w_words)), dtype=np.int16)
-    operands = bc._hidden_operands(w_words, np.zeros(len(w_words), np.int32), n_bits)
-    bc._fire_words(operands, x_words, n_bits, margins)
-    return margins
-
-
 def _random_bits(rng, rows, n_bits):
     return BitTensor.from_bool(rng.random((rows, n_bits)) < 0.5)
 
@@ -93,7 +85,7 @@ def test_kernel_and_linear_forward_equal_oracle(n_bits, rows):
 
     # dirty padding on one side only, too: there an unmasked XOR would count it
     for xt, wt in [(x, w), (_dirty(x), w), (x, _dirty(w)), (_dirty(x), _dirty(w))]:
-        assert np.array_equal(_kernel_counts(xt.words, wt.words, n_bits), expected)
+        assert np.array_equal(bc._counts(wt.words, xt.words, n_bits), expected)
 
         hidden = linear_forward(BinarizedLinearLayer(wt, thr, is_output=False), xt)
         assert hidden.shape == (rows, OUT_FEATURES)
