@@ -339,6 +339,9 @@ def cmd_energy_curve(args) -> int:
     _check_out(out, Path(str(out) + ".manifest"), inputs=[args.device])
     params = _device_params(args)
     points = energy_ber_curve(params, bers, args.samples, args.seed, _MODE_FLAGS[args.mode])
+    for p in points:  # a pulse within the float range in s can overflow in ns
+        if np.isinf(p.t_pulse * 1e9):
+            raise NumericError(f"BER={p.ber!r}: a {p.t_pulse!r} s pulse overflows in ns: {params}")
     rows = [
         f"{p.ber!r},{p.t_pulse * 1e9!r},{p.energy_mean * 1e15!r},"
         f"{p.energy_std * 1e15!r},{p.variability_mode}"

@@ -152,8 +152,6 @@ def flip_bits(model: BnnModel, ber: float, seed) -> BnnModel:
 
 def accuracy(model: BnnModel, dataset: Dataset) -> float:
     """Fraction of dataset samples whose predicted class matches the label."""
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     inputs = binarize_input(dataset.images)
     predictions = model_predict_batch(model, inputs)
     return float(np.mean(predictions == dataset.labels))
@@ -480,8 +478,6 @@ def ber_sweep(
     before it reads the model or the data.
     """
     check_sweep_grid(bers, trials)
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
 
     # binarize once; every trial scores the same packed bits
     inputs = binarize_input(dataset.images)

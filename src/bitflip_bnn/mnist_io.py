@@ -60,8 +60,10 @@ class Dataset:
         else:
             if self.images.ndim != 3:
                 raise ValueError("images must be [N, rows, cols]")
+            if self.images.size == 0:  # a packed BitTensor refuses a zero dimension itself
+                raise ValueError("dataset is empty")
             # stated so that NaN, which compares false, fails it too
-            if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
+            if not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
                 raise ValueError("intensities must lie in [0,1]")
         if self.labels.ndim != 1 or len(self.labels) != len(self):
             raise ValueError("labels must be one per image")

@@ -76,23 +76,20 @@ class MtjDeviceParams:
                 raise ValueError(f"{name} must be positive")
         if self.sigma_tmr_rel < 0 or self.sigma_rp_rel < 0:
             raise ValueError("variability sigmas must be non-negative")
-        if self.v_write <= self.v_c:
-            raise ValueError(
-                f"v_write={self.v_write} V must exceed v_c={self.v_c} V "
-                "(mean switching time diverges at the critical voltage)"
-            )
         # finite values can still under- or overflow: the junction area to 0 or
-        # past the float range (which raises), a resistance or V^2 to 0 or inf
+        # past the float range (which raises), a resistance, V^2 or tau to 0 or
+        # inf; at v_write <= v_c, tau is negative or divides by zero
         try:
             r_p, r_ap = resistances(self)
             power = self.v_write * self.v_write / r_ap
         except (ZeroDivisionError, OverflowError):
             r_p = r_ap = power = math.nan
-        if not all(0 < value < math.inf for value in (r_p, r_ap, power)):
+        tau = mean_switching_time(self) if self.v_write != self.v_c else math.inf
+        if not all(0 < value < math.inf for value in (r_p, r_ap, power, tau)):
             raise ValueError(
-                f"diameter_nm, ra_ohm_um2, tmr and v_write give R_P={r_p!r} ohm, "
-                f"R_AP={r_ap!r} ohm and a write power V^2/R_AP={power!r} W; "
-                "each must be finite and positive"
+                f"diameter_nm, ra_ohm_um2, tmr, v_c, tau_0 and v_write give R_P={r_p!r} ohm, "
+                f"R_AP={r_ap!r} ohm, a write power V^2/R_AP={power!r} W and a mean "
+                f"switching time tau={tau!r} s; each must be finite and positive"
             )
         if self.v_write < 1.5 * self.v_c:
             warnings.warn(
@@ -206,7 +203,8 @@ def pulse_for_ber(params: MtjDeviceParams, target_ber: float) -> float:
     """Pulse width achieving a target BER, by bisection on the exact tail.
 
     Q(k, t/theta) is strictly decreasing in t, so the solution is unique.
-    target_ber=1.0 maps to the t=0 boundary.
+    target_ber=1.0 maps to the t=0 boundary. Any other target whose pulse
+    over- or underflows the float range raises NumericError naming it.
     """
     if not 0.0 < target_ber <= 1.0:
         raise ValueError("target BER must lie in (0, 1]")
@@ -229,7 +227,12 @@ def pulse_for_ber(params: MtjDeviceParams, target_ber: float) -> float:
         else:
             hi = mid
         if lo > 0.0 and (hi - lo) <= PULSE_REL_TOL * lo:
-            return 0.5 * (lo + hi) * theta
+            t_pulse = 0.5 * (lo + hi) * theta
+            if 0.0 < t_pulse < math.inf:
+                return t_pulse
+            raise NumericError(
+                f"BER={target_ber!r}: a pulse of {t_pulse!r} s leaves the float range: {params}"
+            )
     raise NumericError(
         f"bisection for BER={target_ber} did not reach rel tol {PULSE_REL_TOL} in 200 iterations"
     )
@@ -275,9 +278,10 @@ def write_energy_mc(
     at a time, and each block's energies overwrite the resistance slots the
     block has just read: a call holds two float64 arrays of min(samples,
     _MC_CHUNK) with device variations and one without, plus one block.
-    Raises NumericError when device variations sample an R_P or R_AP <= 0,
-    before any switching time is drawn, and when float64 cannot hold the
-    moments of a chunk's energies, before they are formed.
+    Raises NumericError when device variations sample an R_P or R_AP that
+    is not finite and positive, before any switching time is drawn, and when
+    float64 cannot hold the moments of a chunk's energies, before they are
+    formed.
     """
     _check_samples(samples)
     if direction not in DIRECTIONS:
@@ -287,7 +291,7 @@ def write_energy_mc(
     if not 0 <= t_pulse < math.inf:
         raise ValueError("pulse width must be non-negative and finite")
 
-    r_p_nom, _ = resistances(params)
+    r_p_nom, r_ap_nom = resistances(params)
     theta = _gamma_theta(params)
 
     count = 0
@@ -302,25 +306,27 @@ def write_energy_mc(
             # r_p_nom * (1 + sigma_rp * N), then r_p * (1 + tmr * (1 + sigma_tmr * N)),
             # in place and in the same operation order as the expressions
             r_p = rng.standard_normal(n)
-            r_p *= params.sigma_rp_rel
-            r_p += 1.0
-            r_p *= r_p_nom
             r_ap = rng.standard_normal(n)
-            r_ap *= params.sigma_tmr_rel
-            r_ap += 1.0
-            r_ap *= params.tmr
-            r_ap += 1.0
-            r_ap *= r_p
-            if r_p.min() <= 0.0 or r_ap.min() <= 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the check below
+                r_p *= params.sigma_rp_rel
+                r_p += 1.0
+                r_p *= r_p_nom
+                r_ap *= params.sigma_tmr_rel
+                r_ap += 1.0
+                r_ap *= params.tmr
+                r_ap += 1.0
+                r_ap *= r_p
+            # an R_P of +inf makes its R_AP inf or NaN, and NaN compares false
+            if not (r_p.min() > 0.0 and 0.0 < r_ap.min() <= r_ap.max() < math.inf):
                 raise NumericError(
-                    "a sampled R_P or R_AP is <= 0 ohm: sigma_rp_rel="
+                    "a sampled R_P or R_AP is not finite and positive: sigma_rp_rel="
                     f"{params.sigma_rp_rel!r} and sigma_tmr_rel={params.sigma_tmr_rel!r} "
                     "are too large for Gaussian device variations"
                 )
             energy = r_p  # each block's energies replace the R_P it has just read
         else:
             r_p = np.broadcast_to(r_p_nom, (n,))
-            r_ap = np.broadcast_to(r_p_nom * (1.0 + params.tmr), (n,))
+            r_ap = np.broadcast_to(r_ap_nom, (n,))
             energy = np.empty(n)
         r_init, r_final = (r_p, r_ap) if direction == P_TO_AP else (r_ap, r_p)
         # the switching times are the stream's last draws, so drawing them a
@@ -329,9 +335,10 @@ def write_energy_mc(
             piece = slice(lo, min(lo + _BLOCK, n))
             t_sw = rng.gamma(params.k, theta, size=piece.stop - lo)
             unswitched += int(np.count_nonzero(t_sw > t_pulse))
-            conduction_energy(
-                t_sw, t_pulse, r_init[piece], r_final[piece], params.v_write, out=t_sw
-            )
+            with np.errstate(over="ignore"):  # an inf energy fails the range check below
+                conduction_energy(
+                    t_sw, t_pulse, r_init[piece], r_final[piece], params.v_write, out=t_sw
+                )
             energy[piece] = t_sw
         # The moments' sums, squares and products, here and in the curve, are
         # at most top = high * samples or top^2, so top^2 must be finite.

@@ -470,8 +470,6 @@ def train(
     `progress` is also called with each row as its epoch ends. train writes
     no file: the CLI writes the history as a CSV once the model is saved.
     """
-    if len(data) == 0:
-        raise ValueError("training set is empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     model = init_latent_model(layer_sizes, DROPOUT, rng)
     state = AdamState()

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -939,11 +940,13 @@ def test_energy_curve_non_finite_device_value_is_format_error(key, tmp_path, cap
         ("vc_mv=1e-300\n", "write power V^2/R_AP=0.0 W"),
         # RA over the area overflows
         ("ra_ohm_um2=1e308\ndiameter_nm=1e-150\n", "R_P=inf ohm, R_AP=inf ohm"),
+        # tau0 * Vc / (V - Vc) overflows just above the critical voltage
+        ("tau0_ns=1e308\nv_over_vc=1.000000000001\n", "mean switching time tau=inf s"),
     ],
-    ids=["area-underflow", "power-underflow", "resistance-overflow"],
+    ids=["area-underflow", "power-underflow", "resistance-overflow", "tau-overflow"],
 )
 def test_device_the_model_cannot_describe_is_format_error(config, message, tmp_path, capsys):
-    # every value is finite, but the resistances or the write power it gives are not
+    # every value is finite, but the resistances, write power or tau it gives are not
     cfg = tmp_path / "dev.cfg"
     cfg.write_text(config)
     args = ["energy-curve", "--device", str(cfg), "--bers", "1e-3", "--samples", "1000",
@@ -969,6 +972,44 @@ def test_device_whose_energies_leave_the_float_range_exits_4(config, mode, tmp_p
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+# Devices the model describes whose pulse, sampled resistances or CSV pulse in
+# ns float64 cannot hold, each run at one BER: (config, --bers, --mode, message)
+BEYOND_RANGE_RUNS = {
+    # tau = 1e307 s: the pulse at 1e-300 overflows
+    "pulse-overflow": ("tau0_ns=1e303\nv_over_vc=1.0000000000001\n", "1e-300", "intrinsic",
+                       "BER=1e-300: a pulse of inf s leaves the float range: "),
+    # tau = 1e-323 s: theta = tau / k, and so the pulse, underflows to 0
+    "pulse-underflow": ("tau0_ns=1e-300\nv_over_vc=1e14\n", "1e-3", "intrinsic",
+                        "BER=0.001: a pulse of 0.0 s leaves the float range: "),
+    # tau = 1e303 s: the pulse at 1e-300 fits in s but not in the CSV's ns
+    "pulse-ns-overflow": ("tau0_ns=1e300\nv_over_vc=1.000000000001\nra_ohm_um2=1e297\n",
+                          "1e-300", "intrinsic", "s pulse overflows in ns: "),
+    "sampled-resistance-overflow": (
+        "sigma_tmr_rel=7.938696344667321e+267\nra_ohm_um2=2.2355153743237522e+160\n", "1e-3",
+        "variations", "BER=0.001: a sampled R_P or R_AP is not finite and positive: ",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config,bers,mode,message", BEYOND_RANGE_RUNS.values(), ids=BEYOND_RANGE_RUNS
+)
+def test_device_whose_pulse_or_resistances_leave_the_float_range_exits_4(
+    config, bers, mode, message, tmp_path, capsys
+):
+    # the device check passes; a RuntimeWarning would fail the test
+    cfg = tmp_path / "dev.cfg"
+    cfg.write_text(config)
+    args = ["energy-curve", "--device", str(cfg), "--bers", bers, "--samples", "200",
+            "--mode", mode, "--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "v_write=", UserWarning)  # close to v_c only warns
+        assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: BER=") and message in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_energy_curve_nonpositive_resistance_is_numeric_error(tmp_path, capsys, monkeypatch):
     # the error is raised inside a pool thread and must reach main intact
     threads = []
@@ -987,7 +1028,8 @@ def test_energy_curve_nonpositive_resistance_is_numeric_error(tmp_path, capsys, 
         "--mode", "variations", "--out", str(out),
     ]
     assert main(args) == 4
-    assert "a sampled R_P or R_AP is <= 0 ohm: sigma_rp_rel=2.0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "a sampled R_P or R_AP is not finite and positive: sigma_rp_rel=2.0" in err
     assert threads and all(t is not threading.main_thread() for t in threads)
     assert not out.exists()
 

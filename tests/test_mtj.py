@@ -129,6 +129,12 @@ def test_subcritical_voltage_rejected(params):
         _at_voltage(params, 0.9)
 
 
+def test_critical_voltage_rejected(params):
+    # tau0 * Vc / (V - Vc) divides by zero: refused as an infinite tau
+    with pytest.raises(ValueError, match="mean switching time tau=inf s"):
+        _at_voltage(params, 1.0)
+
+
 def test_low_overdrive_warns(params):
     with pytest.warns(UserWarning, match="1.5"):
         _at_voltage(params, 1.2)

@@ -213,7 +213,7 @@ class _DrawLog:
 def test_nonpositive_sampled_resistance_is_refused_before_any_switching_time(params):
     wide = MtjDeviceParams(**{**vars(params), "sigma_rp_rel": 2.0})
     rng = _DrawLog(np.random.default_rng(80))
-    with pytest.raises(NumericError, match="R_P or R_AP is <= 0"):
+    with pytest.raises(NumericError, match="R_P or R_AP is not finite and positive"):
         write_energy_mc(wide, 1e-9, P_TO_AP, 2**20 + 3, rng, WITH_DEVICE_VARIATIONS)
     assert rng.draws == ["standard_normal", "standard_normal"]
 
@@ -280,7 +280,7 @@ def test_nonpositive_sampled_resistance_is_numeric_error_in_a_pool_thread(params
         return original(*args, **kwargs)
 
     monkeypatch.setattr(mtj, "write_energy_mc", spy)
-    with pytest.raises(NumericError, match="R_P or R_AP is <= 0"):
+    with pytest.raises(NumericError, match="R_P or R_AP is not finite and positive"):
         energy_ber_curve(wide, [1e-2, 1e-4], 10_000, 76, WITH_DEVICE_VARIATIONS)
     assert threads and all(t is not threading.main_thread() for t in threads)
     # intrinsic mode samples no resistances, so the same device still runs
