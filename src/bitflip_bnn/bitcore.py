@@ -635,8 +635,6 @@ def load_model_bytes(data: bytes) -> BnnModel:
     if magic != MODEL_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", 0)
     (layer_count,) = r.unpack("<I", "layer count")
-    if layer_count == 0:
-        raise FormatError("model has zero layers", r.offset)
     layers = []
     for i in range(layer_count):
         (kind,) = r.unpack("<B", f"layer {i} kind")
@@ -645,8 +643,6 @@ def load_model_bytes(data: bytes) -> BnnModel:
         if kind != LAYER_KIND_LINEAR:
             raise FormatError(f"unknown layer kind {kind}", r.offset - 1)
         out_f, in_f = r.unpack("<II", f"layer {i} dims")
-        if out_f == 0 or in_f == 0:
-            raise FormatError(f"layer {i} has zero dimension", r.offset)
         (is_output,) = r.unpack("<B", f"layer {i} is_output")
         thr = r.array("<i4", out_f, f"layer {i} thresholds")
         n_words = out_f * words_per_row(in_f)

@@ -157,11 +157,11 @@ def accuracy(model: BnnModel, dataset: Dataset) -> float:
     return float(np.mean(predictions == dataset.labels))
 
 
-def _run_trial(args) -> tuple[int, int, float]:
+def _run_trial(args) -> float:
     model, inputs, labels, ber, master_seed, ber_index, trial_index = args
     faulty = flip_bits(model, ber, trial_seed(master_seed, ber_index, trial_index))
     predictions = model_predict_batch(faulty, inputs)
-    return ber_index, trial_index, float(np.mean(predictions == labels))
+    return float(np.mean(predictions == labels))
 
 
 _ONE = np.uint64(1)
@@ -493,7 +493,7 @@ def ber_sweep(
     for bi in range(n_low, len(bers)):
         for ti in range(trials):
             job = (model, inputs, labels, bers[bi], master_seed, bi, ti)
-            accuracies[bi, ti] = _run_trial(job)[2]
+            accuracies[bi, ti] = _run_trial(job)
     return SweepResult(
         list(bers), trials, accuracies, n_low * trials, clean_pass_s, incremental_s, fallbacks
     )

@@ -47,6 +47,9 @@ _MC_CHUNK = 1 << 20  # samples per vectorized chunk; fixed so results do not
 _BLOCK = 1 << 15  # switching times drawn per pass of the in-place energy step;
 # its 256 KiB of draws stay in cache while each chunk array streams through once
 PULSE_REL_TOL = 1e-9  # relative bracket width at which pulse_for_ber's bisection stops
+# Largest gamma shape: the closed-form tail sums k terms ~35 times a pulse, and
+# k = 10^4 is a 1% switching-time spread, 25x tighter than the nominal 25%.
+MAX_GAMMA_SHAPE = 10_000
 
 
 @dataclass
@@ -62,7 +65,7 @@ class MtjDeviceParams:
     tmr: float
     v_c: float
     tau_0: float
-    k: float
+    k: int
     v_write: float
     sigma_tmr_rel: float = 0.0
     sigma_rp_rel: float = 0.0
@@ -71,9 +74,10 @@ class MtjDeviceParams:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("diameter_nm", "ra_ohm_um2", "tmr", "v_c", "tau_0", "k"):
+        for name in ("diameter_nm", "ra_ohm_um2", "tmr", "v_c", "tau_0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        self.k = _integer_shape(self.k)
         if self.sigma_tmr_rel < 0 or self.sigma_rp_rel < 0:
             raise ValueError("variability sigmas must be non-negative")
         # finite values can still under- or overflow: the junction area to 0 or
@@ -94,8 +98,8 @@ class MtjDeviceParams:
         if self.v_write < 1.5 * self.v_c:
             warnings.warn(
                 f"v_write={self.v_write} V is below 1.5*v_c; the mean "
-                "switching-time model is only trusted well above v_c",
-                stacklevel=2,
+                f"switching-time model is only trusted well above v_c: {self}",
+                stacklevel=3,  # past the dataclass __init__, to the code that built the device
             )
 
     @classmethod
@@ -146,16 +150,17 @@ def switching_time_sample(params: MtjDeviceParams, rng: np.random.Generator) -> 
 
 
 def _integer_shape(k: float) -> int:
-    ik = round(k)
-    if ik < 1 or abs(k - ik) > 1e-9:
+    """k as an int; ValueError unless it is a whole number in [1, MAX_GAMMA_SHAPE]."""
+    if not (1 <= k <= MAX_GAMMA_SHAPE and abs(k - round(k)) <= 1e-9):
         raise ValueError(
-            f"closed-form switching tail needs a positive integer gamma shape, got k={k}"
+            "closed-form switching tail needs an integer gamma shape in "
+            f"[1, {MAX_GAMMA_SHAPE}], got k={k!r}"
         )
-    return ik
+    return int(round(k))
 
 
 def gamma_upper_q(k: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(k, x) for positive integer k.
+    """Regularized upper incomplete gamma Q(k, x) for integer k in [1, MAX_GAMMA_SHAPE].
 
     Closed form (Poisson sum): Q(k, x) = exp(-x) * sum_{i=0}^{k-1} x^i / i!.
     Evaluated directly for x >= k; for x < k the numerically better route is
@@ -499,12 +504,6 @@ def parse_device_config(text: str) -> MtjDeviceParams:
             )
         values[key] = value
     merged = {**_CONFIG_DEFAULTS, **values}
-    try:
-        _integer_shape(merged["gamma_k"])
-    except ValueError as exc:
-        raise FormatError(
-            f"device config: gamma_k must be a positive integer, got {merged['gamma_k']!r}"
-        ) from exc
     v_c = merged["vc_mv"] * 1e-3
     try:
         return MtjDeviceParams(

@@ -445,13 +445,16 @@ def _train_step(
     """One Adam step on the packed input rows idx; returns the batch loss.
 
     The +-1 float32 batch, the cache and the gradients are this function's
-    locals, so none of them outlives the step.
+    locals, so none of them outlives the step. A diverging step overflows to
+    inf or NaN without a warning: export_model refuses the parameters that
+    result, at the epoch's test pass or at the save.
     """
     batch = pm1(_unpack_bits(inputs.words[idx], inputs.n_bits), np.float32)
-    logits, cache = forward_train(model, batch, rng)
-    loss, grad = softmax_cross_entropy(logits, labels[idx])
-    grads = backward_ste(model, cache, grad)
-    adam_step(model, grads, state, config, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = forward_train(model, batch, rng)
+        loss, grad = softmax_cross_entropy(logits, labels[idx])
+        grads = backward_ste(model, cache, grad)
+        adam_step(model, grads, state, config, t)
     return loss
 
 

@@ -522,6 +522,12 @@ BAD_MODELS = {
         lambda: fan_in_bound_model_bytes(784)[:-5], "truncated model file while reading layer 0"
     ),
     "conv": (conv_model_bytes, "layer 0: conv models are not supported"),
+    "no-layers": (lambda: b"BNN1" + struct.pack("<I", 0), "model needs at least one layer"),
+    # an output layer of 10 neurons over 0 inputs: 10 thresholds and no weight words
+    "zero-width": (
+        lambda: b"BNN1" + struct.pack("<IBIIB", 1, 0, 10, 0, 1) + bytes(4 * 10),
+        "layer 0: invalid BitTensor shape (10, 0)",
+    ),
 }
 
 
@@ -942,11 +948,20 @@ def test_energy_curve_non_finite_device_value_is_format_error(key, tmp_path, cap
         ("ra_ohm_um2=1e308\ndiameter_nm=1e-150\n", "R_P=inf ohm, R_AP=inf ohm"),
         # tau0 * Vc / (V - Vc) overflows just above the critical voltage
         ("tau0_ns=1e308\nv_over_vc=1.000000000001\n", "mean switching time tau=inf s"),
+        # the closed-form tail needs a whole gamma shape, and sums that many terms
+        ("gamma_k=16.5\n", "integer gamma shape in [1, 10000], got k=16.5"),
+        ("gamma_k=10001\n", "integer gamma shape in [1, 10000], got k=10001.0"),
+        ("gamma_k=1e20\n", "integer gamma shape in [1, 10000], got k=1e+20"),
     ],
-    ids=["area-underflow", "power-underflow", "resistance-overflow", "tau-overflow"],
+    ids=[
+        "area-underflow", "power-underflow", "resistance-overflow", "tau-overflow",
+        "gamma_k-non-integer", "gamma_k-above-max", "gamma_k-huge",
+    ],
 )
 def test_device_the_model_cannot_describe_is_format_error(config, message, tmp_path, capsys):
-    # every value is finite, but the resistances, write power or tau it gives are not
+    # every value is finite, but the model cannot run it: the resistances,
+    # write power or tau it gives are not, or its gamma shape is no whole
+    # number the tail can sum
     cfg = tmp_path / "dev.cfg"
     cfg.write_text(config)
     args = ["energy-curve", "--device", str(cfg), "--bers", "1e-3", "--samples", "1000",
@@ -1229,26 +1244,17 @@ def test_train_refuses_nan_learning_rate(synth_data_dir, tmp_path, capsys):
 
 def test_train_that_diverges_exits_4_and_writes_nothing(synth_data_dir, tmp_path, capsys):
     # lr passes TrainConfig's check, but Adam's lr * m_hat overflows float32
-    # and the latent parameters turn NaN; nothing is exported from them
+    # and the latent parameters turn NaN, silently; nothing is exported from them
     out = tmp_path / "m.bnn"
     args = [
         "train", "--data-dir", str(synth_data_dir), "--out", str(out),
         "--lr", "1e300", "--limit", "100", "--batch", "100", "--epochs", "1",
     ]
-    with pytest.warns(RuntimeWarning):
-        assert main(args) == 4
-    assert "is not finite: training diverged" in capsys.readouterr().err
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if not line.startswith("epoch ")] == lines[-1:]
+    assert lines[-1].startswith("error: ") and "is not finite: training diverged" in lines[-1]
     assert list(tmp_path.iterdir()) == []
-
-
-def test_energy_curve_non_integer_gamma_k_is_format_error(tmp_path, capsys):
-    cfg = tmp_path / "dev.cfg"
-    cfg.write_text("gamma_k=16.5\n")
-    out = tmp_path / "x.csv"
-    code = main(["energy-curve", "--device", str(cfg), "--bers", "1e-3", "--out", str(out)])
-    assert code == 3
-    assert "gamma_k must be a positive integer, got 16.5" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -40,14 +40,14 @@ from bitflip_bnn.mtj import _CONFIG_DEFAULTS, load_device_config, parse_device_c
 from tests.conftest import same_bits
 
 
-def _model_bytes() -> tuple[bytes, list[int]]:
-    """A hidden and output layer model, and the offsets of its header bytes.
+def _model_bytes(n_in: int = 70) -> tuple[bytes, list[int]]:
+    """A hidden and output layer model on n_in inputs, and the offsets of its header bytes.
 
     The offsets include each layer's kind byte, so the fuzzer also writes the
     reserved conv kind 1 there.
     """
     rng = np.random.default_rng(0)
-    hidden = BinarizedLinearLayer(BitTensor.from_bool(rng.random((5, 70)) < 0.5), [30] * 5)
+    hidden = BinarizedLinearLayer(BitTensor.from_bool(rng.random((5, n_in)) < 0.5), [30] * 5)
     out = BinarizedLinearLayer(BitTensor.from_bool(rng.random((3, 5)) < 0.5), [0] * 3, True)
     headers, offset = list(range(8)), 8  # magic, layer count
     for layer in (hidden, out):

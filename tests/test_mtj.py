@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -136,8 +138,11 @@ def test_critical_voltage_rejected(params):
 
 
 def test_low_overdrive_warns(params):
-    with pytest.warns(UserWarning, match="1.5"):
-        _at_voltage(params, 1.2)
+    with pytest.warns(UserWarning, match="1.5") as record:
+        device = _at_voltage(params, 1.2)
+    # the warning points at the code that built the device, and names it
+    assert record[0].filename == __file__
+    assert str(record[0].message).endswith(f": {device}")
 
 
 def test_sampler_moments(params):
@@ -216,13 +221,28 @@ def test_monte_carlo_refuses_an_infinite_pulse(params):
 
 
 def test_non_integer_shape_rejected(params):
-    odd = MtjDeviceParams(
-        diameter_nm=32, ra_ohm_um2=4, tmr=1.5, v_c=0.19, tau_0=1e-9, k=15.5, v_write=0.38
-    )
+    with pytest.raises(ValueError, match=re.escape("gamma shape in [1, 10000], got k=15.5")):
+        MtjDeviceParams(
+            diameter_nm=32, ra_ohm_um2=4, tmr=1.5, v_c=0.19, tau_0=1e-9, k=15.5, v_write=0.38
+        )
     with pytest.raises(ValueError, match="integer"):
-        _ber_at_pulse(odd, 1e-9)
-    with pytest.raises(ValueError, match="integer"):
-        pulse_for_ber(odd, 1e-3)
+        gamma_upper_q(15.5, 1.0)
+
+
+@pytest.mark.parametrize("k", [0, 0.5, -16, mtj.MAX_GAMMA_SHAPE + 1, 1e20])
+def test_shape_outside_one_to_max_is_rejected_at_construction(params, k):
+    # the closed-form tail sums k terms, so an unbounded k would hang pulse_for_ber
+    with pytest.raises(ValueError, match=re.escape(f"got k={k!r}")):
+        dataclasses.replace(params, k=k)
+    with pytest.raises(ValueError, match=re.escape(f"got k={k!r}")):
+        gamma_upper_q(k, 1.0)
+
+
+def test_shape_is_stored_as_an_int(params):
+    assert params.k == 16 and type(params.k) is int
+    widest = dataclasses.replace(params, k=float(mtj.MAX_GAMMA_SHAPE))
+    assert type(widest.k) is int
+    assert 0 < pulse_for_ber(widest, 1e-8) < math.inf
 
 
 def test_pulse_for_full_ber_is_zero(params):
