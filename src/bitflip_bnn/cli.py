@@ -73,14 +73,6 @@ def _parse_bers(text: str) -> list[float]:
     return bers
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
-
-
 def _peak_rss() -> tuple[str, float] | None:
     """(source, MiB) of this process's peak resident set size so far.
 
@@ -110,28 +102,32 @@ def _key_order(key: str) -> list:
     return [int(part) if i % 2 else part for i, part in enumerate(re.split(r"(\d+)", key))]
 
 
-def _write_manifest(
-    csv_path: Path,
-    command: str,
-    params: dict,
-    outputs: list[Path],
-    started: float,
-    stats: dict,
+def _write_outputs(
+    files: dict, manifest: Path, command: str, params: dict, started: float, stats: dict
 ) -> None:
-    """Write the reproducibility record <csv_path>.manifest.
+    """Write a command's outputs, then their manifest: all of them or none.
 
-    One key=value line each, in this order: the command, the parameters, the
-    seed, the outputs, the package versions, the measured run figures (both
-    sorted by _key_order), the source and value of the process's peak
-    resident set size so far (both omitted where neither source exists; see
-    _peak_rss), and the wall time since `started`.
+    files maps each output path to its CSV lines, header first, or to the
+    BnnModel that save_model writes there. The manifest, the reproducibility
+    record, has one key=value line each, in this order: the command, the
+    parameters, the seed, the outputs (the paths of files), the package
+    versions, the measured run figures (both sorted by _key_order), the
+    source and value of the process's peak resident set size so far (both
+    omitted where neither source exists; see _peak_rss), and the wall time
+    since `started`.
+
+    Only once it is built is the outputs' directory made. Each file, the
+    manifest last, is written to a hidden temporary .<name>.<pid>.tmp beside
+    the file it replaces (a symlink's target, so the link stays), and all are
+    renamed into place once all are written. So an error keeps its exit code
+    and leaves every earlier output as it was and no temporary behind.
     """
     duration_s = time.monotonic() - started
     lines = [f"command={command}"]
     lines += [f"param.{key}={_fmt(params[key])}" for key in sorted(params, key=_key_order)]
     if params.get("seed") is not None:
         lines.append(f"seed={params['seed']}")
-    lines += [f"output.{i}={out}" for i, out in enumerate(outputs)]
+    lines += [f"output.{i}={out}" for i, out in enumerate(files)]
     lines += [f"version.bitflip_bnn={__version__}", f"version.numpy={np.__version__}"]
     lines += [f"{key}={_fmt(stats[key])}" for key in sorted(stats, key=_key_order)]
     peak = _peak_rss()
@@ -139,7 +135,21 @@ def _write_manifest(
         source, mib = peak
         lines += [f"peak_rss_source={source}", f"peak_rss_mib={mib!r}"]
     lines.append(f"duration_s={duration_s!r}")
-    Path(str(csv_path) + ".manifest").write_text("\n".join(lines) + "\n")
+    manifest.parent.mkdir(parents=True, exist_ok=True)
+    staged = {}  # final path: its temporary
+    try:
+        for path, content in {**files, manifest: lines}.items():
+            target = Path(os.path.realpath(path))
+            staged[target] = temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            if isinstance(content, list):
+                temp.write_text("".join(line + "\n" for line in content))
+            else:
+                save_model(content, temp)
+        for target, temp in staged.items():
+            os.replace(temp, target)
+    finally:
+        for temp in staged.values():
+            temp.unlink(missing_ok=True)
 
 
 def _sweep_stats(result: SweepResult) -> dict:
@@ -184,21 +194,16 @@ def _tradeoff_stats(rows: list[tuple[float, float, float, float]]) -> dict:
     }
 
 
-def _sibling(path: Path, tag: str) -> Path:
-    if path.suffix:
-        return path.with_name(path.stem + tag + path.suffix)
-    return path.with_name(path.name + tag)
-
-
 def _check_out(out: Path, *siblings: Path, inputs=()) -> None:
     """Refuse, before any data is read, an --out that could not be written.
 
     Every path the command writes must not be a directory, nor the same file
     as one of `inputs`, the files the command reads, however it is named:
     ./m.bnn, a symlink or a hard link to m.bnn (an unset input, None or "",
-    is skipped). Its nearest existing ancestor must be a writable directory
-    (missing ones are made at write time). Raises OSError, which exits 3,
-    naming the flag and the path.
+    is skipped). The nearest existing ancestor of the file it names (a
+    symlink's target), where _write_outputs makes the missing ones and
+    renames the file into place, must be a writable directory. Raises
+    OSError, which exits 3, naming the flag and the path.
     """
     for path in (out, *siblings):
         same = path.exists() and [i for i in inputs if i and os.path.exists(i) and path.samefile(i)]
@@ -206,14 +211,10 @@ def _check_out(out: Path, *siblings: Path, inputs=()) -> None:
             raise OSError(f"--out {out}: {path} would replace the input {same[0]}")
         if path.is_dir():
             raise OSError(f"--out {out}: {path} is a directory")
-        if path.exists():
-            writable = os.access(path, os.W_OK)
-        else:
-            parent = path.parent
-            while not parent.exists():
-                parent = parent.parent
-            writable = parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)
-        if not writable:
+        parent = Path(os.path.realpath(path)).parent
+        while not parent.exists():
+            parent = parent.parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
             raise OSError(f"--out {out}: cannot create {path}")
 
 
@@ -263,12 +264,12 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     log_path = Path(str(out) + ".log.csv")
     splits = [*split_files(args.data_dir, "train"), *split_files(args.data_dir, "test")]
-    _check_out(out, log_path, Path(str(log_path) + ".manifest"), inputs=splits)
+    manifest = Path(str(log_path) + ".manifest")
+    _check_out(out, log_path, manifest, inputs=splits)
     train_set = _load_split(args.data_dir, "train", MNIST_LAYER_SIZES[0])
     if args.limit is not None:
         train_set = train_set.take(args.limit)
     test_set = _load_split(args.data_dir, "test", MNIST_LAYER_SIZES[0])
-    out.parent.mkdir(parents=True, exist_ok=True)
     # each epoch's wall time, its test pass included; the first also counts
     # train()'s set-up
     stats = {}
@@ -282,11 +283,11 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch}: train_loss={loss:.4f} test_accuracy={acc:.4f}", file=sys.stderr)
 
     latent, history = train(train_set, config, MNIST_LAYER_SIZES, test_set, progress=progress)
-    save_model(export_model(latent), out)
-    rows = [f"{epoch},{loss!r},{acc!r}" for epoch, loss, acc in history]
-    _write_csv(log_path, "epoch,train_loss,test_accuracy", rows)
+    log = ["epoch,train_loss,test_accuracy"]
+    log += [f"{epoch},{loss!r},{acc!r}" for epoch, loss, acc in history]
     params = {**_flag_params(args), "out": str(out)}
-    _write_manifest(log_path, args.command, params, [out, log_path], started, stats)
+    files = {out: export_model(latent), log_path: log}
+    _write_outputs(files, manifest, args.command, params, started, stats)
     print(f"model written to {out}; final test accuracy {history[-1][2]!r}")
     return 0
 
@@ -300,8 +301,9 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_rows(result: SweepResult) -> tuple[list[str], list[str]]:
-    trial_rows = []
-    summary_rows = []
+    """The per-trial and the summary CSV lines of a sweep, each header first."""
+    trial_rows = ["ber,trial,accuracy"]
+    summary_rows = ["ber,mean_accuracy,std_accuracy"]
     for bi, ber in enumerate(result.bers):
         for ti in range(result.trials):
             trial_rows.append(f"{ber!r},{ti},{float(result.accuracies[bi, ti])!r}")
@@ -316,17 +318,17 @@ def cmd_ber_sweep(args) -> int:
     bers = _parse_bers(args.bers)
     check_sweep_grid(bers, args.trials)
     out = Path(args.out)
-    trials_path = _sibling(out, "_trials")
+    trials_path = out.with_name(out.stem + "_trials" + out.suffix)
+    manifest = Path(str(out) + ".manifest")
     inputs = [args.model, *split_files(args.data_dir, "test")]
-    _check_out(out, trials_path, Path(str(out) + ".manifest"), inputs=inputs)
+    _check_out(out, trials_path, manifest, inputs=inputs)
     model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     result = ber_sweep(model, test_set, bers, args.trials, args.seed)
     trial_rows, summary_rows = _sweep_rows(result)
-    _write_csv(out, "ber,mean_accuracy,std_accuracy", summary_rows)
-    _write_csv(trials_path, "ber,trial,accuracy", trial_rows)
+    files = {out: summary_rows, trials_path: trial_rows}
     params = _flag_params(args, "out")
-    _write_manifest(out, args.command, params, [out, trials_path], started, _sweep_stats(result))
+    _write_outputs(files, manifest, args.command, params, started, _sweep_stats(result))
     print(f"sweep written to {out} (per-trial rows in {trials_path})")
     return 0
 
@@ -336,20 +338,21 @@ def cmd_energy_curve(args) -> int:
     bers = _parse_bers(args.bers)
     check_curve_grid(bers, args.samples)
     out = Path(args.out)
-    _check_out(out, Path(str(out) + ".manifest"), inputs=[args.device])
+    manifest = Path(str(out) + ".manifest")
+    _check_out(out, manifest, inputs=[args.device])
     params = _device_params(args)
     points = energy_ber_curve(params, bers, args.samples, args.seed, _MODE_FLAGS[args.mode])
     for p in points:  # a pulse within the float range in s can overflow in ns
         if np.isinf(p.t_pulse * 1e9):
             raise NumericError(f"BER={p.ber!r}: a {p.t_pulse!r} s pulse overflows in ns: {params}")
-    rows = [
+    rows = ["ber,t_pulse_ns,energy_mean_fj,energy_std_fj,mode"]
+    rows += [
         f"{p.ber!r},{p.t_pulse * 1e9!r},{p.energy_mean * 1e15!r},"
         f"{p.energy_std * 1e15!r},{p.variability_mode}"
         for p in points
     ]
-    _write_csv(out, "ber,t_pulse_ns,energy_mean_fj,energy_std_fj,mode", rows)
     stats = _energy_stats(points, args.samples)
-    _write_manifest(out, args.command, _flag_params(args, "out"), [out], started, stats)
+    _write_outputs({out: rows}, manifest, args.command, _flag_params(args, "out"), started, stats)
     print(f"energy curve written to {out}")
     return 0
 
@@ -362,7 +365,8 @@ def cmd_acc_energy(args) -> int:
     check_sweep_grid(ascending, args.trials)
     out = Path(args.out)
     inputs = [args.model, args.device, *split_files(args.data_dir, "test")]
-    _check_out(out, Path(str(out) + ".manifest"), inputs=inputs)
+    manifest = Path(str(out) + ".manifest")
+    _check_out(out, manifest, inputs=inputs)
     model = load_model(args.model)
     test_set = _load_split(args.data_dir, "test", model.layers[0].in_features)
     device = _device_params(args)
@@ -375,13 +379,9 @@ def cmd_acc_energy(args) -> int:
     }
     # descending BER, ascending energy
     rows = [(p.ber, p.energy_mean * 1e15, *acc_by_ber[p.ber]) for p in curve]
-    _write_csv(
-        out,
-        "ber,energy_mean_fj,mean_accuracy,std_accuracy",
-        [",".join(map(repr, row)) for row in rows],
-    )
+    csv = ["ber,energy_mean_fj,mean_accuracy,std_accuracy", *(",".join(map(repr, r)) for r in rows)]
     stats = {**_sweep_stats(sweep), **_energy_stats(curve, args.samples), **_tradeoff_stats(rows)}
-    _write_manifest(out, args.command, _flag_params(args, "out"), [out], started, stats)
+    _write_outputs({out: csv}, manifest, args.command, _flag_params(args, "out"), started, stats)
     print(f"accuracy-energy curve written to {out}")
     return 0
 

@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import os
 import struct
@@ -1255,6 +1256,104 @@ def test_train_that_diverges_exits_4_and_writes_nothing(synth_data_dir, tmp_path
     assert [line for line in lines if not line.startswith("epoch ")] == lines[-1:]
     assert lines[-1].startswith("error: ") and "is not finite: training diverged" in lines[-1]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_that_diverges_makes_no_out_directory(synth_data_dir, tmp_path, monkeypatch):
+    # --out's directory is made only when every output is ready to be written
+    monkeypatch.chdir(tmp_path)
+    args = ["train", "--data-dir", str(synth_data_dir), "--out", "o/m.bnn",
+            "--lr", "1e300", "--batch", "7", "--limit", "60"]
+    assert main(args) == 4
+    assert not (tmp_path / "o").exists()
+
+
+def _fail_second_write(monkeypatch) -> list[Path]:
+    """Make the second file the CLI writes fail with ENOSPC, once part of it is
+    on disk; return the paths written to, in order."""
+    from bitflip_bnn import cli
+
+    written = []
+    write_text, save_model = Path.write_text, cli.save_model
+
+    def count(path):
+        written.append(Path(path))
+        if len(written) == 2:
+            write_text(Path(path), "partial")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    def counted_write_text(path, data, *args, **kwargs):
+        count(path)
+        return write_text(path, data, *args, **kwargs)
+
+    def counted_save_model(model, path):
+        count(path)
+        save_model(model, path)
+
+    monkeypatch.setattr(Path, "write_text", counted_write_text)
+    monkeypatch.setattr(cli, "save_model", counted_save_model)
+    return written
+
+
+def _listing(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+# per command: its flags, its --out, and the flag that makes each output of
+# the earlier run differ from what the failing run would write
+WRITE_FAILURES = {
+    "ber-sweep": (["--trials", "2"], "sweep.csv", "--bers", ["0,1e-2", "0,2e-1"]),
+    "train": (["--epochs", "1", "--batch", "50", "--limit", "100"], "m.bnn", "--seed", ["1", "2"]),
+}
+
+
+@pytest.mark.parametrize("earlier_run", [True, False], ids=["over-outputs", "fresh"])
+@pytest.mark.parametrize("command", sorted(WRITE_FAILURES))
+def test_a_failed_write_keeps_every_output_as_it_was(
+    command, earlier_run, trained, synth_data_dir, tmp_path, monkeypatch, capsys
+):
+    flags, name, flag, (earlier, failing) = WRITE_FAILURES[command]
+    if command == "ber-sweep":
+        flags = [*flags, "--model", str(trained)]
+    args = [command, "--data-dir", str(synth_data_dir), *flags, "--out", str(tmp_path / name)]
+    if earlier_run:
+        assert main([*args, flag, earlier]) == 0
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    written = _fail_second_write(monkeypatch)
+    assert main([*args, flag, failing]) == 3
+    assert len(written) == 2  # the failure came where it was put
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and os.strerror(errno.ENOSPC) in errors[0]
+    # no output changed, none appeared, and no temporary is left
+    assert _listing(tmp_path) == before
+    assert len(before) == (3 if earlier_run else 0)
+
+
+def test_ber_sweep_out_without_a_suffix_names_its_siblings(trained, synth_data_dir, tmp_path):
+    out = tmp_path / "sweep"
+    args = ["ber-sweep", "--model", str(trained), "--data-dir", str(synth_data_dir),
+            "--bers", "1e-2", "--trials", "1", "--out", str(out)]
+    assert main(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep", "sweep.manifest", "sweep_trials"]
+    assert (tmp_path / "sweep_trials").read_text().startswith("ber,trial,accuracy\n")
+
+
+def test_an_out_that_is_a_symlink_writes_through_it(tmp_path):
+    args = ["energy-curve", "--bers", "1e-3", "--samples", "1000", "--seed", "4", "--out"]
+    assert main([*args, str(tmp_path / "plain.csv")]) == 0
+    target = tmp_path / "elsewhere" / "target.csv"
+    target.parent.mkdir()
+    target.write_text("earlier bytes\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main([*args, str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert (tmp_path / "link.csv.manifest").is_file()
+    assert sorted(p.name for p in target.parent.iterdir()) == ["target.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "elsewhere", "link.csv", "link.csv.manifest", "plain.csv", "plain.csv.manifest"
+    ]
 
 
 @pytest.mark.parametrize(
